@@ -4,9 +4,9 @@ Each cell generates a random simple-support problem tuned toward a target
 conflict level, estimates one fixed query with the trial engine, and runs
 the exact mass-space fold under a wall-clock cap.  The summary fits a
 power law to the estimator's wall time against problem size ``m * n``; the
-exponent should sit near 1 (trial cost is per-source work times a
-per-element scan), while the exact fold blows past any cap once the focal
-tables stop fitting.
+exponent should stay at or below 1 (an attempt costs one draw and one
+big-integer AND per source, and the frame size only widens the AND), while
+the exact fold blows past any cap once the focal tables stop fitting.
 """
 
 from __future__ import annotations

@@ -393,7 +393,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--workers", type=int, default=1)
     p.add_argument("--target-conflict", type=float, default=0.5)
     p.add_argument("--exact-cap", type=float, default=10.0, help="exact fold wall cap, seconds")
-    p.add_argument("--reps", type=int, default=3, help="timing repetitions (median kept)")
+    p.add_argument("--reps", type=int, default=3, help="timing repetitions (fastest kept)")
     p.add_argument("--csv", action="store_true")
     p.set_defaults(func=cmd_bench)
 

@@ -6,16 +6,13 @@ the surviving intersection lies inside the query set.  The success frequency
 estimates the combined belief; the rejected-draw frequency estimates the
 conflict mass.
 
-Three inner loops, all consuming exactly one uniform per source per attempt,
-in source order, so their draw streams are interchangeable:
-
-* the single-query kernel scans frame elements, maintaining non-emptiness
-  and the subset check together, and stops scanning the moment a surviving
-  element falls outside the query;
-* the batch kernel materializes the intersection once and tests every query
-  against it;
-* the simple-support kernel treats each two-outcome source as a Bernoulli
-  activation and intersects only the activated foci.
+One set-trial kernel serves every call: it intersects the drawn bitmasks as
+it goes and scores the surviving intersection against every query at once,
+so an attempt costs one big-integer AND per source whatever the query count.
+The draw contract is that each attempt consumes exactly one uniform per
+source, in source order, with no early exit; results are therefore a pure
+function of ``(seed, worker_count)``.  A joint sampler, when given, replaces
+the per-source draws with its own and runs through a separate loop.
 """
 
 from __future__ import annotations
@@ -29,14 +26,8 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .errors import ExcessiveConflictError, FrameMismatchError, InvalidProblemError
-from .evidence import (
-    EvidenceProblem,
-    FocalSet,
-    SourceModel,
-    as_simple_support,
-    require_valid,
-)
+from .errors import ExcessiveConflictError, FrameMismatchError
+from .evidence import EvidenceProblem, FocalSet, SourceModel, require_valid
 
 DEFAULT_RESTART_CAP = 10_000
 
@@ -131,12 +122,23 @@ def _split_trials(trials: int, workers: int) -> list[int]:
     return [s for s in shares if s > 0]
 
 
-def _source_tables(
+def _source_plans(
     problem: EvidenceProblem,
-) -> tuple[list[tuple[float, ...]], list[tuple[int, ...]]]:
-    cums = [s.cumulative for s in problem.sources]
-    masks = [s.target_bits for s in problem.sources]
-    return cums, masks
+) -> list[tuple[float, int, int, tuple[float, ...] | None, tuple[int, ...]]]:
+    """One ``(threshold, lo_mask, hi_mask, cum, masks)`` per source.
+
+    One- and two-outcome sources get ``cum=None`` and are drawn by a single
+    comparison with ``threshold``; larger sources are drawn by bisecting
+    their cumulative table ``cum`` into ``masks``.
+    """
+    plans = []
+    for source in problem.sources:
+        cum, masks = source.cumulative, source.target_bits
+        if len(cum) > 2:
+            plans.append((0.0, 0, 0, cum, masks))
+        else:
+            plans.append((cum[0], masks[0], masks[-1], None, masks))
+    return plans
 
 
 def _cap_error(rejected: int, completed: int, cap: int) -> ExcessiveConflictError:
@@ -148,62 +150,8 @@ def _cap_error(rejected: int, completed: int, cap: int) -> ExcessiveConflictErro
     )
 
 
-def _draw_plan(cums, masks):
-    """Per-source draw lookups, split so the common two-outcome case pays
-    no ``len`` check inside the hot loop.  The draw discipline is the same
-    for every kernel: one uniform per source per attempt, in source order."""
-    two = [len(cl) == 2 for cl in cums]
-    heads = [cl[0] for cl in cums]
-    lo = [mk[0] for mk in masks]
-    hi = [mk[1] if len(mk) > 1 else mk[0] for mk in masks]
-    return two, heads, lo, hi
-
-
-def _kernel_single(
-    cums, masks, n: int, b_bits: int, trials: int, rng: random.Random, cap: int
-) -> tuple[int, int]:
-    """Merged element scan for a single query; returns (successes, restarts)."""
-    m = len(cums)
-    rand = rng.random
-    chosen = [0] * m
-    two, heads, lo, hi = _draw_plan(cums, masks)
-    source_ix = range(m)
-    bits = [1 << j for j in range(n)]
-    successes = 0
-    restarts = 0
-    for t in range(trials):
-        trial_restarts = 0
-        while True:
-            for si in source_ix:
-                u = rand()
-                if two[si]:
-                    chosen[si] = lo[si] if u < heads[si] else hi[si]
-                else:
-                    chosen[si] = masks[si][bisect_right(cums[si], u)]
-            empty = True
-            score = 1
-            for bit in bits:
-                acc = bit
-                for gm in chosen:
-                    acc &= gm
-                if acc:
-                    empty = False
-                    if not b_bits & bit:
-                        score = 0
-                        break
-            if not empty:
-                successes += score
-                break
-            restarts += 1
-            trial_restarts += 1
-            if trial_restarts > cap:
-                raise _cap_error(restarts, t, cap)
-    return successes, restarts
-
-
-def _kernel_batch(
-    cums,
-    masks,
+def _kernel_set(
+    plans,
     full: int,
     not_queries: Sequence[int],
     trials: int,
@@ -211,26 +159,22 @@ def _kernel_batch(
     cap: int,
     collect: Counter | None = None,
 ) -> tuple[list[int], int]:
-    """Materialized intersection scored against many queries."""
-    m = len(cums)
+    """The set-trial kernel: intersect the drawn masks inline and score the
+    surviving intersection against every query; returns
+    ``(successes per query, restarts)``.  ``collect`` counts the surviving
+    intersections when given."""
     rand = rng.random
-    chosen = [0] * m
-    two, heads, lo, hi = _draw_plan(cums, masks)
-    source_ix = range(m)
     successes = [0] * len(not_queries)
     restarts = 0
     for t in range(trials):
         trial_restarts = 0
         while True:
-            for si in source_ix:
-                u = rand()
-                if two[si]:
-                    chosen[si] = lo[si] if u < heads[si] else hi[si]
-                else:
-                    chosen[si] = masks[si][bisect_right(cums[si], u)]
             g = full
-            for gm in chosen:
-                g &= gm
+            for thr, lo, hi, cum, masks in plans:
+                if cum is None:
+                    g &= lo if rand() < thr else hi
+                else:
+                    g &= masks[bisect_right(cum, rand())]
             if g:
                 break
             restarts += 1
@@ -242,43 +186,6 @@ def _kernel_batch(
                 successes[qi] += 1
         if collect is not None:
             collect[g] += 1
-    return successes, restarts
-
-
-def _kernel_ssf(
-    plans,
-    full: int,
-    b_bits: int,
-    trials: int,
-    rng: random.Random,
-    cap: int,
-) -> tuple[int, int]:
-    """Bernoulli-activation kernel for simple-support sources.
-
-    ``plans`` holds one ``(threshold, low_mask, high_mask)`` per source; the
-    draw picks ``low_mask`` when the uniform falls below the threshold.
-    Vacuous masks are skipped, so only activated foci are intersected.
-    """
-    rand = rng.random
-    not_b = ~b_bits
-    successes = 0
-    restarts = 0
-    for t in range(trials):
-        trial_restarts = 0
-        while True:
-            g = full
-            for thr, lo, hi in plans:
-                mask = lo if rand() < thr else hi
-                if mask != full:
-                    g &= mask
-            if g:
-                break
-            restarts += 1
-            trial_restarts += 1
-            if trial_restarts > cap:
-                raise _cap_error(restarts, t, cap)
-        if not g & not_b:
-            successes += 1
     return successes, restarts
 
 
@@ -325,60 +232,6 @@ def sample_source(source: SourceModel, rng: random.Random) -> int:
     if len(cl) == 2:
         return 0 if u < cl[0] else 1
     return bisect_right(cl, u)
-
-
-def run_trial(
-    problem: EvidenceProblem,
-    b: FocalSet,
-    rng: random.Random,
-    restart_cap: int = DEFAULT_RESTART_CAP,
-) -> tuple[int, int]:
-    """One trial of the merged scan; returns ``(success, restarts)``.
-
-    The caller is expected to pass a structurally valid problem; run a batch
-    through :func:`estimate` for validated entry points.
-    """
-    if b.frame != problem.frame:
-        raise FrameMismatchError("query set from a different frame")
-    cums, masks = _source_tables(problem)
-    return _kernel_single(
-        cums, masks, problem.frame.size, b.bits, 1, rng, restart_cap
-    )
-
-
-def ssf_fast_trial(
-    problem: EvidenceProblem,
-    b: FocalSet,
-    rng: random.Random,
-    restart_cap: int = DEFAULT_RESTART_CAP,
-) -> tuple[int, int]:
-    """One trial through the simple-support fast path; returns
-    ``(success, restarts)``.
-
-    Consumes the uniform stream exactly as :func:`run_trial` does, so for a
-    shared seed the two produce identical results.  Raises ``ValueError``
-    when any source is not of simple-support shape.
-    """
-    if b.frame != problem.frame:
-        raise FrameMismatchError("query set from a different frame")
-    plans = _ssf_plans(problem)
-    return _kernel_ssf(
-        plans, problem.frame.full_bits, b.bits, 1, rng, restart_cap
-    )
-
-
-def _ssf_plans(problem: EvidenceProblem) -> list[tuple[float, int, int]]:
-    plans = []
-    for i, source in enumerate(problem.sources):
-        if as_simple_support(source) is None:
-            raise ValueError(f"source {i} is not a simple support source")
-        cl = source.cumulative
-        tb = source.target_bits
-        if len(cl) == 1:
-            plans.append((1.0, tb[0], tb[0]))
-        else:
-            plans.append((cl[0], tb[0], tb[1]))
-    return plans
 
 
 def _run_workers(cfg: TrialEngineConfig, job) -> list:
@@ -435,43 +288,25 @@ def estimate(
     for q in batch.queries:
         if q.frame != problem.frame:
             raise FrameMismatchError("query set from a different frame")
-    cums, masks = _source_tables(problem)
     full = problem.frame.full_bits
-    n = problem.frame.size
-    queries = batch.queries
+    not_qs = [~q.bits for q in batch.queries]
+    cap = cfg.restart_cap
 
     if joint_sampler is not None:
-        not_qs = [~q.bits for q in queries]
+        masks = [s.target_bits for s in problem.sources]
 
         def job(share, rng):
-            return _kernel_hook(
-                masks, full, not_qs, share, rng, cfg.restart_cap, joint_sampler
-            )
+            return _kernel_hook(masks, full, not_qs, share, rng, cap, joint_sampler)
 
-        parts = _run_workers(cfg, job)
-        restarts = sum(r for _, r in parts)
-        totals = [sum(p[0][qi] for p in parts) for qi in range(len(queries))]
-        return [_build_estimate(s, cfg.trials, restarts) for s in totals]
-
-    if len(queries) == 1:
-        b_bits = queries[0].bits
+    else:
+        plans = _source_plans(problem)
 
         def job(share, rng):
-            return _kernel_single(cums, masks, n, b_bits, share, rng, cfg.restart_cap)
-
-        parts = _run_workers(cfg, job)
-        successes = sum(s for s, _ in parts)
-        restarts = sum(r for _, r in parts)
-        return [_build_estimate(successes, cfg.trials, restarts)]
-
-    not_qs = [~q.bits for q in queries]
-
-    def job(share, rng):
-        return _kernel_batch(cums, masks, full, not_qs, share, rng, cfg.restart_cap)
+            return _kernel_set(plans, full, not_qs, share, rng, cap)
 
     parts = _run_workers(cfg, job)
     restarts = sum(r for _, r in parts)
-    totals = [sum(p[0][qi] for p in parts) for qi in range(len(queries))]
+    totals = [sum(p[0][qi] for p in parts) for qi in range(len(not_qs))]
     return [_build_estimate(s, cfg.trials, restarts) for s in totals]
 
 
@@ -485,11 +320,11 @@ def conflict_estimate(
     is what each trial cost on average, restarts included.
     """
     require_valid(problem)
-    cums, masks = _source_tables(problem)
+    plans = _source_plans(problem)
     full = problem.frame.full_bits
 
     def job(share, rng):
-        return _kernel_batch(cums, masks, full, (), share, rng, cfg.restart_cap)
+        return _kernel_set(plans, full, (), share, rng, cfg.restart_cap)
 
     parts = _run_workers(cfg, job)
     restarts = sum(r for _, r in parts)
@@ -506,12 +341,12 @@ def subset_frequency_scan(
     ties break toward the smaller bitmask for a stable report.
     """
     require_valid(problem)
-    cums, masks = _source_tables(problem)
+    plans = _source_plans(problem)
     full = problem.frame.full_bits
 
     def job(share, rng):
         counts: Counter = Counter()
-        _kernel_batch(cums, masks, full, (), share, rng, cfg.restart_cap, counts)
+        _kernel_set(plans, full, (), share, rng, cfg.restart_cap, counts)
         return counts
 
     parts = _run_workers(cfg, job)

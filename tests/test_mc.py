@@ -11,6 +11,7 @@ import pytest
 from beliefmc import (
     EvidenceProblem,
     ExcessiveConflictError,
+    FocalSet,
     FrameMismatchError,
     Frame,
     InvalidProblemError,
@@ -23,14 +24,13 @@ from beliefmc import (
     estimate,
     exact_belief_enumeration,
     plan_trials,
-    run_trial,
     sample_source,
     sd_bound,
     simple_support,
-    ssf_fast_trial,
     subset_frequency_scan,
 )
 from beliefmc.mc import derive_stream_seed, worker_rng
+from conftest import random_problem, random_ssf_problem
 
 
 class TestPlanning:
@@ -103,34 +103,28 @@ class TestSampleSource:
 
 
 class TestRunTrial:
+    """Single-trial contracts, checked through :func:`estimate`."""
+
     def test_vacuous_always_succeeds_on_universe(self):
         frame = Frame(("x1", "x2"))
         problem = EvidenceProblem(
             frame, (simple_support(frame, frame.singleton("x1"), 0.5),)
         )
-        rng = random.Random(0)
-        for _ in range(100):
-            assert run_trial(problem, frame.universe(), rng) == (1, 0)
+        r = estimate(problem, [frame.universe()], TrialEngineConfig(trials=100))[0]
+        assert (r.successes, r.restarts) == (100, 0)
 
     def test_success_frequency_matches_exact(self, two_ssf_problem):
         b = two_ssf_problem.frame.singleton("x1")
-        rng = random.Random(11)
-        n = 100_000
-        wins = 0
-        for _ in range(n):
-            s, _ = run_trial(two_ssf_problem, b, rng)
-            wins += s
-        assert wins / n == pytest.approx(float(Fraction(3, 7)), abs=0.005)
+        cfg = TrialEngineConfig(trials=100_000, seed=11)
+        r = estimate(two_ssf_problem, [b], cfg)[0]
+        assert r.value == pytest.approx(float(Fraction(3, 7)), abs=0.005)
 
     def test_restart_rate_matches_conflict(self, two_ssf_problem):
-        rng = random.Random(3)
-        n = 50_000
-        restarts = 0
-        for _ in range(n):
-            _, r = run_trial(two_ssf_problem, two_ssf_problem.frame.universe(), rng)
-            restarts += r
-        kappa = restarts / (restarts + n)
-        assert kappa == pytest.approx(0.3, abs=0.01)
+        universe = two_ssf_problem.frame.universe()
+        r = estimate(
+            two_ssf_problem, [universe], TrialEngineConfig(trials=50_000, seed=3)
+        )[0]
+        assert r.conflict_estimate == pytest.approx(0.3, abs=0.01)
 
     def test_deterministic_conflict_blows_cap(self):
         frame = Frame(("x1", "x2"))
@@ -141,45 +135,18 @@ class TestRunTrial:
                 simple_support(frame, frame.singleton("x2"), 1.0),
             ),
         )
+        cfg = TrialEngineConfig(trials=10, restart_cap=64)
         with pytest.raises(ExcessiveConflictError) as exc:
-            run_trial(problem, frame.universe(), random.Random(0), restart_cap=64)
+            estimate(problem, [frame.universe()], cfg)
         assert exc.value.conflict_estimate == pytest.approx(1.0)
 
     def test_frame_mismatch(self, two_ssf_problem):
         with pytest.raises(FrameMismatchError):
-            run_trial(two_ssf_problem, Frame(("z",)).universe(), random.Random(0))
-
-
-class TestSsfFastTrial:
-    def test_identical_to_general_trial(self, two_ssf_problem):
-        b = two_ssf_problem.frame.singleton("x1")
-        r1, r2 = random.Random(99), random.Random(99)
-        seq_general = [run_trial(two_ssf_problem, b, r1) for _ in range(10_000)]
-        seq_fast = [ssf_fast_trial(two_ssf_problem, b, r2) for _ in range(10_000)]
-        assert seq_general == seq_fast
-
-    def test_identical_with_swapped_outcome_order(self):
-        frame = Frame(("x1", "x2", "x3"))
-        swapped = SourceModel(
-            frame, ((0.5, frame.universe()), (0.5, frame.singleton("x2")))
-        )
-        problem = EvidenceProblem(
-            frame, (simple_support(frame, frame.singleton("x1"), 0.6), swapped)
-        )
-        b = frame.singleton("x1")
-        r1, r2 = random.Random(4), random.Random(4)
-        seq_general = [run_trial(problem, b, r1) for _ in range(5000)]
-        seq_fast = [ssf_fast_trial(problem, b, r2) for _ in range(5000)]
-        assert seq_general == seq_fast
-
-    def test_rejects_general_sources(self):
-        frame = Frame(("x1", "x2"))
-        general = SourceModel(
-            frame, ((0.5, frame.singleton("x1")), (0.5, frame.singleton("x2")))
-        )
-        problem = EvidenceProblem(frame, (general,))
-        with pytest.raises(ValueError, match="simple support"):
-            ssf_fast_trial(problem, frame.universe(), random.Random(0))
+            estimate(
+                two_ssf_problem,
+                [Frame(("z",)).universe()],
+                TrialEngineConfig(trials=10),
+            )
 
     def test_inactive_sources_leave_universe(self):
         # near-zero weights: the intersection stays the whole frame, so any
@@ -192,9 +159,132 @@ class TestSsfFastTrial:
                 simple_support(frame, frame.singleton("x2"), 1e-12),
             ),
         )
-        rng = random.Random(8)
-        results = [ssf_fast_trial(problem, frame.singleton("x1"), rng) for _ in range(200)]
-        assert results == [(0, 0)] * 200
+        cfg = TrialEngineConfig(trials=200, seed=8)
+        r = estimate(problem, [frame.singleton("x1")], cfg)[0]
+        assert (r.successes, r.restarts) == (0, 0)
+
+
+def _stream_problems() -> dict[str, EvidenceProblem]:
+    """Simple-support, multi-outcome and certain-source problems."""
+    frame = Frame(("x1", "x2", "x3"))
+    x1 = simple_support(frame, frame.singleton("x1"), 0.6)
+    x2 = simple_support(frame, frame.singleton("x2"), 0.5)
+    # simple support with the vacuous outcome listed first
+    swapped = SourceModel(
+        frame, ((0.5, frame.universe()), (0.5, frame.singleton("x2")))
+    )
+    return {
+        "ssf-pair": EvidenceProblem(frame, (x1, x2)),
+        "ssf-swapped": EvidenceProblem(frame, (x1, swapped)),
+        "ssf-certain": random_ssf_problem(2),  # outcomes per source 1,2,2,2,1,2
+        "general": random_problem(3),  # outcomes per source 2,3,4,2
+        "general-certain": random_problem(2),  # outcomes per source 1,1,4
+    }
+
+
+def _stream_runs() -> dict:
+    """Draw-stream fingerprints at 1 and 2 workers: ``(successes, restarts)``
+    of each query alone, ``(successes..., restarts)`` of all queries in one
+    batch, the conflict estimate, and the top surviving intersections as
+    ``(bits, frequency)``."""
+    out = {}
+    for label, problem in _stream_problems().items():
+        full = problem.frame.full_bits
+        queries = [FocalSet(problem.frame, b) for b in (1, 3, full ^ 1, full & ~8)]
+        for workers in (1, 2):
+            cfg = TrialEngineConfig(trials=2000, seed=17, worker_count=workers)
+            for q in queries:
+                r = estimate(problem, [q], cfg)[0]
+                out[(label, q.bits, workers)] = (r.successes, r.restarts)
+            res = estimate(problem, queries, cfg)
+            out[(label, "batch", workers)] = (
+                *(r.successes for r in res), res[0].restarts
+            )
+            out[(label, "conflict", workers)] = conflict_estimate(problem, cfg)
+            out[(label, "scan", workers)] = [
+                (fs.bits, freq) for fs, freq in subset_frequency_scan(problem, cfg, 4)
+            ]
+    return out
+
+
+#: Recorded from the element-scan and batch kernels that preceded the single
+#: set-trial kernel; any change to the draw discipline (one uniform per
+#: source per attempt, in source order) shows up here.
+PINNED_STREAMS = {
+    ("ssf-pair", 1, 1): (851, 809),
+    ("ssf-pair", 3, 1): (1421, 809),
+    ("ssf-pair", 6, 1): (570, 809),
+    ("ssf-pair", 7, 1): (2000, 809),
+    ("ssf-pair", "batch", 1): (851, 1421, 570, 2000, 809),
+    ("ssf-pair", "conflict", 1): (0.28800284798860804, 1.4045),
+    ("ssf-pair", "scan", 1): [(1, 0.4255), (7, 0.2895), (2, 0.285)],
+    ("ssf-pair", 1, 2): (809, 826),
+    ("ssf-pair", 3, 2): (1424, 826),
+    ("ssf-pair", 6, 2): (615, 826),
+    ("ssf-pair", 7, 2): (2000, 826),
+    ("ssf-pair", "batch", 2): (809, 1424, 615, 2000, 826),
+    ("ssf-pair", "conflict", 2): (0.2922859164897382, 1.413),
+    ("ssf-pair", "scan", 2): [(1, 0.4045), (2, 0.3075), (7, 0.288)],
+    ("ssf-swapped", 1, 1): (827, 876),
+    ("ssf-swapped", 3, 1): (1416, 876),
+    ("ssf-swapped", 6, 1): (589, 876),
+    ("ssf-swapped", 7, 1): (2000, 876),
+    ("ssf-swapped", "batch", 1): (827, 1416, 589, 2000, 876),
+    ("ssf-swapped", "conflict", 1): (0.3045897079276773, 1.438),
+    ("ssf-swapped", "scan", 1): [(1, 0.4135), (2, 0.2945), (7, 0.292)],
+    ("ssf-swapped", 1, 2): (809, 802),
+    ("ssf-swapped", 3, 2): (1390, 802),
+    ("ssf-swapped", 6, 2): (581, 802),
+    ("ssf-swapped", 7, 2): (2000, 802),
+    ("ssf-swapped", "batch", 2): (809, 1390, 581, 2000, 802),
+    ("ssf-swapped", "conflict", 2): (0.2862241256245539, 1.401),
+    ("ssf-swapped", "scan", 2): [(1, 0.4045), (7, 0.305), (2, 0.2905)],
+    ("ssf-certain", 1, 1): (36, 3368),
+    ("ssf-certain", 3, 1): (2000, 3368),
+    ("ssf-certain", 2, 1): (1941, 3368),
+    ("ssf-certain", "batch", 1): (36, 2000, 1941, 2000, 3368),
+    ("ssf-certain", "conflict", 1): (0.6274217585692996, 2.684),
+    ("ssf-certain", "scan", 1): [(2, 0.9705), (1, 0.018), (3, 0.0115)],
+    ("ssf-certain", 1, 2): (39, 3470),
+    ("ssf-certain", 3, 2): (2000, 3470),
+    ("ssf-certain", 2, 2): (1943, 3470),
+    ("ssf-certain", "batch", 2): (39, 2000, 1943, 2000, 3470),
+    ("ssf-certain", "conflict", 2): (0.6343692870201096, 2.735),
+    ("ssf-certain", "scan", 2): [(2, 0.9715), (1, 0.0195), (3, 0.009)],
+    ("general", 1, 1): (202, 2270),
+    ("general", 3, 1): (202, 2270),
+    ("general", 126, 1): (1798, 2270),
+    ("general", 119, 1): (1815, 2270),
+    ("general", "batch", 1): (202, 202, 1798, 1815, 2270),
+    ("general", "conflict", 1): (0.531615925058548, 2.135),
+    ("general", "scan", 1): [(64, 0.292), (16, 0.2475), (80, 0.2145), (1, 0.101)],
+    ("general", 1, 2): (196, 2429),
+    ("general", 3, 2): (196, 2429),
+    ("general", 126, 2): (1804, 2429),
+    ("general", 119, 2): (1804, 2429),
+    ("general", "batch", 2): (196, 196, 1804, 1804, 2429),
+    ("general", "conflict", 2): (0.5484307970196433, 2.2145),
+    ("general", "scan", 2): [(64, 0.299), (16, 0.237), (80, 0.2175), (1, 0.098)],
+    ("general-certain", 1, 1): (0, 350),
+    ("general-certain", 3, 1): (0, 350),
+    ("general-certain", 126, 1): (2000, 350),
+    ("general-certain", 119, 1): (1001, 350),
+    ("general-certain", "batch", 1): (0, 0, 2000, 1001, 350),
+    ("general-certain", "conflict", 1): (0.14893617021276595, 1.175),
+    ("general-certain", "scan", 1): [(66, 0.5005), (74, 0.4995)],
+    ("general-certain", 1, 2): (0, 351),
+    ("general-certain", 3, 2): (0, 351),
+    ("general-certain", 126, 2): (2000, 351),
+    ("general-certain", 119, 2): (983, 351),
+    ("general-certain", "batch", 2): (0, 0, 2000, 983, 351),
+    ("general-certain", "conflict", 2): (0.14929817099106762, 1.1755),
+    ("general-certain", "scan", 2): [(74, 0.5085), (66, 0.4915)],
+}
+
+
+class TestDrawStream:
+    def test_pinned_streams(self):
+        assert _stream_runs() == PINNED_STREAMS
 
 
 class TestEstimate:
