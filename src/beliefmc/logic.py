@@ -12,6 +12,14 @@ toward the lower bound and 1 toward the upper bound.  The metering never
 changes what is sampled, so tightening the budget only moves scores between
 the bounds.
 
+The trial kernel holds terms as positive and negative bitmasks over the
+atoms in sorted name order, so bit order is literal order.  A merge is an
+OR, a contradiction is a non-zero AND against the opposite sign, and the
+clause test is one mask test; the exact step count comes from counting term
+and clause literals up to the lowest clashing or hitting bit.  Trials are
+split into per-worker substreams as for set problems, and the shares run
+one after the other in the calling thread.
+
 Problems over few atoms translate exactly to set problems over the frame of
 truth assignments, which connects this estimator to the exact combiners.
 """
@@ -19,6 +27,8 @@ truth assignments, which connects this estimator to the exact combiners.
 from __future__ import annotations
 
 import math
+import random
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, Sequence
@@ -34,9 +44,8 @@ from .evidence import (
 from .mc import (
     TrialEngineConfig,
     _cap_error,
-    _split_trials,
+    _run_workers,
     sd_bound,
-    worker_rng,
 )
 
 #: Widest assignment frame the exact translation will build (2**16 elements).
@@ -234,48 +243,80 @@ def validate_logic_problem(problem: LogicProblem) -> list[str]:
     return report
 
 
-def _logic_tables(
-    sources: Sequence[LogicSource],
-) -> tuple[list[tuple[float, ...]], list[tuple[tuple[tuple[str, bool], ...], ...]]]:
-    cums = []
-    terms = []
+def _term_masks(
+    literals: tuple[Literal, ...], bit: dict[str, int]
+) -> tuple[int, int, int, int]:
+    """``(pos, neg, literal_count, pos | neg)`` of a set of literals over
+    the atom bits ``bit``."""
+    pos = neg = 0
+    for l in literals:
+        if l.positive:
+            pos |= bit[l.atom]
+        else:
+            neg |= bit[l.atom]
+    return pos, neg, len(literals), pos | neg
+
+
+def _logic_plans(
+    sources: Sequence[LogicSource], query: ClauseQuery
+) -> tuple[list, tuple[int, int, int, int] | None]:
+    """The kernel's tables: one ``(threshold, lo, hi, cum, outcomes)`` per
+    source, each outcome the :func:`_term_masks` of its term, and the
+    clause's masks (``None`` for a tautology).
+
+    Atom bits follow sorted atom names over the sources and the clause, so
+    bit order is literal order.  One- and two-outcome sources get
+    ``cum=None`` and are drawn by a single comparison with ``threshold``;
+    larger sources are drawn by bisecting their cumulative table ``cum``
+    into ``outcomes``.
+    """
+    atoms = {l.atom for s in sources for _, t in s.outcomes for l in t}
+    atoms.update(l.atom for l in query.literals)
+    bit = {a: 1 << i for i, a in enumerate(sorted(atoms))}
+    plans = []
     for source in sources:
         total = math.fsum(p for p, _ in source.outcomes)
         acc = 0.0
-        cl = []
+        cum = []
         for p, _ in source.outcomes:
             acc += p / total
-            cl.append(acc)
-        cl[-1] = 1.0
-        cums.append(tuple(cl))
-        terms.append(
-            tuple(
-                tuple((l.atom, l.positive) for l in t.literals)
-                for _, t in source.outcomes
-            )
-        )
-    return cums, terms
+            cum.append(acc)
+        cum[-1] = 1.0
+        outs = tuple(_term_masks(t.literals, bit) for _, t in source.outcomes)
+        if len(cum) > 2:
+            plans.append((0.0, None, None, tuple(cum), outs))
+        else:
+            plans.append((cum[0], outs[0], outs[-1], None, outs))
+    clause = None if query.is_tautology else _term_masks(query.literals, bit)
+    return plans, clause
 
 
 def _kernel_logic(
-    cums,
-    terms,
-    clause_pairs: tuple[tuple[str, bool], ...],
-    tautology: bool,
+    plans,
+    clause: tuple[int, int, int, int] | None,
     trials: int,
-    rng,
+    rng: random.Random,
     cap: int,
     budget: int | None,
 ) -> tuple[int, int, int]:
-    """Returns (successes, timeouts, restarts).
+    """The logic-trial kernel; returns ``(successes, timeouts, restarts)``.
 
-    Step accounting: one operation per literal merged into the partial
-    assignment (the merge stops at the first contradiction) and one per
-    clause literal tested (the test stops at the first hit).  The count is a
-    pure function of the draws, so the budget never perturbs the stream.
+    An attempt ORs the drawn terms into a partial assignment held as
+    positive and negative atom bits ``(P, N)`` and restarts when a term
+    contradicts it.  ``clause`` is the :func:`_term_masks` of the query, or
+    ``None`` for a tautology.
+
+    Step accounting, in literal operations: a merged term costs its literal
+    count; a contradicting term costs its literals up to and including the
+    first clash (the lowest bit of the clash mask, since atom bits follow
+    literal order), and the attempt's later terms are drawn but not merged;
+    the clause test costs its literals up to and including the first hit,
+    or all of them.  The count is a pure function of the draws, so the
+    budget never perturbs the stream.
     """
-    m = len(cums)
     rand = rng.random
+    if clause is not None:
+        cpos, cneg, clen, cmask = clause
     successes = 0
     timeouts = 0
     restarts = 0
@@ -283,42 +324,32 @@ def _kernel_logic(
         trial_restarts = 0
         ops = 0
         while True:
-            assign: dict[str, bool] = {}
-            contradictory = False
-            for si in range(m):
-                u = rand()
-                cl = cums[si]
-                if len(cl) == 2:
-                    k = 0 if u < cl[0] else 1
+            P = N = clash = 0
+            for thr, lo, hi, cum, outs in plans:
+                if cum is None:
+                    pos, neg, count, mask = lo if rand() < thr else hi
                 else:
-                    k = 0
-                    while u >= cl[k]:
-                        k += 1
-                if contradictory:
+                    pos, neg, count, mask = outs[bisect_right(cum, rand())]
+                if clash or not count:
                     continue  # keep drawing: one uniform per source per attempt
-                for atom, pol in terms[si][k]:
-                    ops += 1
-                    prev = assign.get(atom)
-                    if prev is None:
-                        assign[atom] = pol
-                    elif prev != pol:
-                        contradictory = True
-                        break
-            if not contradictory:
+                clash = P & neg | N & pos
+                if clash:
+                    ops += (mask & (clash ^ (clash - 1))).bit_count()
+                else:
+                    P |= pos
+                    N |= neg
+                    ops += count
+            if not clash:
                 break
             restarts += 1
             trial_restarts += 1
             if trial_restarts > cap:
                 raise _cap_error(restarts, t, cap)
-        if tautology:
-            hit = True
+        if clause is None:
+            hit = 1
         else:
-            hit = False
-            for atom, pol in clause_pairs:
-                ops += 1
-                if assign.get(atom) == pol:
-                    hit = True
-                    break
+            hit = P & cpos | N & cneg
+            ops += (cmask & (hit ^ (hit - 1))).bit_count() if hit else clen
         if budget is not None and ops > budget:
             timeouts += 1
         elif hit:
@@ -336,40 +367,20 @@ def logic_estimate(
 
     ``step_budget`` caps the literal operations any one trial may spend;
     over-budget trials count toward ``timeouts`` and widen the bounds.
-    Worker splitting and seeding follow the same substream contract as the
-    set-problem estimator.
+    Trials are split across per-worker substreams as in the set-problem
+    estimator, and the shares run one after the other in the calling thread.
     """
     report = validate_logic_sources(sources)
     if report:
         raise InvalidProblemError(report)
     if step_budget is not None and step_budget < 0:
         raise ValueError(f"step budget must be >= 0, got {step_budget}")
-    cums, terms = _logic_tables(sources)
-    clause_pairs = tuple((l.atom, l.positive) for l in query.literals)
-    tautology = query.is_tautology
+    plans, clause = _logic_plans(sources, query)
 
-    shares = _split_trials(cfg.trials, cfg.worker_count)
-    parts = []
-    if len(shares) == 1:
-        parts.append(
-            _kernel_logic(
-                cums, terms, clause_pairs, tautology, shares[0],
-                worker_rng(cfg.seed, 0), cfg.restart_cap, step_budget,
-            )
-        )
-    else:
-        from concurrent.futures import ThreadPoolExecutor
+    def job(share, rng):
+        return _kernel_logic(plans, clause, share, rng, cfg.restart_cap, step_budget)
 
-        def job(arg):
-            w, share = arg
-            return _kernel_logic(
-                cums, terms, clause_pairs, tautology, share,
-                worker_rng(cfg.seed, w), cfg.restart_cap, step_budget,
-            )
-
-        with ThreadPoolExecutor(max_workers=len(shares)) as pool:
-            parts = list(pool.map(job, enumerate(shares)))
-
+    parts = _run_workers(cfg, job)
     successes = sum(p[0] for p in parts)
     timeouts = sum(p[1] for p in parts)
     restarts = sum(p[2] for p in parts)

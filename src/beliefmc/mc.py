@@ -13,6 +13,11 @@ The draw contract is that each attempt consumes exactly one uniform per
 source, in source order, with no early exit; results are therefore a pure
 function of ``(seed, worker_count)``.  A joint sampler, when given, replaces
 the per-source draws with its own and runs through a separate loop.
+
+``worker_count`` splits the trials into per-worker substreams derived from
+the seed.  The shares run one after the other in the calling thread (a
+pure-Python kernel gains nothing from threads), so the worker count changes
+only how the stream is split, not how fast it runs.
 """
 
 from __future__ import annotations
@@ -22,7 +27,6 @@ import math
 import random
 from bisect import bisect_right
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -235,13 +239,10 @@ def sample_source(source: SourceModel, rng: random.Random) -> int:
 
 
 def _run_workers(cfg: TrialEngineConfig, job) -> list:
-    """Split trials across derived substreams and merge the raw results."""
+    """Run ``job(share, rng)`` for each worker's share of the trials, one
+    after the other in the calling thread, and return the raw results."""
     shares = _split_trials(cfg.trials, cfg.worker_count)
-    args = [(share, worker_rng(cfg.seed, w)) for w, share in enumerate(shares)]
-    if len(args) == 1:
-        return [job(*args[0])]
-    with ThreadPoolExecutor(max_workers=len(args)) as pool:
-        return list(pool.map(lambda a: job(*a), args))
+    return [job(share, worker_rng(cfg.seed, w)) for w, share in enumerate(shares)]
 
 
 def _build_estimate(

@@ -28,6 +28,16 @@ from beliefmc import (
 from beliefmc.mc import derive_stream_seed
 from beliefmc.logic import Literal
 
+class CountingRandom(random.Random):
+    """A ``random.Random`` that counts its ``random()`` calls."""
+
+    calls = 0
+
+    def random(self) -> float:
+        self.calls += 1
+        return super().random()
+
+
 # ---------------------------------------------------------------- oracles
 
 

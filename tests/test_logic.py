@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import math
+import os
+import tempfile
 
 import pytest
 from hypothesis import given, settings
@@ -22,10 +26,16 @@ from beliefmc import (
     exact_belief_enumeration,
     is_contradictory,
     logic_estimate,
+    render_problem,
     translate_to_set_problem,
     validate_logic_problem,
 )
+from beliefmc.cli import main
+from beliefmc.logic import _kernel_logic, _logic_plans
+from beliefmc.mc import DEFAULT_RESTART_CAP
+from beliefmc.problem_io import parse_clause
 from conftest import (
+    CountingRandom,
     logic_problem_to_pairs,
     oracle_logic_bel,
     random_clause,
@@ -50,6 +60,197 @@ def worked_logic_problem() -> LogicProblem:
             LogicSource(((0.5, TermSet.of("!p", "q")), (0.5, TermSet()))),
         ),
     )
+
+
+def _stream_problems() -> dict[str, tuple[LogicProblem, tuple[int, ...]]]:
+    """Problems with two tight step budgets each: two-, three- and
+    four-outcome sources with empty terms, a certain empty source, clashes
+    on the 2nd and 3rd literal of ``[a1 a10 a2]``, and atoms whose string
+    order differs from their declaration order."""
+    t = TermSet.of
+    crafted = LogicProblem(
+        ("a1", "a2", "a10", "b", "c"),
+        (
+            LogicSource(((0.3, t("!a2")), (0.7, t()))),
+            LogicSource(((0.35, t("!a10")), (0.25, t("a1")), (0.4, t()))),
+            LogicSource(((0.5, t("a1", "a10", "a2")), (0.5, t()))),
+            LogicSource(
+                ((0.2, t("!a1", "b")), (0.3, t("b", "c")), (0.1, t("!c")), (0.4, t()))
+            ),
+            LogicSource(((1.0, t()),)),
+        ),
+    )
+    return {
+        "crafted": (crafted, (4, 7)),
+        # atoms a0..a10, outcomes per source 3,1,3,4,2,3, conflict about 0.78
+        "random": (
+            random_logic_problem(
+                31, max_atoms=12, max_sources=6, max_outcomes=4, max_term=3
+            ),
+            (12, 24),
+        ),
+    }
+
+
+#: Clauses of every stream problem: positive and negative literals, an atom
+#: in no source (``zz``) and a tautology.
+STREAM_CLAUSES = ("[a1]", "[!a2 c]", "[zz]", "[!a10 !b]", "[a2 zz !c]", "[a1 !a1]")
+
+
+def _stream_runs() -> dict:
+    """Draw-stream fingerprints: ``(successes, timeouts, restarts)`` of
+    every clause at budgets ``None``, 0 and the two tight ones, at 1 and 2
+    workers, plus the Monte-Carlo CSV line of ``beliefmc conflict``."""
+    out = {}
+    for label, (problem, tight) in _stream_problems().items():
+        for text in STREAM_CLAUSES:
+            clause = parse_clause(text)
+            for workers in (1, 2):
+                cfg = TrialEngineConfig(trials=2000, seed=17, worker_count=workers)
+                for budget in (None, 0, *tight):
+                    r = logic_estimate(problem.sources, clause, cfg, step_budget=budget)
+                    out[(label, text, budget, workers)] = (
+                        r.successes, r.timeouts, r.restarts,
+                    )
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "problem.bel")
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(render_problem(problem))
+            for workers in (1, 2):
+                buf = io.StringIO()
+                with contextlib.redirect_stdout(buf):
+                    code = main([
+                        "conflict", "--logic", "--problem", path, "--csv",
+                        "--trials", "3000", "--seed", "4", "--workers", str(workers),
+                    ])
+                out[(label, "conflict", workers)] = (code, buf.getvalue().splitlines()[-1])
+    return out
+
+
+#: Recorded from the dict-merge logic kernel that preceded the bitmask
+#: kernel; any change to the draw discipline or to the step metering shows
+#: up here.
+PINNED_STREAMS = {
+    ("crafted", "[a1]", None, 1): (841, 0, 1010),
+    ("crafted", "[a1]", 0, 1): (0, 2000, 1010),
+    ("crafted", "[a1]", 4, 1): (284, 964, 1010),
+    ("crafted", "[a1]", 7, 1): (639, 397, 1010),
+    ("crafted", "[a1]", None, 2): (849, 0, 1029),
+    ("crafted", "[a1]", 0, 2): (0, 2000, 1029),
+    ("crafted", "[a1]", 4, 2): (278, 977, 1029),
+    ("crafted", "[a1]", 7, 2): (626, 416, 1029),
+    ("crafted", "[!a2 c]", None, 1): (977, 0, 1010),
+    ("crafted", "[!a2 c]", 0, 1): (0, 2000, 1010),
+    ("crafted", "[!a2 c]", 4, 1): (305, 1283, 1010),
+    ("crafted", "[!a2 c]", 7, 1): (674, 517, 1010),
+    ("crafted", "[!a2 c]", None, 2): (971, 0, 1029),
+    ("crafted", "[!a2 c]", 0, 2): (0, 2000, 1029),
+    ("crafted", "[!a2 c]", 4, 2): (305, 1292, 1029),
+    ("crafted", "[!a2 c]", 7, 2): (656, 557, 1029),
+    ("crafted", "[zz]", None, 1): (0, 0, 1010),
+    ("crafted", "[zz]", 0, 1): (0, 2000, 1010),
+    ("crafted", "[zz]", 4, 1): (0, 964, 1010),
+    ("crafted", "[zz]", 7, 1): (0, 397, 1010),
+    ("crafted", "[zz]", None, 2): (0, 0, 1029),
+    ("crafted", "[zz]", 0, 2): (0, 2000, 1029),
+    ("crafted", "[zz]", 4, 2): (0, 977, 1029),
+    ("crafted", "[zz]", 7, 2): (0, 416, 1029),
+    ("crafted", "[!a10 !b]", None, 1): (506, 0, 1010),
+    ("crafted", "[!a10 !b]", 0, 1): (0, 2000, 1010),
+    ("crafted", "[!a10 !b]", 4, 1): (306, 1237, 1010),
+    ("crafted", "[!a10 !b]", 7, 1): (410, 509, 1010),
+    ("crafted", "[!a10 !b]", None, 2): (514, 0, 1029),
+    ("crafted", "[!a10 !b]", 0, 2): (0, 2000, 1029),
+    ("crafted", "[!a10 !b]", 4, 2): (316, 1238, 1029),
+    ("crafted", "[!a10 !b]", 7, 2): (414, 553, 1029),
+    ("crafted", "[a2 zz !c]", None, 1): (690, 0, 1010),
+    ("crafted", "[a2 zz !c]", 0, 1): (0, 2000, 1010),
+    ("crafted", "[a2 zz !c]", 4, 1): (181, 1505, 1010),
+    ("crafted", "[a2 zz !c]", 7, 1): (505, 551, 1010),
+    ("crafted", "[a2 zz !c]", None, 2): (696, 0, 1029),
+    ("crafted", "[a2 zz !c]", 0, 2): (0, 2000, 1029),
+    ("crafted", "[a2 zz !c]", 4, 2): (180, 1506, 1029),
+    ("crafted", "[a2 zz !c]", 7, 2): (486, 581, 1029),
+    ("crafted", "[a1 !a1]", None, 1): (2000, 0, 1010),
+    ("crafted", "[a1 !a1]", 0, 1): (112, 1888, 1010),
+    ("crafted", "[a1 !a1]", 4, 1): (1254, 746, 1010),
+    ("crafted", "[a1 !a1]", 7, 1): (1697, 303, 1010),
+    ("crafted", "[a1 !a1]", None, 2): (2000, 0, 1029),
+    ("crafted", "[a1 !a1]", 0, 2): (109, 1891, 1029),
+    ("crafted", "[a1 !a1]", 4, 2): (1233, 767, 1029),
+    ("crafted", "[a1 !a1]", 7, 2): (1677, 323, 1029),
+    ("crafted", "conflict", 1): (0, "mc,0.353030,1.5457,3000,1637"),
+    ("crafted", "conflict", 2): (0, "mc,0.347258,1.5320,3000,1596"),
+    ("random", "[a1]", None, 1): (1511, 0, 6942),
+    ("random", "[a1]", 0, 1): (0, 2000, 6942),
+    ("random", "[a1]", 12, 1): (400, 1469, 6942),
+    ("random", "[a1]", 24, 1): (771, 972, 6942),
+    ("random", "[a1]", None, 2): (1487, 0, 7125),
+    ("random", "[a1]", 0, 2): (0, 2000, 7125),
+    ("random", "[a1]", 12, 2): (382, 1486, 7125),
+    ("random", "[a1]", 24, 2): (761, 969, 7125),
+    ("random", "[!a2 c]", None, 1): (709, 0, 6942),
+    ("random", "[!a2 c]", 0, 1): (0, 2000, 6942),
+    ("random", "[!a2 c]", 12, 1): (170, 1508, 6942),
+    ("random", "[!a2 c]", 24, 1): (348, 996, 6942),
+    ("random", "[!a2 c]", None, 2): (704, 0, 7125),
+    ("random", "[!a2 c]", 0, 2): (0, 2000, 7125),
+    ("random", "[!a2 c]", 12, 2): (177, 1525, 7125),
+    ("random", "[!a2 c]", 24, 2): (357, 988, 7125),
+    ("random", "[zz]", None, 1): (0, 0, 6942),
+    ("random", "[zz]", 0, 1): (0, 2000, 6942),
+    ("random", "[zz]", 12, 1): (0, 1469, 6942),
+    ("random", "[zz]", 24, 1): (0, 972, 6942),
+    ("random", "[zz]", None, 2): (0, 0, 7125),
+    ("random", "[zz]", 0, 2): (0, 2000, 7125),
+    ("random", "[zz]", 12, 2): (0, 1486, 7125),
+    ("random", "[zz]", 24, 2): (0, 969, 7125),
+    ("random", "[!a10 !b]", None, 1): (288, 0, 6942),
+    ("random", "[!a10 !b]", 0, 1): (0, 2000, 6942),
+    ("random", "[!a10 !b]", 12, 1): (69, 1540, 6942),
+    ("random", "[!a10 !b]", 24, 1): (142, 1003, 6942),
+    ("random", "[!a10 !b]", None, 2): (264, 0, 7125),
+    ("random", "[!a10 !b]", 0, 2): (0, 2000, 7125),
+    ("random", "[!a10 !b]", 12, 2): (58, 1558, 7125),
+    ("random", "[!a10 !b]", 24, 2): (130, 991, 7125),
+    ("random", "[a2 zz !c]", None, 1): (0, 0, 6942),
+    ("random", "[a2 zz !c]", 0, 1): (0, 2000, 6942),
+    ("random", "[a2 zz !c]", 12, 1): (0, 1640, 6942),
+    ("random", "[a2 zz !c]", 24, 1): (0, 1040, 6942),
+    ("random", "[a2 zz !c]", None, 2): (0, 0, 7125),
+    ("random", "[a2 zz !c]", 0, 2): (0, 2000, 7125),
+    ("random", "[a2 zz !c]", 12, 2): (0, 1651, 7125),
+    ("random", "[a2 zz !c]", 24, 2): (0, 1032, 7125),
+    ("random", "[a1 !a1]", None, 1): (2000, 0, 6942),
+    ("random", "[a1 !a1]", 0, 1): (0, 2000, 6942),
+    ("random", "[a1 !a1]", 12, 1): (573, 1427, 6942),
+    ("random", "[a1 !a1]", 24, 1): (1059, 941, 6942),
+    ("random", "[a1 !a1]", None, 2): (2000, 0, 7125),
+    ("random", "[a1 !a1]", 0, 2): (0, 2000, 7125),
+    ("random", "[a1 !a1]", 12, 2): (555, 1445, 7125),
+    ("random", "[a1 !a1]", 24, 2): (1052, 948, 7125),
+    ("random", "conflict", 1): (0, "mc,0.775969,4.4637,3000,10391"),
+    ("random", "conflict", 2): (0, "mc,0.777613,4.4967,3000,10490"),
+}
+
+
+class TestDrawStream:
+    def test_pinned_streams(self):
+        assert _stream_runs() == PINNED_STREAMS
+
+    def test_one_draw_per_source_per_attempt(self):
+        problem, _ = _stream_problems()["random"]
+        m = len(problem.sources)
+        for text in ("[a1]", "[a1 !a1]"):
+            clause = parse_clause(text)
+            plans, masks = _logic_plans(problem.sources, clause)
+            for budget in (None, 0, 12):
+                rng = CountingRandom(3)
+                _, _, restarts = _kernel_logic(
+                    plans, masks, 500, rng, DEFAULT_RESTART_CAP, budget
+                )
+                assert restarts > 0
+                assert rng.calls == m * (500 + restarts)
 
 
 class TestLiteralsAndTerms:
@@ -268,6 +469,52 @@ class TestStepBudget:
             for b in (None, 1, 3, 7, 1000)
         }
         assert len(rs) == 1
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_clash_costs_literals_up_to_the_kth(self, k):
+        # Attempts that clash cost 1 for [!x] plus k for [a b d e] up to its
+        # k-th literal x; [c f] is drawn but not merged.  The attempt that
+        # survives costs 1 + 0 + 2, and the clause [zz] misses at 1.
+        x = "abde"[k - 1]
+        sources = (
+            LogicSource(((1.0, TermSet.of("!" + x)),)),
+            LogicSource(((0.5, TermSet.of("a", "b", "d", "e")), (0.5, TermSet()))),
+            LogicSource(((1.0, TermSet.of("c", "f")),)),
+        )
+        clause = ClauseQuery.of("zz")
+        most_restarts = 0
+        for seed in range(8):
+            cfg = TrialEngineConfig(trials=1, seed=seed)
+            restarts = logic_estimate(sources, clause, cfg).restarts
+            most_restarts = max(most_restarts, restarts)
+            ops = restarts * (1 + k) + 3 + 1
+            assert logic_estimate(sources, clause, cfg, ops - 1).timeouts == 1
+            assert logic_estimate(sources, clause, cfg, ops).timeouts == 0
+        assert most_restarts >= 2
+
+    @pytest.mark.parametrize(
+        "text, clause_ops, hit",
+        [
+            ("!d zz", 1, True),     # hit on the 1st of 2 literals
+            ("a f zz", 2, True),    # hit on the 2nd of 3
+            ("a b c zz", 3, True),  # hit on the 3rd of 4
+            ("!a !b zz", 3, False),  # miss: every literal
+            ("d !d", 0, True),      # tautology: no test
+        ],
+    )
+    def test_clause_costs_literals_up_to_the_first_hit(self, text, clause_ops, hit):
+        # certain sources merge [!d] and [c f] for 3 operations every trial
+        sources = (
+            LogicSource(((1.0, TermSet.of("!d")),)),
+            LogicSource(((1.0, TermSet.of("c", "f")),)),
+        )
+        clause = ClauseQuery.of(*text.split())
+        cfg = TrialEngineConfig(trials=5, seed=0)
+        ops = 3 + clause_ops
+        tight = logic_estimate(sources, clause, cfg, ops - 1)
+        assert (tight.successes, tight.timeouts) == (0, 5)
+        enough = logic_estimate(sources, clause, cfg, ops)
+        assert (enough.successes, enough.timeouts) == (5 if hit else 0, 0)
 
     def test_negative_budget_rejected(self, worked_logic_problem):
         with pytest.raises(ValueError):

@@ -1,4 +1,4 @@
-"""Trial engine: planning, sampling, kernels, determinism, concurrency."""
+"""Trial engine: planning, sampling, kernels, determinism, worker substreams."""
 
 from __future__ import annotations
 
@@ -29,8 +29,14 @@ from beliefmc import (
     simple_support,
     subset_frequency_scan,
 )
-from beliefmc.mc import derive_stream_seed, worker_rng
-from conftest import random_problem, random_ssf_problem
+from beliefmc.mc import (
+    DEFAULT_RESTART_CAP,
+    _kernel_set,
+    _source_plans,
+    derive_stream_seed,
+    worker_rng,
+)
+from conftest import CountingRandom, random_problem, random_ssf_problem
 
 
 class TestPlanning:
@@ -285,6 +291,17 @@ PINNED_STREAMS = {
 class TestDrawStream:
     def test_pinned_streams(self):
         assert _stream_runs() == PINNED_STREAMS
+
+    def test_one_draw_per_source_per_attempt(self):
+        for label, problem in _stream_problems().items():
+            plans = _source_plans(problem)
+            full = problem.frame.full_bits
+            rng = CountingRandom(3)
+            _, restarts = _kernel_set(
+                plans, full, [~1, ~3], 500, rng, DEFAULT_RESTART_CAP
+            )
+            assert restarts > 0, label
+            assert rng.calls == len(problem.sources) * (500 + restarts), label
 
 
 class TestEstimate:
