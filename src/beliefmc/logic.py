@@ -17,8 +17,8 @@ atoms in sorted name order, so bit order is literal order.  A merge is an
 OR, a contradiction is a non-zero AND against the opposite sign, and the
 clause test is one mask test; the exact step count comes from counting term
 and clause literals up to the lowest clashing or hitting bit.  Trials are
-split into per-worker substreams as for set problems, and the shares run
-one after the other in the calling thread.
+split into per-worker substreams and run by the set problems' worker runner,
+``mc._run_workers``.
 
 Problems over few atoms translate exactly to set problems over the frame of
 truth assignments, which connects this estimator to the exact combiners.
@@ -367,8 +367,8 @@ def logic_estimate(
 
     ``step_budget`` caps the literal operations any one trial may spend;
     over-budget trials count toward ``timeouts`` and widen the bounds.
-    Trials are split across per-worker substreams as in the set-problem
-    estimator, and the shares run one after the other in the calling thread.
+    Trials are split across per-worker substreams and run by the same
+    worker runner as the set-problem estimator.
     """
     report = validate_logic_sources(sources)
     if report:

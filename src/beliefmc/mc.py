@@ -15,9 +15,13 @@ function of ``(seed, worker_count)``.  A joint sampler, when given, replaces
 the per-source draws with its own and runs through a separate loop.
 
 ``worker_count`` splits the trials into per-worker substreams derived from
-the seed.  The shares run one after the other in the calling thread (a
-pure-Python kernel gains nothing from threads), so the worker count changes
-only how the stream is split, not how fast it runs.
+the seed, and each share runs in its own thread.  The kernels are pure
+Python and hold the interpreter lock, so the threads take turns rather than
+run in parallel: the worker count changes how the stream is split, not how
+fast it runs.  One thread per worker keeps an N-worker call's timing
+comparable with other N-thread work, which ``perfbench`` relies on when it
+corrects request times by a calibration loop run at the request's worker
+count.
 """
 
 from __future__ import annotations
@@ -27,6 +31,7 @@ import math
 import random
 from bisect import bisect_right
 from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -240,9 +245,13 @@ def sample_source(source: SourceModel, rng: random.Random) -> int:
 
 def _run_workers(cfg: TrialEngineConfig, job) -> list:
     """Run ``job(share, rng)`` for each worker's share of the trials, one
-    after the other in the calling thread, and return the raw results."""
+    thread per share, and return the raw results in worker order."""
     shares = _split_trials(cfg.trials, cfg.worker_count)
-    return [job(share, worker_rng(cfg.seed, w)) for w, share in enumerate(shares)]
+    args = [(share, worker_rng(cfg.seed, w)) for w, share in enumerate(shares)]
+    if len(args) == 1:
+        return [job(*args[0])]
+    with ThreadPoolExecutor(max_workers=len(args)) as pool:
+        return list(pool.map(lambda a: job(*a), args))
 
 
 def _build_estimate(
