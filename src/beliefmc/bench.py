@@ -192,6 +192,8 @@ def run_bench(
     runtime dwarfs timer noise).  A cell whose estimation blows the restart
     cap is kept with a note and skipped by the fit.
     """
+    if repetitions < 1:
+        raise ValueError(f"repetitions must be >= 1, got {repetitions}")
     cells: list[BenchCell] = []
     for m in source_counts:
         for n in element_counts:

@@ -229,6 +229,19 @@ class MassFunction:
         return f"MassFunction({body})"
 
 
+def _cumulative(probs: Sequence[float]) -> tuple[float, ...]:
+    """Cumulative probabilities, normalized, last entry forced to 1.0 so a
+    uniform draw always lands in range."""
+    total = math.fsum(probs)
+    acc = 0.0
+    out = []
+    for p in probs:
+        acc += p / total
+        out.append(acc)
+    out[-1] = 1.0
+    return tuple(out)
+
+
 @dataclass(frozen=True)
 class SourceModel:
     """One evidence source: a finite outcome space with probabilities, where
@@ -249,16 +262,8 @@ class SourceModel:
 
     @cached_property
     def cumulative(self) -> tuple[float, ...]:
-        """Cumulative outcome probabilities, normalized, last entry forced
-        to 1.0 so a uniform draw always lands in range."""
-        total = math.fsum(p for p, _ in self.outcomes)
-        acc = 0.0
-        out = []
-        for p, _ in self.outcomes:
-            acc += p / total
-            out.append(acc)
-        out[-1] = 1.0
-        return tuple(out)
+        """The :func:`_cumulative` table of the outcome probabilities."""
+        return _cumulative([p for p, _ in self.outcomes])
 
     @cached_property
     def target_bits(self) -> tuple[int, ...]:

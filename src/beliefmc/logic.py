@@ -31,7 +31,7 @@ import random
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from .errors import FrameTooLargeError, InvalidProblemError
 from .evidence import (
@@ -40,10 +40,12 @@ from .evidence import (
     Frame,
     MASS_TOL,
     SourceModel,
+    _cumulative,
 )
 from .mc import (
     TrialEngineConfig,
     _cap_error,
+    _draw_plan,
     _run_workers,
     sd_bound,
 )
@@ -260,33 +262,23 @@ def _term_masks(
 def _logic_plans(
     sources: Sequence[LogicSource], query: ClauseQuery
 ) -> tuple[list, tuple[int, int, int, int] | None]:
-    """The kernel's tables: one ``(threshold, lo, hi, cum, outcomes)`` per
-    source, each outcome the :func:`_term_masks` of its term, and the
-    clause's masks (``None`` for a tautology).
+    """The kernel's tables: one :func:`~beliefmc.mc._draw_plan` per source
+    over the :func:`_term_masks` of its terms, and the clause's masks
+    (``None`` for a tautology).
 
     Atom bits follow sorted atom names over the sources and the clause, so
-    bit order is literal order.  One- and two-outcome sources get
-    ``cum=None`` and are drawn by a single comparison with ``threshold``;
-    larger sources are drawn by bisecting their cumulative table ``cum``
-    into ``outcomes``.
+    bit order is literal order.
     """
     atoms = {l.atom for s in sources for _, t in s.outcomes for l in t}
     atoms.update(l.atom for l in query.literals)
     bit = {a: 1 << i for i, a in enumerate(sorted(atoms))}
-    plans = []
-    for source in sources:
-        total = math.fsum(p for p, _ in source.outcomes)
-        acc = 0.0
-        cum = []
-        for p, _ in source.outcomes:
-            acc += p / total
-            cum.append(acc)
-        cum[-1] = 1.0
-        outs = tuple(_term_masks(t.literals, bit) for _, t in source.outcomes)
-        if len(cum) > 2:
-            plans.append((0.0, None, None, tuple(cum), outs))
-        else:
-            plans.append((cum[0], outs[0], outs[-1], None, outs))
+    plans = [
+        _draw_plan(
+            _cumulative([p for p, _ in source.outcomes]),
+            tuple(_term_masks(t.literals, bit) for _, t in source.outcomes),
+        )
+        for source in sources
+    ]
     clause = None if query.is_tautology else _term_masks(query.literals, bit)
     return plans, clause
 

@@ -11,38 +11,37 @@ it goes and scores the surviving intersection against every query at once,
 so an attempt costs one big-integer AND per source whatever the query count.
 The draw contract is that each attempt consumes exactly one uniform per
 source, in source order, with no early exit; results are therefore a pure
-function of ``(seed, worker_count)``.  A joint sampler, when given, replaces
-the per-source draws with its own and runs through a separate loop.
+function of ``(seed, worker_count)``.  The set and logic kernels build
+their per-source tables with :func:`_draw_plan` from the cumulative table
+that :func:`sample_source` bisects, so all three map a uniform to the same
+outcome.
 
 ``worker_count`` splits the trials into per-worker substreams derived from
-the seed, and each share runs in its own thread.  The kernels are pure
-Python and hold the interpreter lock, so the threads take turns rather than
-run in parallel: the worker count changes how the stream is split, not how
-fast it runs.  One thread per worker keeps an N-worker call's timing
-comparable with other N-thread work, which ``perfbench`` relies on when it
-corrects request times by a calibration loop run at the request's worker
-count.
+the seed, and the shares run on one thread per share, capped at the core
+count.  The kernels are pure Python and hold the interpreter lock, so the
+threads take turns rather than run in parallel: the worker count changes
+how the stream is split, not how fast it runs.  One thread per worker keeps
+an N-worker call's timing comparable with other N-thread work, which
+``perfbench`` relies on when it corrects request times by a calibration
+loop run at the request's worker count.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
+import os
 import random
 from bisect import bisect_right
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .errors import ExcessiveConflictError, FrameMismatchError
 from .evidence import EvidenceProblem, FocalSet, SourceModel, require_valid
 
 DEFAULT_RESTART_CAP = 10_000
-
-#: One uniform draw per source per attempt.  A joint sampler returns one
-#: outcome index per source.
-JointSampler = Callable[[random.Random], Sequence[int]]
 
 
 @dataclass(frozen=True)
@@ -131,23 +130,22 @@ def _split_trials(trials: int, workers: int) -> list[int]:
     return [s for s in shares if s > 0]
 
 
-def _source_plans(
-    problem: EvidenceProblem,
-) -> list[tuple[float, int, int, tuple[float, ...] | None, tuple[int, ...]]]:
-    """One ``(threshold, lo_mask, hi_mask, cum, masks)`` per source.
+def _draw_plan(cum: tuple[float, ...], items: tuple) -> tuple:
+    """How a kernel draws one source: ``(threshold, lo, hi, cum, items)``.
 
-    One- and two-outcome sources get ``cum=None`` and are drawn by a single
-    comparison with ``threshold``; larger sources are drawn by bisecting
-    their cumulative table ``cum`` into ``masks``.
+    A uniform ``u`` picks ``items[bisect_right(cum, u)]``.  One- and
+    two-outcome sources get ``cum=None`` and pick the same item by a single
+    comparison, ``lo if u < threshold else hi``; larger sources bisect
+    ``cum``.
     """
-    plans = []
-    for source in problem.sources:
-        cum, masks = source.cumulative, source.target_bits
-        if len(cum) > 2:
-            plans.append((0.0, 0, 0, cum, masks))
-        else:
-            plans.append((cum[0], masks[0], masks[-1], None, masks))
-    return plans
+    if len(cum) > 2:
+        return (0.0, None, None, cum, items)
+    return (cum[0], items[0], items[-1], None, items)
+
+
+def _source_plans(problem: EvidenceProblem) -> list[tuple]:
+    """One :func:`_draw_plan` per source, over its target masks."""
+    return [_draw_plan(s.cumulative, s.target_bits) for s in problem.sources]
 
 
 def _cap_error(rejected: int, completed: int, cap: int) -> ExcessiveConflictError:
@@ -198,59 +196,21 @@ def _kernel_set(
     return successes, restarts
 
 
-def _kernel_hook(
-    masks,
-    full: int,
-    not_queries: Sequence[int],
-    trials: int,
-    rng: random.Random,
-    cap: int,
-    sampler: JointSampler,
-) -> tuple[list[int], int]:
-    """Batch kernel with sampling delegated to a joint sampler."""
-    m = len(masks)
-    successes = [0] * len(not_queries)
-    restarts = 0
-    for t in range(trials):
-        trial_restarts = 0
-        while True:
-            idxs = sampler(rng)
-            if len(idxs) != m:
-                raise ValueError(
-                    f"joint sampler returned {len(idxs)} indices for {m} sources"
-                )
-            g = full
-            for si in range(m):
-                g &= masks[si][idxs[si]]
-            if g:
-                break
-            restarts += 1
-            trial_restarts += 1
-            if trial_restarts > cap:
-                raise _cap_error(restarts, t, cap)
-        for qi, nq in enumerate(not_queries):
-            if not g & nq:
-                successes[qi] += 1
-    return successes, restarts
-
-
 def sample_source(source: SourceModel, rng: random.Random) -> int:
     """Draw one outcome index from a source's distribution."""
-    u = rng.random()
-    cl = source.cumulative
-    if len(cl) == 2:
-        return 0 if u < cl[0] else 1
-    return bisect_right(cl, u)
+    return bisect_right(source.cumulative, rng.random())
 
 
 def _run_workers(cfg: TrialEngineConfig, job) -> list:
     """Run ``job(share, rng)`` for each worker's share of the trials, one
-    thread per share, and return the raw results in worker order."""
+    thread per share but no more threads than cores, and return the raw
+    results in worker order.  Each share has its own substream, so the
+    thread count never changes a result."""
     shares = _split_trials(cfg.trials, cfg.worker_count)
     args = [(share, worker_rng(cfg.seed, w)) for w, share in enumerate(shares)]
     if len(args) == 1:
         return [job(*args[0])]
-    with ThreadPoolExecutor(max_workers=len(args)) as pool:
+    with ThreadPoolExecutor(max_workers=min(len(args), os.cpu_count() or 1)) as pool:
         return list(pool.map(lambda a: job(*a), args))
 
 
@@ -277,8 +237,6 @@ def estimate(
     problem: EvidenceProblem,
     batch: QueryBatch | Sequence[FocalSet],
     cfg: TrialEngineConfig,
-    *,
-    joint_sampler: JointSampler | None = None,
 ) -> list[Estimate]:
     """Estimate the combined belief of every query in ``batch``.
 
@@ -287,10 +245,6 @@ def estimate(
     single query.  With ``worker_count > 1`` the trials are split across
     per-worker substreams derived from the seed and merged additively, which
     makes results a pure function of ``(seed, worker_count)``.
-
-    ``joint_sampler`` replaces independent per-source sampling (for
-    correlated sources); it must return one outcome index per source per
-    attempt.
     """
     require_valid(problem)
     if not isinstance(batch, QueryBatch):
@@ -300,19 +254,10 @@ def estimate(
             raise FrameMismatchError("query set from a different frame")
     full = problem.frame.full_bits
     not_qs = [~q.bits for q in batch.queries]
-    cap = cfg.restart_cap
+    plans = _source_plans(problem)
 
-    if joint_sampler is not None:
-        masks = [s.target_bits for s in problem.sources]
-
-        def job(share, rng):
-            return _kernel_hook(masks, full, not_qs, share, rng, cap, joint_sampler)
-
-    else:
-        plans = _source_plans(problem)
-
-        def job(share, rng):
-            return _kernel_set(plans, full, not_qs, share, rng, cap)
+    def job(share, rng):
+        return _kernel_set(plans, full, not_qs, share, rng, cfg.restart_cap)
 
     parts = _run_workers(cfg, job)
     restarts = sum(r for _, r in parts)

@@ -38,6 +38,18 @@ class CountingRandom(random.Random):
         return super().random()
 
 
+class ScriptedRandom(random.Random):
+    """A ``random.Random`` whose ``random()`` returns the given uniforms in
+    order."""
+
+    def __init__(self, uniforms) -> None:
+        super().__init__(0)
+        self.uniforms = list(uniforms)
+
+    def random(self) -> float:
+        return self.uniforms.pop(0)
+
+
 # ---------------------------------------------------------------- oracles
 
 

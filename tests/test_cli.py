@@ -336,6 +336,10 @@ class TestBench:
     def test_bad_sizes(self, capsys):
         assert main(["bench", "--sizes", "3,zap"]) == 2
 
+    def test_zero_reps_rejected(self, capsys):
+        assert main(["bench", "--sizes", "4", "--reps", "0"]) == 2
+        assert "repetitions" in capsys.readouterr().err
+
 
 def test_module_entry_point(set_file):
     proc = subprocess.run(

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import math
+import os
 import random
+from bisect import bisect_right
 from fractions import Fraction
 
 import pytest
@@ -29,14 +31,16 @@ from beliefmc import (
     simple_support,
     subset_frequency_scan,
 )
+from beliefmc import mc
 from beliefmc.mc import (
     DEFAULT_RESTART_CAP,
+    _draw_plan,
     _kernel_set,
     _source_plans,
     derive_stream_seed,
     worker_rng,
 )
-from conftest import CountingRandom, random_problem, random_ssf_problem
+from conftest import CountingRandom, ScriptedRandom, random_problem, random_ssf_problem
 
 
 class TestPlanning:
@@ -106,6 +110,32 @@ class TestSampleSource:
         assert [sample_source(s, a) for _ in range(100)] == [
             sample_source(s, b) for _ in range(100)
         ]
+
+    def test_draw_rule_matches_kernel_plan_at_boundaries(self):
+        # sample_source and the kernels' draw plan pick the same outcome
+        # for uniforms on and around every cumulative boundary
+        frame = Frame(("x1", "x2", "x3"))
+        sources = [
+            SourceModel(frame, ((1.0, frame.universe()),)),
+            simple_support(frame, frame.singleton("x1"), 0.6),
+            SourceModel(
+                frame,
+                ((0.2, frame.singleton("x1")), (0.3, frame.singleton("x2")),
+                 (0.5, frame.universe())),
+            ),
+        ]
+        for s in sources:
+            cum = s.cumulative
+            thr, lo, hi, plan_cum, items = _draw_plan(cum, tuple(range(len(cum))))
+            us = {0.0, 1.0 - 2.0**-53}
+            for c in cum:
+                us.update({math.nextafter(c, 0.0), c})
+            for u in sorted(u for u in us if u < 1.0):
+                if plan_cum is None:
+                    expected = lo if u < thr else hi
+                else:
+                    expected = items[bisect_right(plan_cum, u)]
+                assert sample_source(s, ScriptedRandom([u])) == expected, (cum, u)
 
 
 class TestRunTrial:
@@ -414,51 +444,29 @@ class TestDeterminism:
         b = worker_rng(7, 1)
         assert [a.random() for _ in range(4)] != [b.random() for _ in range(4)]
 
+    def test_thread_pool_capped_at_core_count(self, two_ssf_problem, monkeypatch):
+        cores = os.cpu_count() or 1
+        sizes = []
+        real_pool = mc.ThreadPoolExecutor
+
+        def recording_pool(max_workers):
+            sizes.append(max_workers)
+            return real_pool(max_workers=max_workers)
+
+        monkeypatch.setattr(mc, "ThreadPoolExecutor", recording_pool)
+        cfg = TrialEngineConfig(trials=200, seed=4, worker_count=cores + 2)
+        r = estimate(
+            two_ssf_problem, QueryBatch((two_ssf_problem.frame.universe(),)), cfg
+        )[0]
+        assert r.trials == 200
+        assert sizes and all(n <= cores for n in sizes)
+
     def test_more_workers_than_trials(self, two_ssf_problem):
         cfg = TrialEngineConfig(trials=3, seed=0, worker_count=8)
         r = estimate(
             two_ssf_problem, QueryBatch((two_ssf_problem.frame.universe(),)), cfg
         )[0]
         assert r.value == 1.0 and r.trials == 3
-
-
-class TestJointSampler:
-    def test_forced_indices_give_deterministic_value(self, two_ssf_problem):
-        # always pick the focus outcome of source 0 and the vacuous outcome
-        # of source 1: the intersection is {x1} every trial
-        def sampler(rng):
-            rng.random(), rng.random()
-            return (0, 1)
-
-        frame = two_ssf_problem.frame
-        cfg = TrialEngineConfig(trials=1000, seed=0)
-        r = estimate(
-            two_ssf_problem, QueryBatch((frame.singleton("x1"),)), cfg,
-            joint_sampler=sampler,
-        )[0]
-        assert r.value == 1.0 and r.restarts == 0
-
-    def test_wrong_arity_rejected(self, two_ssf_problem):
-        with pytest.raises(ValueError, match="indices"):
-            estimate(
-                two_ssf_problem,
-                QueryBatch((two_ssf_problem.frame.universe(),)),
-                TrialEngineConfig(trials=5),
-                joint_sampler=lambda rng: (0,),
-            )
-
-    def test_faithful_sampler_reproduces_estimate(self, two_ssf_problem):
-        # a joint sampler that mimics independent sampling gives a valid
-        # estimate of the same quantity
-        from beliefmc import sample_source
-
-        def sampler(rng):
-            return tuple(sample_source(s, rng) for s in two_ssf_problem.sources)
-
-        b = two_ssf_problem.frame.singleton("x1")
-        cfg = TrialEngineConfig(trials=50_000, seed=21)
-        r = estimate(two_ssf_problem, QueryBatch((b,)), cfg, joint_sampler=sampler)[0]
-        assert abs(r.value - 3 / 7) <= 3.0 * r.sd_bound
 
 
 class TestConflictEstimate:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import importlib.util
 import os
 import subprocess
 import sys
@@ -30,3 +31,25 @@ def test_demo_exits_cleanly(script, args):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout
+
+
+def test_tracer_finds_one_definition_of_every_traced_name(monkeypatch):
+    # perfbench wraps the public functions the CLI calls; a refactor that
+    # deletes or duplicates one of them makes install() raise
+    import beliefmc.cli
+    import beliefmc.mc
+
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracing", ROOT / "perfbench" / "tracing.py"
+    )
+    tracing = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, tracing)  # for its dataclasses
+    spec.loader.exec_module(tracing)
+    original = beliefmc.mc.estimate
+    tracer = tracing.Tracer()
+    try:
+        tracer.install()
+        assert beliefmc.mc.estimate is not original
+    finally:
+        tracer.uninstall()
+    assert beliefmc.mc.estimate is original
