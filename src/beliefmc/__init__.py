@@ -1,10 +1,12 @@
 """Combined-belief computation over independent evidence sources.
 
-Exact combination folds focal-set tables and enumerates joint outcomes;
-the trial engine estimates the same quantities by sampling one outcome per
-source, restarting contradictory draws, and counting how often the
-surviving intersection settles inside the query set.  A literal-conjunction
-logic layer rides on the same trial loop with step-budgeted bounds.
+Exact combination folds focal-set tables, or enumerates joint outcomes by
+sweeping the sources and merging equal intersections through the same
+product loop; the trial engine estimates the same quantities by sampling
+one outcome per source, restarting contradictory draws, and counting how
+often the surviving intersection settles inside the query set.  A
+literal-conjunction logic layer rides on the same trial loop with
+step-budgeted bounds.
 """
 
 from .errors import (

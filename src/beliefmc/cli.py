@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import sys
 import time
 
@@ -345,7 +346,10 @@ def _add_engine_flags(p: argparse.ArgumentParser, *, accuracy: bool = True) -> N
     )
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``beliefmc`` parser, built once per process: ``parse_args`` does
+    not change it, and the ``append`` options copy their lists."""
     parser = argparse.ArgumentParser(
         prog="beliefmc",
         description="Combined-belief computation: exact on small problems, trial-sampled on large ones.",

@@ -5,9 +5,11 @@ Two routes with very different cost profiles:
 * mass-space folding (:func:`combine_all`) multiplies focal-set tables
   pairwise; the table can grow toward ``2**n`` entries, so the fold takes an
   entry cap and an optional wall-clock deadline;
-* joint-outcome enumeration (:func:`exact_belief_enumeration`) walks the
-  product of the source outcome spaces for a single query, capped by the
-  product size.
+* joint-outcome enumeration (:func:`exact_belief_enumeration`) sweeps the
+  sources once for a single query, merging joint outcomes that reach the
+  same intersection, through the same product loop as the fold; it is
+  capped by the joint outcome count (``max_outcomes``) and by the table
+  entry cap :data:`DEFAULT_MAX_ENTRIES`.
 """
 
 from __future__ import annotations
@@ -141,8 +143,16 @@ def combine_all(
 def _enumerate(
     problem: EvidenceProblem, b: FocalSet, max_outcomes: int
 ) -> tuple[float, float]:
-    """Walk the joint outcome space once; return (P[non-empty and inside b],
-    P[empty]) with per-source probabilities renormalized exactly."""
+    """Sweep the sources once, merging joint outcomes that reach the same
+    intersection; return (P[non-empty and inside b], P[empty]) with
+    per-source probabilities renormalized exactly.
+
+    The running ``{intersection bits: probability}`` table multiplies into
+    each source's ``{target bits: p/total}`` table through the fold's
+    product loop, so the work is ``sum_i |table_i| * |outcomes_i|`` rather
+    than the joint outcome count.  The joint outcome count is still capped
+    at ``max_outcomes``, and the table at ``DEFAULT_MAX_ENTRIES``.
+    """
     require_valid(problem)
     if b.frame != problem.frame:
         raise FrameMismatchError("query set from a different frame")
@@ -153,30 +163,22 @@ def _enumerate(
             raise ResourceLimitError(
                 f"exact enumeration: joint outcome space exceeds {max_outcomes}"
             )
-    tables = []
-    for s in problem.sources:
-        total = math.fsum(p for p, _ in s.outcomes)
-        tables.append([(p / total, t.bits) for p, t in s.outcomes])
-    outside = ~b.bits
-    m = len(tables)
-    inside_p = 0.0
+    acc: dict[int, float] = {problem.frame.full_bits: 1.0}
     empty_p = 0.0
-
-    def walk(i: int, prob: float, g: int) -> None:
-        nonlocal inside_p, empty_p
-        if g == 0:
-            # Remaining sources cannot revive an empty intersection, and
-            # their probabilities sum to 1, so the whole subtree collapses.
-            empty_p += prob
-            return
-        if i == m:
-            if not g & outside:
-                inside_p += prob
-            return
-        for p, bits in tables[i]:
-            walk(i + 1, prob * p, g & bits)
-
-    walk(0, 1.0, problem.frame.full_bits)
+    for i, s in enumerate(problem.sources):
+        total = math.fsum(p for p, _ in s.outcomes)
+        table: dict[int, float] = {}
+        for p, t in s.outcomes:
+            table[t.bits] = table.get(t.bits, 0.0) + p / total
+        # An empty intersection stays empty whatever the later sources
+        # draw, and their probabilities sum to 1, so it is final here.
+        acc, conflict = _combine_bits(
+            acc, table, max_entries=DEFAULT_MAX_ENTRIES,
+            step=f"exact enumeration step {i}",
+        )
+        empty_p += conflict
+    outside = ~b.bits
+    inside_p = math.fsum(v for g, v in acc.items() if not g & outside)
     return inside_p, empty_p
 
 
@@ -186,8 +188,12 @@ def exact_belief_enumeration(
     *,
     max_outcomes: int = DEFAULT_MAX_OUTCOMES,
 ) -> tuple[float, float]:
-    """Exact combined belief in ``b`` plus the conflict mass, by direct
-    enumeration of joint source outcomes (no intermediate mass tables)."""
+    """Exact combined belief in ``b`` plus the conflict mass, by joint
+    outcome enumeration: sweeps the sources, merging equal intersections.
+
+    Raises ``ResourceLimitError`` when the joint outcome count exceeds
+    ``max_outcomes`` or the intersection table exceeds
+    :data:`DEFAULT_MAX_ENTRIES` entries."""
     inside_p, empty_p = _enumerate(problem, b, max_outcomes)
     survival = 1.0 - empty_p
     if survival <= CONFLICT_TOL:

@@ -7,8 +7,10 @@ estimates the combined belief; the rejected-draw frequency estimates the
 conflict mass.
 
 One set-trial kernel serves every call: it intersects the drawn bitmasks as
-it goes and scores the surviving intersection against every query at once,
-so an attempt costs one big-integer AND per source whatever the query count.
+it goes, so an attempt costs one big-integer AND per source, and it tallies
+the surviving intersections and scores each distinct one against every
+query once, so the query count costs per distinct intersection, not per
+trial.
 The draw contract is that each attempt consumes exactly one uniform per
 source, in source order, with no early exit; results are therefore a pure
 function of ``(seed, worker_count)``.  The set and logic kernels build
@@ -42,6 +44,9 @@ from .errors import ExcessiveConflictError, FrameMismatchError
 from .evidence import EvidenceProblem, FocalSet, SourceModel, require_valid
 
 DEFAULT_RESTART_CAP = 10_000
+
+#: Distinct intersections the set-trial kernel tallies before it scores them.
+_TALLY_LIMIT = 4096
 
 
 @dataclass(frozen=True)
@@ -157,6 +162,21 @@ def _cap_error(rejected: int, completed: int, cap: int) -> ExcessiveConflictErro
     )
 
 
+def _score_tally(
+    tally: dict[int, int],
+    not_queries: Sequence[int],
+    successes: list[int],
+    collect: Counter | None,
+) -> None:
+    """Add the tallied intersections to the per-query successes (and to
+    ``collect``), then empty the tally."""
+    for qi, nq in enumerate(not_queries):
+        successes[qi] += sum(c for g, c in tally.items() if not g & nq)
+    if collect is not None:
+        collect.update(tally)
+    tally.clear()
+
+
 def _kernel_set(
     plans,
     full: int,
@@ -169,9 +189,15 @@ def _kernel_set(
     """The set-trial kernel: intersect the drawn masks inline and score the
     surviving intersection against every query; returns
     ``(successes per query, restarts)``.  ``collect`` counts the surviving
-    intersections when given."""
+    intersections when given.
+
+    Accepted intersections are tallied, and each distinct one is scored
+    once when the tally reaches ``_TALLY_LIMIT`` entries and at the end, so
+    memory stays bounded whatever the trial count."""
     rand = rng.random
+    limit = _TALLY_LIMIT
     successes = [0] * len(not_queries)
+    tally: dict[int, int] = {}
     restarts = 0
     for t in range(trials):
         trial_restarts = 0
@@ -188,11 +214,10 @@ def _kernel_set(
             trial_restarts += 1
             if trial_restarts > cap:
                 raise _cap_error(restarts, t, cap)
-        for qi, nq in enumerate(not_queries):
-            if not g & nq:
-                successes[qi] += 1
-        if collect is not None:
-            collect[g] += 1
+        tally[g] = tally.get(g, 0) + 1
+        if len(tally) >= limit:
+            _score_tally(tally, not_queries, successes, collect)
+    _score_tally(tally, not_queries, successes, collect)
     return successes, restarts
 
 

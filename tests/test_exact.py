@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import time
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 
+from beliefmc import exact
 from beliefmc import (
     EvidenceProblem,
     FocalSet,
@@ -255,6 +257,45 @@ class TestEnumeration:
         )
         with pytest.raises(TotalConflictError):
             exact_belief_enumeration(problem, frame.universe())
+
+    def test_identical_sources_merge_into_two_entries(self):
+        # 2**21 joint outcomes, under the outcome cap; the sweep merges them
+        # into {focus, universe} at every step, so it takes microseconds
+        # where visiting each joint outcome takes seconds.
+        frame = Frame(("x1", "x2", "x3"))
+        focus = frame.subset(["x1", "x2"])
+        s = 0.3
+        problem = EvidenceProblem(frame, (simple_support(frame, focus, s),) * 21)
+        start = time.perf_counter()
+        bel, conflict = exact_belief_enumeration(problem, focus)
+        elapsed = time.perf_counter() - start
+        assert bel == pytest.approx(1.0 - (1.0 - s) ** 21, abs=1e-12)
+        assert conflict == 0.0
+        assert elapsed < 0.25
+
+    def test_matches_oracle_on_random_problems(self):
+        for seed in range(30):
+            problem = random_problem(seed + 300, max_sources=5, max_outcomes=4, max_elements=6)
+            frame = problem.frame
+            for bits in (0b1, 0b101, frame.full_bits >> 1, frame.full_bits):
+                b = FocalSet(frame, bits & frame.full_bits)
+                want_bel, want_conflict = oracle_problem_bel(problem, b)
+                bel, conflict = exact_belief_enumeration(problem, b)
+                assert bel == pytest.approx(want_bel, abs=1e-9), f"seed {seed}"
+                assert conflict == pytest.approx(want_conflict, abs=1e-9), f"seed {seed}"
+
+    def test_table_cap_names_the_step(self, monkeypatch):
+        frame = Frame(tuple(f"e{i}" for i in range(8)))
+        sources = tuple(
+            simple_support(frame, FocalSet(frame, frame.full_bits ^ (1 << i)), 0.5)
+            for i in range(8)
+        )
+        problem = EvidenceProblem(frame, sources)
+        monkeypatch.setattr(exact, "DEFAULT_MAX_ENTRIES", 4)
+        with pytest.raises(ResourceLimitError, match="exact enumeration step"):
+            exact_belief_enumeration(problem, frame.universe())
+        with pytest.raises(ResourceLimitError, match="exact enumeration step"):
+            conflict_exact(problem)
 
 
 class TestConflictExact:

@@ -524,6 +524,25 @@ class TestSubsetFrequencyScan:
         assert len(top) == 2
         assert top[0][1] >= top[1][1]
 
+    def test_tally_limit_leaves_results_bit_identical(self, monkeypatch):
+        # Scoring each trial's intersection as soon as it is tallied gives
+        # the same counts as scoring the whole share's tally at the end.
+        problem = random_problem(3)
+        full = problem.frame.full_bits
+        queries = [FocalSet(problem.frame, b) for b in (1, 3, full ^ 1, full & ~8)]
+
+        def runs():
+            out = []
+            for workers in (1, 2):
+                cfg = TrialEngineConfig(trials=3000, seed=11, worker_count=workers)
+                out.append(estimate(problem, queries, cfg))
+                out.append(subset_frequency_scan(problem, cfg, max_report=20))
+            return out
+
+        default = runs()
+        monkeypatch.setattr(mc, "_TALLY_LIMIT", 1)
+        assert runs() == default
+
     def test_workers_merge_additively(self, two_ssf_problem):
         cfg1 = TrialEngineConfig(trials=30_000, seed=3, worker_count=1)
         cfg4 = TrialEngineConfig(trials=30_000, seed=3, worker_count=4)
