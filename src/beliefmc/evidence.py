@@ -174,6 +174,31 @@ class MassFunction:
     __slots__ = ("frame", "_masses")
 
     def __init__(self, frame: Frame, entries: Mapping[FocalSet, float] | Mapping[int, float]):
+        if not (
+            entries
+            and set(map(type, entries)) == {int}
+            and min(entries) > 0
+            and max(entries) <= frame.full_bits
+            and all(map((0.0).__lt__, entries.values()))
+        ):
+            # FocalSet keys, or a table that fails a check: one entry at a
+            # time, so the error names the first offending entry.
+            entries = self._merge(frame, entries)
+        total = math.fsum(entries.values())
+        if abs(total - 1.0) > MASS_TOL:
+            raise ValueError(f"masses sum to {total!r}, expected 1")
+        kept = {b: v / total for b, v in entries.items()}
+        if min(kept.values()) < MASS_DUST:
+            kept = {b: v for b, v in kept.items() if v >= MASS_DUST}
+            if not kept:
+                raise ValueError("no mass entries left after normalization")
+            scale = math.fsum(kept.values())
+            kept = {b: v / scale for b, v in kept.items()}
+        self.frame = frame
+        self._masses = kept
+
+    @staticmethod
+    def _merge(frame: Frame, entries: Mapping) -> dict[int, float]:
         masses: dict[int, float] = {}
         for key, value in entries.items():
             bits = key.bits if isinstance(key, FocalSet) else int(key)
@@ -186,18 +211,7 @@ class MassFunction:
             if not value > 0.0:
                 raise ValueError(f"non-positive mass {value!r} on {FocalSet(frame, bits)}")
             masses[bits] = masses.get(bits, 0.0) + value
-        total = math.fsum(masses.values())
-        if abs(total - 1.0) > MASS_TOL:
-            raise ValueError(f"masses sum to {total!r}, expected 1")
-        masses = {b: v / total for b, v in masses.items()}
-        kept = {b: v for b, v in masses.items() if v >= MASS_DUST}
-        if len(kept) != len(masses):
-            scale = math.fsum(kept.values())
-            kept = {b: v / scale for b, v in kept.items()}
-        if not kept:
-            raise ValueError("no mass entries left after normalization")
-        self.frame = frame
-        self._masses = kept
+        return masses
 
     def mass(self, b: FocalSet) -> float:
         if b.frame != self.frame:
@@ -377,12 +391,20 @@ def focal_intersect(sets: Sequence[FocalSet]) -> FocalSet:
     return FocalSet(first.frame, bits)
 
 
+def _mass_within(table: Mapping[int, float], outside: int) -> float:
+    """Total mass of the entries that share no bit with ``outside``.
+
+    ``outside`` is a non-negative mask (the complement within the frame):
+    ``&`` with a negative int costs a two's-complement conversion per entry.
+    """
+    return math.fsum([v for bits, v in table.items() if not bits & outside])
+
+
 def bel_from_mass(m: MassFunction, b: FocalSet) -> float:
     """Belief in ``b``: the mass committed to subsets of ``b``."""
     if b.frame != m.frame:
         raise FrameMismatchError("query set from a different frame")
-    outside = ~b.bits
-    return math.fsum(v for bits, v in m.by_bits.items() if not bits & outside)
+    return _mass_within(m.by_bits, m.frame.full_bits ^ b.bits)
 
 
 def pl_from_mass(m: MassFunction, b: FocalSet) -> float:

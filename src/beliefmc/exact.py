@@ -4,7 +4,12 @@ Two routes with very different cost profiles:
 
 * mass-space folding (:func:`combine_all`) multiplies focal-set tables
   pairwise; the table can grow toward ``2**n`` entries, so the fold takes an
-  entry cap and an optional wall-clock deadline;
+  entry cap and an optional wall-clock deadline.  The product loop
+  (:func:`_combine_bits`) makes one pass over the big table per outcome of
+  the small one; an outcome that covers the big table's union makes a
+  scaled copy of it without intersecting.  The fold rescales each source's
+  small table by the running total instead of the big table, and
+  normalizes once at the end;
 * joint-outcome enumeration (:func:`exact_belief_enumeration`) sweeps the
   sources once for a single query, merging joint outcomes that reach the
   same intersection, through the same product loop as the fold; it is
@@ -17,6 +22,9 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
+from functools import reduce
+from itertools import islice
+from operator import or_
 
 from .errors import (
     FrameMismatchError,
@@ -27,6 +35,7 @@ from .evidence import (
     EvidenceProblem,
     FocalSet,
     MassFunction,
+    _mass_within,
     mass_from_source,
     require_valid,
 )
@@ -65,37 +74,60 @@ def _combine_bits(
     Returns the unnormalized intersection table and the conflict mass
     (weight of empty intersections).  Caps raise ``ResourceLimitError``
     naming ``step``.
+
+    Each outcome of the smaller table makes one pass over the bigger one.
+    An outcome whose bits cover every key of the bigger table yields a
+    scaled copy of it, so covering outcomes run first and the first of them
+    builds the table at C speed.  Empty intersections collect under key 0,
+    popped as the conflict at the end.  Passes run in chunks that end at
+    every ``_DEADLINE_STRIDE``-th product: the entry cap is consulted after
+    every chunk, the deadline at each of those stride boundaries.
     """
     d1 = m1.by_bits if isinstance(m1, MassFunction) else m1
     d2 = m2.by_bits if isinstance(m2, MassFunction) else m2
+    small, big = (d1, d2) if len(d1) <= len(d2) else (d2, d1)
+    cover = reduce(or_, big, 0)
+    outer = sorted(small.items(), key=lambda item: item[0] & cover != cover)
     out: dict[int, float] = {}
-    conflict = 0.0
+    get = out.get
     done = 0
-    for b1, v1 in d1.items():
-        for b2, v2 in d2.items():
-            inter = b1 & b2
-            w = v1 * v2
-            if inter:
-                out[inter] = out.get(inter, 0.0) + w
+    for b1, v1 in outer:
+        fresh = not out and b1 & cover == cover
+        rows = zip(big, map(v1.__mul__, big.values()) if fresh else big.values())
+        left = len(big)
+        while left:
+            n = min(left, _DEADLINE_STRIDE - done)
+            chunk = islice(rows, n)
+            if fresh:
+                out.update(chunk)
             else:
-                conflict += w
-        done += len(d2)
-        if max_entries is not None and len(out) > max_entries:
-            raise ResourceLimitError(
-                f"{step}: intermediate table exceeded {max_entries} entries"
-            )
-        if deadline is not None and done >= _DEADLINE_STRIDE:
-            done = 0
-            if time.monotonic() > deadline:
-                raise ResourceLimitError(f"{step}: wall-clock cap exceeded")
-    return out, conflict
+                for b2, v2 in chunk:
+                    inter = b1 & b2
+                    out[inter] = get(inter, 0.0) + v1 * v2
+            left -= n
+            done += n
+            if max_entries is not None and len(out) - (0 in out) > max_entries:
+                raise ResourceLimitError(
+                    f"{step}: intermediate table exceeded {max_entries} entries"
+                )
+            if done == _DEADLINE_STRIDE:
+                done = 0
+                if deadline is not None and time.monotonic() > deadline:
+                    raise ResourceLimitError(f"{step}: wall-clock cap exceeded")
+    return out, out.pop(0, 0.0)
 
 
-def _normalize(frame, table: dict[int, float], conflict: float, step: str) -> MassFunction:
-    survival = 1.0 - conflict
-    if survival <= CONFLICT_TOL:
+def _surviving(table: dict[int, float], conflict: float, step: str) -> float:
+    """Mass left in ``table``; raises ``TotalConflictError`` when it is a
+    negligible share of the product's total."""
+    remaining = math.fsum(table.values())
+    if remaining / (remaining + conflict) <= CONFLICT_TOL:
         raise TotalConflictError(f"{step}: total conflict, combination undefined")
-    return MassFunction(frame, {b: v / survival for b, v in table.items()})
+    return remaining
+
+
+def _finish(frame, table: dict[int, float], remaining: float) -> MassFunction:
+    return MassFunction(frame, {b: v / remaining for b, v in table.items()})
 
 
 def combine_pair(m1: MassFunction, m2: MassFunction) -> CombinationResult:
@@ -103,9 +135,10 @@ def combine_pair(m1: MassFunction, m2: MassFunction) -> CombinationResult:
     if m1.frame != m2.frame:
         raise FrameMismatchError("mass functions over different frames")
     table, conflict = _combine_bits(m1, m2)
-    total = math.fsum(table.values()) + conflict
-    conflict /= total  # guard against accumulated rounding in big tables
-    return CombinationResult(_normalize(m1.frame, table, conflict, "combine_pair"), conflict)
+    remaining = _surviving(table, conflict, "combine_pair")
+    # relative to the computed total, guarding against rounding in big tables
+    conflict /= remaining + conflict
+    return CombinationResult(_finish(m1.frame, table, remaining), conflict)
 
 
 def combine_all(
@@ -119,33 +152,35 @@ def combine_all(
     ``conflict`` in the result is the overall conflict of the joint problem:
     one minus the product of per-step survival weights.  ``deadline_s``
     bounds the whole fold in wall-clock seconds.
+
+    The running table is left unnormalized: each source's small table is
+    divided by the running table's total instead, and the combined table is
+    divided once at the end.
     """
     require_valid(problem)
     deadline = None if deadline_s is None else time.monotonic() + deadline_s
     masses = [mass_from_source(s) for s in problem.sources]
-    acc: dict[int, float] = dict(masses[0].by_bits)
+    acc = masses[0].by_bits
+    remaining = 1.0
     survival = 1.0
     for i, nxt in enumerate(masses[1:], start=1):
         step = f"combine step {i}"
-        table, conflict = _combine_bits(
-            acc, nxt, max_entries=max_entries, deadline=deadline, step=step
+        scaled = {b: v / remaining for b, v in nxt.by_bits.items()}
+        acc, conflict = _combine_bits(
+            acc, scaled, max_entries=max_entries, deadline=deadline, step=step
         )
-        remaining = math.fsum(table.values())
-        total = remaining + conflict
-        if remaining / total <= CONFLICT_TOL:
-            raise TotalConflictError(f"{step}: total conflict, combination undefined")
-        acc = {b: v / remaining for b, v in table.items()}
-        survival *= remaining / total
-    conflict = 1.0 - survival
-    return CombinationResult(_normalize(problem.frame, acc, 0.0, "combine_all"), conflict)
+        remaining = _surviving(acc, conflict, step)
+        survival *= remaining / (remaining + conflict)
+    return CombinationResult(_finish(problem.frame, acc, remaining), 1.0 - survival)
 
 
 def _enumerate(
     problem: EvidenceProblem, b: FocalSet, max_outcomes: int
-) -> tuple[float, float]:
+) -> tuple[dict[int, float], float]:
     """Sweep the sources once, merging joint outcomes that reach the same
-    intersection; return (P[non-empty and inside b], P[empty]) with
-    per-source probabilities renormalized exactly.
+    intersection; return the final ``{non-empty intersection bits:
+    probability}`` table and P[empty], with per-source probabilities
+    renormalized exactly.  ``b`` is only checked against the frame.
 
     The running ``{intersection bits: probability}`` table multiplies into
     each source's ``{target bits: p/total}`` table through the fold's
@@ -177,9 +212,7 @@ def _enumerate(
             step=f"exact enumeration step {i}",
         )
         empty_p += conflict
-    outside = ~b.bits
-    inside_p = math.fsum(v for g, v in acc.items() if not g & outside)
-    return inside_p, empty_p
+    return acc, empty_p
 
 
 def exact_belief_enumeration(
@@ -194,7 +227,8 @@ def exact_belief_enumeration(
     Raises ``ResourceLimitError`` when the joint outcome count exceeds
     ``max_outcomes`` or the intersection table exceeds
     :data:`DEFAULT_MAX_ENTRIES` entries."""
-    inside_p, empty_p = _enumerate(problem, b, max_outcomes)
+    acc, empty_p = _enumerate(problem, b, max_outcomes)
+    inside_p = _mass_within(acc, problem.frame.full_bits ^ b.bits)
     survival = 1.0 - empty_p
     if survival <= CONFLICT_TOL:
         raise TotalConflictError("exact enumeration: total conflict, combination undefined")

@@ -137,6 +137,23 @@ class TestMassFunction:
         with pytest.raises(ValueError):
             MassFunction(frame, {1: 0.6, 2: 0.5})
 
+    @pytest.mark.parametrize(
+        "entries, message",
+        [
+            ({1: float("nan"), 2: 1.0}, "non-positive mass nan on {x1}"),
+            ({1: 0.5, 2: 0.0, 4: 0.5}, "non-positive mass 0.0 on {x2}"),
+            ({1: 0.5, 8: 0.25, 4: 0.25}, "bits 0x8 outside the frame"),
+            ({-1: 1.0}, "bits -0x1 outside the frame"),
+            ({2: 0.5, 0: 0.5}, "mass on the empty set is not allowed"),
+        ],
+    )
+    def test_int_keyed_rejection_names_the_entry(self, entries, message):
+        frame = Frame(("x1", "x2", "x3"))
+        with pytest.raises(ValueError) as err:
+            MassFunction(frame, entries)
+        assert type(err.value) is ValueError
+        assert str(err.value) == message
+
     def test_accepts_total_within_tolerance(self):
         frame = Frame(("x1", "x2"))
         m = MassFunction(frame, {1: 0.6, 2: 0.4 + 5e-10})

@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import math
 import time
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from beliefmc import exact
 from beliefmc import (
@@ -36,6 +38,19 @@ from conftest import (
     problem_to_label_sources,
     random_problem,
 )
+
+
+def complement_supports(n: int) -> EvidenceProblem:
+    """n simple-support sources, source i certifying the frame without
+    element i: the fold's table doubles at every step."""
+    frame = Frame(tuple(f"e{i}" for i in range(n)))
+    return EvidenceProblem(
+        frame,
+        tuple(
+            simple_support(frame, FocalSet(frame, frame.full_bits ^ (1 << i)), 0.5)
+            for i in range(n)
+        ),
+    )
 
 
 def approx_entries(a: MassFunction, b: MassFunction, tol: float = 1e-9) -> None:
@@ -201,6 +216,26 @@ class TestCombineAll:
         result = combine_all(two_ssf_problem, deadline_s=10.0)
         assert result.conflict == pytest.approx(0.3, abs=1e-9)
 
+    def test_expired_deadline_trips(self):
+        # step i multiplies 2**i entries by 2 outcomes: 2**17 - 4 products
+        # in all, more than _DEADLINE_STRIDE, so the deadline is consulted
+        problem = complement_supports(16)
+        assert sum(2 ** (i + 1) for i in range(1, 16)) > exact._DEADLINE_STRIDE
+        with pytest.raises(ResourceLimitError, match=r"combine step \d+: wall-clock cap"):
+            combine_all(problem, deadline_s=0.0)
+
+    def test_entry_cap_inside_a_pass_names_the_step(self, monkeypatch):
+        # At step 7 the covering outcome copies the 128-entry table and the
+        # other outcome's pass adds 128 new entries; with a stride of 4 the
+        # cap of 130 is consulted, and trips, a few products into that pass.
+        monkeypatch.setattr(exact, "_DEADLINE_STRIDE", 4)
+        problem = complement_supports(8)
+        with pytest.raises(
+            ResourceLimitError,
+            match="combine step 7: intermediate table exceeded 130 entries",
+        ):
+            combine_all(problem, max_entries=130)
+
     def test_total_conflict(self):
         frame = Frame(("x1", "x2"))
         problem = EvidenceProblem(
@@ -212,6 +247,67 @@ class TestCombineAll:
         )
         with pytest.raises(TotalConflictError):
             combine_all(problem)
+
+
+@st.composite
+def product_tables(draw):
+    """Two raw outcome lists of normalized masses over one frame, with
+    duplicate ``*`` outcomes, covering outcomes, and (sometimes) foci on
+    disjoint halves of the frame so that every pair conflicts."""
+    n = draw(st.integers(1, 6))
+    full = (1 << n) - 1
+    split = draw(st.integers(1, n))
+    disjoint = split < n and draw(st.booleans())
+
+    def outcomes(bits):
+        raw = draw(st.lists(st.tuples(bits, st.floats(0.01, 1.0)), min_size=1, max_size=4))
+        if not disjoint:
+            raw += [(full, draw(st.floats(0.01, 1.0)))] * draw(st.integers(0, 3))
+        total = math.fsum(v for _, v in raw)
+        return [(b, v / total) for b, v in raw]
+
+    if disjoint:
+        low = st.integers(1, (1 << split) - 1)
+        high = st.integers(1, (1 << (n - split)) - 1).map(lambda b: b << split)
+        return outcomes(low), outcomes(high)
+    every = st.integers(1, full)
+    return outcomes(every), outcomes(every)
+
+
+def merged(raw):
+    table = {}
+    for b, v in raw:
+        table[b] = table.get(b, 0.0) + v
+    return table
+
+
+def naive_product(raw1, raw2):
+    """Every outcome pair of the raw lists, one at a time."""
+    terms: dict[int, list[float]] = {}
+    for b1, v1 in raw1:
+        for b2, v2 in raw2:
+            terms.setdefault(b1 & b2, []).append(v1 * v2)
+    table = {b: math.fsum(ws) for b, ws in terms.items() if b}
+    return table, math.fsum(terms.get(0, []))
+
+
+class TestProductLoop:
+    @given(product_tables())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_naive_double_loop(self, raws):
+        raw1, raw2 = raws
+        want, want_conflict = naive_product(raw1, raw2)
+        for first, second in ((raw1, raw2), (raw2, raw1)):
+            table, conflict = exact._combine_bits(merged(first), merged(second))
+            assert set(table) == set(want)
+            for bits, v in want.items():
+                assert table[bits] == pytest.approx(v, abs=1e-12), f"entry {bits:#x}"
+            assert conflict == pytest.approx(want_conflict, abs=1e-15)
+
+    def test_all_conflict_pair(self):
+        table, conflict = exact._combine_bits({0b01: 0.25, 0b11: 0.75}, {0b100: 1.0})
+        assert table == {}
+        assert conflict == 1.0
 
 
 class TestEnumeration:
