@@ -45,6 +45,7 @@ from .exact import (
 from .logic import (
     AssignmentSpace,
     BoundedEstimate,
+    ClauseBatchEstimate,
     ClauseQuery,
     Literal,
     LogicProblem,
@@ -84,6 +85,7 @@ __all__ = [
     "AssignmentSpace",
     "BeliefMCError",
     "BoundedEstimate",
+    "ClauseBatchEstimate",
     "ClauseQuery",
     "CombinationResult",
     "Estimate",

@@ -33,8 +33,6 @@ from .bench import CSV_COLUMNS, cell_row, run_bench
 from .evidence import EvidenceProblem, bel_from_mass, validate_problem
 from .exact import DEFAULT_MAX_ENTRIES, combine_all, conflict_exact
 from .logic import (
-    ClauseQuery,
-    Literal,
     LogicProblem,
     logic_estimate,
     translate_to_set_problem,
@@ -91,10 +89,9 @@ def cmd_estimate(args) -> int:
             print("error: logic estimation needs at least one --query clause", file=sys.stderr)
             return 2
         queries = [parse_clause(q) for q in args.query]
-        results = [
-            logic_estimate(problem.sources, q, cfg, step_budget=args.budget)
-            for q in queries
-        ]
+        results = logic_estimate(
+            problem.sources, queries, cfg, step_budget=args.budget
+        ).estimates
         if args.csv:
             _write_csv(
                 (
@@ -205,15 +202,9 @@ def cmd_conflict(args) -> int:
         return 0
     cfg = _engine_config(args)
     if isinstance(problem, LogicProblem):
-        atoms = sorted({l.atom for s in problem.sources for _, t in s.outcomes for l in t})
-        if not atoms:
-            kappa, loops, restarts = 0.0, 1.0, 0
-        else:
-            taut = ClauseQuery((Literal(atoms[0], True), Literal(atoms[0], False)))
-            r = logic_estimate(problem.sources, taut, cfg)
-            restarts = r.restarts
-            kappa = restarts / (restarts + cfg.trials)
-            loops = (restarts + cfg.trials) / cfg.trials
+        restarts = logic_estimate(problem.sources, (), cfg).restarts
+        kappa = restarts / (restarts + cfg.trials)
+        loops = (restarts + cfg.trials) / cfg.trials
     else:
         kappa, loops = conflict_estimate(problem, cfg)
         restarts = round((loops - 1.0) * cfg.trials)

@@ -2,19 +2,22 @@
 
 Sources certify conjunctions of literals (term sets); queries are clauses
 (disjunctions of literals).  A trial draws one term per source and merges
-them into a partial assignment, restarting on a contradiction; the clause is
+them into a partial assignment, restarting on a contradiction; a clause is
 entailed when the merged term contains one of its literals.  For this
-fragment that syntactic check coincides with semantic entailment.
+fragment that syntactic check coincides with semantic entailment.  Every
+clause of a call is scored on the same trial stream, so an extra clause
+costs a mask test per trial, not another stream.
 
 Merging and entailment cost is metered in literal operations.  An optional
-per-trial step budget marks trials that exceed it as timeouts, which score 0
-toward the lower bound and 1 toward the upper bound.  The metering never
-changes what is sampled, so tightening the budget only moves scores between
-the bounds.
+step budget applies per (trial, clause) to the trial's merge cost plus that
+clause's test cost; a pair that exceeds it is a timeout, which scores 0
+toward the clause's lower bound and 1 toward its upper bound.  The metering
+never changes what is sampled, so tightening the budget only moves scores
+between the bounds.
 
 The trial kernel holds terms as positive and negative bitmasks over the
 atoms in sorted name order, so bit order is literal order.  A merge is an
-OR, a contradiction is a non-zero AND against the opposite sign, and the
+OR, a contradiction is a non-zero AND against the opposite sign, and each
 clause test is one mask test; the exact step count comes from counting term
 and clause literals up to the lowest clashing or hitting bit.  Trials are
 split into per-worker substreams and run by the set problems' worker runner,
@@ -181,6 +184,18 @@ class BoundedEstimate:
     sd_bound: float
 
 
+@dataclass(frozen=True)
+class ClauseBatchEstimate:
+    """The clauses of one :func:`logic_estimate` call, scored on one trial
+    stream: ``estimates`` holds one :class:`BoundedEstimate` per clause,
+    in query order; ``timeouts`` is their total."""
+
+    trials: int
+    restarts: int
+    timeouts: int
+    estimates: tuple[BoundedEstimate, ...]
+
+
 def is_contradictory(term: TermSet) -> bool:
     """True when the term contains an atom with both signs."""
     signs: dict[str, bool] = {}
@@ -260,17 +275,17 @@ def _term_masks(
 
 
 def _logic_plans(
-    sources: Sequence[LogicSource], query: ClauseQuery
-) -> tuple[list, tuple[int, int, int, int] | None]:
+    sources: Sequence[LogicSource], *queries: ClauseQuery
+) -> tuple[list, tuple[tuple[int, int, int, int] | None, ...]]:
     """The kernel's tables: one :func:`~beliefmc.mc._draw_plan` per source
-    over the :func:`_term_masks` of its terms, and the clause's masks
-    (``None`` for a tautology).
+    over the :func:`_term_masks` of its terms, and one clause mask per
+    query (``None`` for a tautology).
 
-    Atom bits follow sorted atom names over the sources and the clause, so
-    bit order is literal order.
+    Atom bits follow sorted atom names over the sources and every clause,
+    so bit order is literal order.
     """
     atoms = {l.atom for s in sources for _, t in s.outcomes for l in t}
-    atoms.update(l.atom for l in query.literals)
+    atoms.update(l.atom for q in queries for l in q.literals)
     bit = {a: 1 << i for i, a in enumerate(sorted(atoms))}
     plans = [
         _draw_plan(
@@ -279,38 +294,43 @@ def _logic_plans(
         )
         for source in sources
     ]
-    clause = None if query.is_tautology else _term_masks(query.literals, bit)
-    return plans, clause
+    clauses = tuple(
+        None if q.is_tautology else _term_masks(q.literals, bit) for q in queries
+    )
+    return plans, clauses
 
 
 def _kernel_logic(
     plans,
-    clause: tuple[int, int, int, int] | None,
+    clauses: Sequence[tuple[int, int, int, int] | None],
     trials: int,
     rng: random.Random,
     cap: int,
     budget: int | None,
-) -> tuple[int, int, int]:
-    """The logic-trial kernel; returns ``(successes, timeouts, restarts)``.
+) -> tuple[list[int], list[int], int]:
+    """The logic-trial kernel; returns ``(successes per clause, timeouts per
+    clause, restarts)``.
 
     An attempt ORs the drawn terms into a partial assignment held as
     positive and negative atom bits ``(P, N)`` and restarts when a term
-    contradicts it.  ``clause`` is the :func:`_term_masks` of the query, or
+    contradicts it.  Every clause is scored on the same accepted
+    assignment; ``clauses`` holds the :func:`_term_masks` of each query, or
     ``None`` for a tautology.
 
     Step accounting, in literal operations: a merged term costs its literal
     count; a contradicting term costs its literals up to and including the
     first clash (the lowest bit of the clash mask, since atom bits follow
     literal order), and the attempt's later terms are drawn but not merged;
-    the clause test costs its literals up to and including the first hit,
-    or all of them.  The count is a pure function of the draws, so the
-    budget never perturbs the stream.
+    a clause test costs its literals up to and including the first hit, or
+    all of them.  A trial's merge cost is shared by its clauses, and each
+    clause adds only its own test, so the budget applies per (trial,
+    clause): one trial can time out on one clause and score on another.
+    The count is a pure function of the draws, so the budget never perturbs
+    the stream.
     """
     rand = rng.random
-    if clause is not None:
-        cpos, cneg, clen, cmask = clause
-    successes = 0
-    timeouts = 0
+    successes = [0] * len(clauses)
+    timeouts = [0] * len(clauses)
     restarts = 0
     for t in range(trials):
         trial_restarts = 0
@@ -337,54 +357,74 @@ def _kernel_logic(
             trial_restarts += 1
             if trial_restarts > cap:
                 raise _cap_error(restarts, t, cap)
-        if clause is None:
-            hit = 1
-        else:
-            hit = P & cpos | N & cneg
-            ops += (cmask & (hit ^ (hit - 1))).bit_count() if hit else clen
-        if budget is not None and ops > budget:
-            timeouts += 1
-        elif hit:
-            successes += 1
+        for i, clause in enumerate(clauses):
+            if clause is None:
+                hit, cost = 1, ops
+            else:
+                cpos, cneg, clen, cmask = clause
+                hit = P & cpos | N & cneg
+                cost = ops + ((cmask & (hit ^ (hit - 1))).bit_count() if hit else clen)
+            if budget is not None and cost > budget:
+                timeouts[i] += 1
+            elif hit:
+                successes[i] += 1
     return successes, timeouts, restarts
 
 
 def logic_estimate(
     sources: Sequence[LogicSource],
-    query: ClauseQuery,
+    query: ClauseQuery | Sequence[ClauseQuery],
     cfg: TrialEngineConfig,
     step_budget: int | None = None,
-) -> BoundedEstimate:
-    """Estimate the combined belief that the sources force ``query``.
+) -> BoundedEstimate | ClauseBatchEstimate:
+    """Estimate the combined belief that the sources force each query.
 
-    ``step_budget`` caps the literal operations any one trial may spend;
-    over-budget trials count toward ``timeouts`` and widen the bounds.
-    Trials are split across per-worker substreams and run by the same
-    worker runner as the set-problem estimator.
+    ``query`` is one clause, which returns its :class:`BoundedEstimate`, or
+    a sequence of clauses (possibly empty), which returns one
+    :class:`ClauseBatchEstimate`.  Every clause is scored on one trial
+    stream, so a clause's result does not depend on the others in the
+    call.  ``step_budget`` caps the literal operations any one trial may
+    spend on one clause; over-budget (trial, clause) pairs count toward
+    that clause's ``timeouts`` and widen its bounds.  Trials are split
+    across per-worker substreams and run by the same worker runner as the
+    set-problem estimator.
     """
+    single = isinstance(query, ClauseQuery)
+    queries = (query,) if single else tuple(query)
     report = validate_logic_sources(sources)
     if report:
         raise InvalidProblemError(report)
     if step_budget is not None and step_budget < 0:
         raise ValueError(f"step budget must be >= 0, got {step_budget}")
-    plans, clause = _logic_plans(sources, query)
+    plans, clauses = _logic_plans(sources, *queries)
 
     def job(share, rng):
-        return _kernel_logic(plans, clause, share, rng, cfg.restart_cap, step_budget)
+        return _kernel_logic(plans, clauses, share, rng, cfg.restart_cap, step_budget)
 
     parts = _run_workers(cfg, job)
-    successes = sum(p[0] for p in parts)
-    timeouts = sum(p[1] for p in parts)
     restarts = sum(p[2] for p in parts)
-    return BoundedEstimate(
-        lower=successes / cfg.trials,
-        upper=(successes + timeouts) / cfg.trials,
+    estimates = []
+    for i in range(len(clauses)):
+        successes = sum(p[0][i] for p in parts)
+        timeouts = sum(p[1][i] for p in parts)
+        estimates.append(
+            BoundedEstimate(
+                lower=successes / cfg.trials,
+                upper=(successes + timeouts) / cfg.trials,
+                trials=cfg.trials,
+                successes=successes,
+                timeouts=timeouts,
+                restarts=restarts,
+                sd_bound=sd_bound(cfg.trials),
+            )
+        )
+    batch = ClauseBatchEstimate(
         trials=cfg.trials,
-        successes=successes,
-        timeouts=timeouts,
         restarts=restarts,
-        sd_bound=sd_bound(cfg.trials),
+        timeouts=sum(e.timeouts for e in estimates),
+        estimates=tuple(estimates),
     )
+    return batch.estimates[0] if single else batch
 
 
 @dataclass(frozen=True)

@@ -162,6 +162,22 @@ class TestLogicEstimate:
         assert float(row["upper"]) == 1.0
         assert row["timeouts"] == row["trials"]
 
+    def test_clauses_in_one_call_print_their_single_rows(self, logic_file, capsys):
+        common = [
+            "estimate", "--problem", logic_file, "--csv", "--budget", "3",
+            "--trials", "3000", "--seed", "9", "--workers", "2",
+        ]
+        assert main([*common, "--query", "[p]", "--query", "[q]"]) == 0
+        both = capsys.readouterr().out.splitlines()
+        singles = []
+        for query in ("[p]", "[q]"):
+            assert main([*common, "--query", query]) == 0
+            singles.append(capsys.readouterr().out.splitlines())
+        assert both == [singles[0][0], singles[0][1], singles[1][1]]
+        for row in rows_of("\n".join(both)):
+            assert 0 < int(row["timeouts"]) < 3000
+            assert int(row["successes"]) > 0
+
     def test_human_output_shows_interval(self, logic_file, capsys):
         assert main([
             "estimate", "--problem", logic_file, "--query", "[q]",
@@ -244,6 +260,14 @@ class TestConflict:
         ]) == 0
         row = rows_of(capsys.readouterr().out)[0]
         assert float(row["kappa"]) == pytest.approx(0.35, abs=0.03)
+
+    def test_logic_without_literals_has_no_conflict(self, tmp_path, capsys):
+        path = tmp_path / "empty.lg"
+        path.write_text("atoms: p\nsource:\n  0.6 []\n  0.4 []\nsource:\n  1.0 []\n")
+        assert main([
+            "conflict", "--logic", "--problem", str(path), "--csv", "--trials", "700",
+        ]) == 0
+        assert capsys.readouterr().out.splitlines()[-1] == "mc,0.000000,1.0000,700,0"
 
     def test_excessive_conflict_exit_code(self, tmp_path, capsys):
         path = tmp_path / "tc.bel"

@@ -13,6 +13,7 @@ from hypothesis import given, settings
 
 from beliefmc import (
     AssignmentSpace,
+    ClauseBatchEstimate,
     ClauseQuery,
     ExcessiveConflictError,
     FrameTooLargeError,
@@ -251,6 +252,78 @@ class TestDrawStream:
                 )
                 assert restarts > 0
                 assert rng.calls == m * (500 + restarts)
+
+
+class TestClauseBatch:
+    """Every clause of one call is scored on one trial stream, and each
+    clause's result equals its single-clause call."""
+
+    def test_batch_matches_single_clause_calls(self):
+        clauses = [parse_clause(text) for text in STREAM_CLAUSES]
+        for problem, tight in _stream_problems().values():
+            for workers in (1, 2):
+                cfg = TrialEngineConfig(trials=2000, seed=17, worker_count=workers)
+                for budget in (None, 0, *tight):
+                    batch = logic_estimate(problem.sources, clauses, cfg, budget)
+                    assert isinstance(batch, ClauseBatchEstimate)
+                    assert len(batch.estimates) == len(clauses)
+                    for clause, got in zip(clauses, batch.estimates):
+                        alone = logic_estimate(problem.sources, clause, cfg, budget)
+                        assert got == alone
+                    assert batch.trials == cfg.trials
+                    assert batch.restarts == batch.estimates[0].restarts
+                    assert batch.timeouts == sum(e.timeouts for e in batch.estimates)
+
+    def test_timeouts_are_per_trial_and_clause(self):
+        # certain sources merge [!d] and [c f] for 3 operations every trial;
+        # [!a !b zz] misses after 3 more, [!d zz] hits at its 1st literal,
+        # and the first clause's test does not count against the second
+        sources = (
+            LogicSource(((1.0, TermSet.of("!d")),)),
+            LogicSource(((1.0, TermSet.of("c", "f")),)),
+        )
+        clauses = (ClauseQuery.of("!a", "!b", "zz"), ClauseQuery.of("!d", "zz"))
+        cfg = TrialEngineConfig(trials=5, seed=0)
+        batch = logic_estimate(sources, clauses, cfg, step_budget=4)
+        assert [(e.successes, e.timeouts) for e in batch.estimates] == [(0, 5), (5, 0)]
+        assert batch.timeouts == 5
+
+    def test_clause_less_call_counts_the_same_restarts(self):
+        for problem, _ in _stream_problems().values():
+            for workers in (1, 2):
+                cfg = TrialEngineConfig(trials=2000, seed=5, worker_count=workers)
+                bare = logic_estimate(problem.sources, (), cfg)
+                alone = logic_estimate(problem.sources, ClauseQuery.of("a1"), cfg)
+                assert (bare.trials, bare.timeouts, bare.estimates) == (2000, 0, ())
+                assert bare.restarts == alone.restarts > 0
+
+    def test_one_draw_per_source_per_attempt_with_three_clauses(self):
+        problem, _ = _stream_problems()["random"]
+        m = len(problem.sources)
+        queries = [parse_clause(text) for text in ("[a1]", "[!a2 c]", "[a1 !a1]")]
+        plans, clauses = _logic_plans(problem.sources, *queries)
+        assert len(clauses) == 3
+        for budget in (None, 0, 12):
+            rng = CountingRandom(3)
+            successes, timeouts, restarts = _kernel_logic(
+                plans, clauses, 500, rng, DEFAULT_RESTART_CAP, budget
+            )
+            assert len(successes) == len(timeouts) == 3
+            assert restarts > 0
+            assert rng.calls == m * (500 + restarts)
+
+    def test_restart_cap_error_matches_single_clause(self):
+        sources = (
+            LogicSource(((1.0, TermSet.of("p")),)),
+            LogicSource(((1.0, TermSet.of("!p")),)),
+        )
+        cfg = TrialEngineConfig(trials=5, restart_cap=50)
+        with pytest.raises(ExcessiveConflictError) as alone:
+            logic_estimate(sources, ClauseQuery.of("p"), cfg)
+        for clauses in ((), (ClauseQuery.of("p"), ClauseQuery.of("q", "!p"))):
+            with pytest.raises(ExcessiveConflictError) as batch:
+                logic_estimate(sources, clauses, cfg)
+            assert str(batch.value) == str(alone.value)
 
 
 class TestLiteralsAndTerms:
