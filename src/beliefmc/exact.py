@@ -151,12 +151,17 @@ def combine_all(
 
     ``conflict`` in the result is the overall conflict of the joint problem:
     one minus the product of per-step survival weights.  ``deadline_s``
-    bounds the whole fold in wall-clock seconds.
+    bounds the whole fold in wall-clock seconds.  Raises ``ValueError``
+    when ``max_entries`` is below 1 or ``deadline_s`` is negative or NaN.
 
     The running table is left unnormalized: each source's small table is
     divided by the running table's total instead, and the combined table is
     divided once at the end.
     """
+    if max_entries < 1:
+        raise ValueError(f"max entries must be >= 1, got {max_entries}")
+    if deadline_s is not None and not deadline_s >= 0.0:
+        raise ValueError(f"time cap must be >= 0, got {deadline_s}")
     require_valid(problem)
     deadline = None if deadline_s is None else time.monotonic() + deadline_s
     masses = [mass_from_source(s) for s in problem.sources]

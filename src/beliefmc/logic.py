@@ -19,7 +19,10 @@ The trial kernel holds terms as positive and negative bitmasks over the
 atoms in sorted name order, so bit order is literal order.  A merge is an
 OR, a contradiction is a non-zero AND against the opposite sign, and each
 clause test is one mask test; the exact step count comes from counting term
-and clause literals up to the lowest clashing or hitting bit.  Trials are
+and clause literals up to the lowest clashing or hitting bit.  Most draws
+merge nothing, so they cost little: an empty term is ``None`` and costs
+its draw and an ``is None`` test, and after a clash the attempt's remaining
+uniforms are drawn without being mapped to outcomes.  Trials are
 split into per-worker substreams and run by the set problems' worker runner,
 ``mc._run_workers``.
 
@@ -278,10 +281,13 @@ def _logic_plans(
     sources: Sequence[LogicSource], *queries: ClauseQuery
 ) -> tuple[list, tuple[tuple[int, int, int, int] | None, ...]]:
     """The kernel's tables: one :func:`~beliefmc.mc._draw_plan` per source
-    over the :func:`_term_masks` of its terms, and one clause mask per
-    query (``None`` for a tautology).
+    over the :func:`_term_masks` of its terms (``None`` for an empty term,
+    which merges nothing and costs nothing), and one clause mask per query
+    (``None`` for a tautology).
 
-    Atom bits follow sorted atom names over the sources and every clause,
+    The kernel maps one uniform per source per attempt through these plans,
+    except after a clash: the lost attempt's remaining uniforms are drawn
+    but not mapped to outcomes.  Atom bits follow sorted atom names over the sources and every clause,
     so bit order is literal order.
     """
     atoms = {l.atom for s in sources for _, t in s.outcomes for l in t}
@@ -290,7 +296,10 @@ def _logic_plans(
     plans = [
         _draw_plan(
             _cumulative([p for p, _ in source.outcomes]),
-            tuple(_term_masks(t.literals, bit) for _, t in source.outcomes),
+            tuple(
+                _term_masks(t.literals, bit) if t.literals else None
+                for _, t in source.outcomes
+            ),
         )
         for source in sources
     ]
@@ -315,12 +324,15 @@ def _kernel_logic(
     positive and negative atom bits ``(P, N)`` and restarts when a term
     contradicts it.  Every clause is scored on the same accepted
     assignment; ``clauses`` holds the :func:`_term_masks` of each query, or
-    ``None`` for a tautology.
+    ``None`` for a tautology.  An empty term (``None`` in the plans) costs
+    its draw and nothing else.  Once a term clashes, the attempt is lost:
+    its remaining sources each still draw their one uniform, in source
+    order, but the uniforms are not mapped to outcomes.
 
     Step accounting, in literal operations: a merged term costs its literal
     count; a contradicting term costs its literals up to and including the
     first clash (the lowest bit of the clash mask, since atom bits follow
-    literal order), and the attempt's later terms are drawn but not merged;
+    literal order), and the attempt's later terms are not merged;
     a clause test costs its literals up to and including the first hit, or
     all of them.  A trial's merge cost is shared by its clauses, and each
     clause adds only its own test, so the budget applies per (trial,
@@ -336,22 +348,26 @@ def _kernel_logic(
         trial_restarts = 0
         ops = 0
         while True:
-            P = N = clash = 0
-            for thr, lo, hi, cum, outs in plans:
+            P = N = 0
+            draws = iter(plans)
+            for thr, lo, hi, cum, outs in draws:
                 if cum is None:
-                    pos, neg, count, mask = lo if rand() < thr else hi
+                    term = lo if rand() < thr else hi
                 else:
-                    pos, neg, count, mask = outs[bisect_right(cum, rand())]
-                if clash or not count:
-                    continue  # keep drawing: one uniform per source per attempt
+                    term = outs[bisect_right(cum, rand())]
+                if term is None:
+                    continue
+                pos, neg, count, mask = term
                 clash = P & neg | N & pos
                 if clash:
                     ops += (mask & (clash ^ (clash - 1))).bit_count()
-                else:
-                    P |= pos
-                    N |= neg
-                    ops += count
-            if not clash:
+                    for _ in draws:  # one uniform per source per attempt
+                        rand()
+                    break
+                P |= pos
+                N |= neg
+                ops += count
+            else:
                 break
             restarts += 1
             trial_restarts += 1
@@ -459,13 +475,18 @@ class AssignmentSpace:
 
     @cached_property
     def _true_bits(self) -> dict[str, int]:
-        k = len(self.atoms)
+        """Per atom, the assignments that make it true: for atom ``i``, a
+        block of ``2**i`` set bits above ``2**i`` clear ones, repeated with
+        period ``2**(i + 1)`` by doubling up to the frame's ``2**k`` bits."""
+        size = 1 << len(self.atoms)
         out = {}
         for i, atom in enumerate(self.atoms):
-            bits = 0
-            for a in range(1 << k):
-                if a >> i & 1:
-                    bits |= 1 << a
+            half = 1 << i
+            bits = ((1 << half) - 1) << half
+            period = half << 1
+            while period < size:
+                bits |= bits << period
+                period <<= 1
             out[atom] = bits
         return out
 

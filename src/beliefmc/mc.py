@@ -16,7 +16,9 @@ source, in source order, with no early exit; results are therefore a pure
 function of ``(seed, worker_count)``.  The set and logic kernels build
 their per-source tables with :func:`_draw_plan` from the cumulative table
 that :func:`sample_source` bisects, so all three map a uniform to the same
-outcome.
+outcome.  The logic kernel skips only the mapping, never the draw: once an
+attempt is lost, its remaining sources each draw their uniform, which is
+not mapped to an outcome.
 
 ``worker_count`` splits the trials into per-worker substreams derived from
 the seed, and the shares run on one thread per share, capped at the core

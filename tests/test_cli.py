@@ -4,13 +4,17 @@ from __future__ import annotations
 
 import csv
 import io
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from beliefmc import parse_problem
 from beliefmc.cli import main
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 TWO_SSF = """\
 frame: x1 x2 x3
@@ -224,6 +228,14 @@ class TestExact:
         ]) == 4
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "cap", [("--max-entries", "0"), ("--max-entries", "-1"),
+                ("--time-cap", "nan"), ("--time-cap", "-1")],
+    )
+    def test_invalid_cap_exit_code(self, set_file, capsys, cap):
+        assert main(["exact", "--problem", set_file, *cap]) == 2
+        assert "error:" in capsys.readouterr().err
+
     def test_total_conflict_exit_code(self, tmp_path, capsys):
         path = tmp_path / "tc.bel"
         path.write_text(TOTAL_CONFLICT)
@@ -360,14 +372,27 @@ class TestBench:
     def test_bad_sizes(self, capsys):
         assert main(["bench", "--sizes", "3,zap"]) == 2
 
+    def test_invalid_exact_cap_rejected(self, capsys):
+        assert main([
+            "bench", "--sizes", "3", "--trials", "50", "--reps", "1",
+            "--exact-cap", "nan",
+        ]) == 2
+        assert "time cap" in capsys.readouterr().err
+
     def test_zero_reps_rejected(self, capsys):
         assert main(["bench", "--sizes", "4", "--reps", "0"]) == 2
         assert "repetitions" in capsys.readouterr().err
 
 
 def test_module_entry_point(set_file):
+    # the child imports the same checkout's package, installed or not
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(SRC), env.get("PYTHONPATH")) if p
+    )
     proc = subprocess.run(
         [sys.executable, "-m", "beliefmc", "validate", "--problem", set_file],
+        env=env,
         capture_output=True,
         text=True,
     )

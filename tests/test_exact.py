@@ -224,6 +224,20 @@ class TestCombineAll:
         with pytest.raises(ResourceLimitError, match=r"combine step \d+: wall-clock cap"):
             combine_all(problem, deadline_s=0.0)
 
+    @pytest.mark.parametrize(
+        "caps",
+        [
+            {"max_entries": 0},
+            {"max_entries": -1},
+            {"deadline_s": math.nan},
+            {"deadline_s": -1.0},
+        ],
+    )
+    def test_invalid_caps_rejected(self, two_ssf_problem, caps):
+        # a NaN or negative deadline would never trip on a fold this short
+        with pytest.raises(ValueError):
+            combine_all(two_ssf_problem, **caps)
+
     def test_entry_cap_inside_a_pass_names_the_step(self, monkeypatch):
         # At step 7 the covering outcome copies the 128-entry table and the
         # other outcome's pass adds 128 new entries; with a stride of 4 the

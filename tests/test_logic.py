@@ -617,6 +617,16 @@ class TestTranslation:
         clause = space.clause_focal(ClauseQuery.of("p", "q"))
         assert set(clause.labels()) == {"10", "01", "11"}
 
+    def test_literal_bits_match_bruteforce(self):
+        for k in range(1, 13):
+            space = AssignmentSpace(tuple(f"a{i}" for i in range(k)))
+            for i, atom in enumerate(space.atoms):
+                truths = sum(1 << a for a in range(1 << k) if a >> i & 1)
+                assert space.literal_bits(Literal(atom)) == truths, (k, i)
+                assert space.literal_bits(Literal(atom, False)) == (
+                    space.frame.full_bits ^ truths
+                ), (k, i)
+
     def test_empty_term_maps_to_frame(self):
         space = AssignmentSpace(("p", "q"))
         assert space.term_focal(TermSet()).is_full
