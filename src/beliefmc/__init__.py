@@ -24,21 +24,15 @@ from .evidence import (
     FocalSet,
     Frame,
     MassFunction,
-    SimpleSupport,
     SourceModel,
-    as_simple_support,
     bel_from_mass,
-    focal_intersect,
-    mass_from_bel,
     mass_from_source,
-    pl_from_mass,
     simple_support,
     validate_problem,
 )
 from .exact import (
     CombinationResult,
     combine_all,
-    combine_pair,
     conflict_exact,
     exact_belief_enumeration,
 )
@@ -65,9 +59,7 @@ from .mc import (
     derive_stream_seed,
     estimate,
     plan_trials,
-    sample_source,
     sd_bound,
-    subset_frequency_scan,
 )
 from .problem_io import (
     GeneratedProblem,
@@ -104,37 +96,29 @@ __all__ = [
     "ParseError",
     "QueryBatch",
     "ResourceLimitError",
-    "SimpleSupport",
     "SourceModel",
     "TermSet",
     "TotalConflictError",
     "TrialEngineConfig",
-    "as_simple_support",
     "bel_from_mass",
     "combine_all",
-    "combine_pair",
     "conflict_estimate",
     "conflict_exact",
     "derive_stream_seed",
     "entails",
     "estimate",
     "exact_belief_enumeration",
-    "focal_intersect",
     "generate_problem",
     "is_contradictory",
     "logic_estimate",
-    "mass_from_bel",
     "mass_from_source",
     "parse_clause",
     "parse_problem",
     "parse_query",
-    "pl_from_mass",
     "plan_trials",
     "render_problem",
-    "sample_source",
     "sd_bound",
     "simple_support",
-    "subset_frequency_scan",
     "translate_to_set_problem",
     "tune_focus_density",
     "validate_logic_problem",

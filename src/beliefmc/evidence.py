@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .errors import FrameMismatchError, FrameTooLargeError, InvalidProblemError
+from .errors import FrameMismatchError, InvalidProblemError
 
 #: Tolerated deviation of a probability or mass total from exactly 1.
 MASS_TOL = 1e-9
@@ -22,10 +22,6 @@ MASS_TOL = 1e-9
 #: and the remainder renormalized.
 MASS_DUST = 1e-12
 
-#: Widest frame accepted by :func:`mass_from_bel`, which walks all subsets.
-MOBIUS_MAX_ELEMENTS = 24
-
-
 @dataclass(frozen=True)
 class Frame:
     """Ordered frame of discernment.
@@ -33,8 +29,7 @@ class Frame:
     Element order is significant: element ``j`` corresponds to bit ``j`` of
     every :class:`FocalSet` over this frame, and the order is stable for the
     lifetime of the frame.  Bitmasks are arbitrary-precision integers, so
-    frames with a thousand or more elements work fine; only the subset
-    enumeration helpers are width-guarded.
+    frames with a thousand or more elements work fine.
     """
 
     elements: tuple[str, ...]
@@ -227,9 +222,6 @@ class MassFunction:
         for bits, value in self._masses.items():
             yield FocalSet(self.frame, bits), value
 
-    def focal_sets(self) -> list[FocalSet]:
-        return [FocalSet(self.frame, bits) for bits in self._masses]
-
     def __len__(self) -> int:
         return len(self._masses)
 
@@ -284,18 +276,6 @@ class SourceModel:
         return tuple(t.bits for _, t in self.outcomes)
 
 
-@dataclass(frozen=True)
-class SimpleSupport:
-    """A source that certifies one focus set with weight ``s`` and is vacuous
-    otherwise: outcomes ``(s, focus)`` and ``(1 - s, frame)``."""
-
-    focus: FocalSet
-    weight: float
-
-    def to_source(self) -> SourceModel:
-        return simple_support(self.focus.frame, self.focus, self.weight)
-
-
 def simple_support(frame: Frame, focus: FocalSet, weight: float) -> SourceModel:
     """Build the two-outcome source behind a simple support function."""
     if focus.frame != frame:
@@ -307,32 +287,6 @@ def simple_support(frame: Frame, focus: FocalSet, weight: float) -> SourceModel:
     if weight == 1.0 or focus.is_full:
         return SourceModel(frame, ((1.0, focus if weight == 1.0 else frame.universe()),))
     return SourceModel(frame, ((weight, focus), (1.0 - weight, frame.universe())))
-
-
-def as_simple_support(source: SourceModel) -> SimpleSupport | None:
-    """Recognize a source of simple-support shape, else ``None``.
-
-    Accepts a single certain outcome (weight 1) or exactly two outcomes one
-    of which targets the whole frame.
-    """
-    outs = source.outcomes
-    if len(outs) == 1:
-        p, t = outs[0]
-        if t.is_empty:
-            return None
-        return SimpleSupport(t, 1.0)
-    if len(outs) == 2:
-        (p0, t0), (p1, t1) = outs
-        total = p0 + p1
-        if total <= 0:
-            return None
-        if t0.is_full and t1.is_full:
-            return SimpleSupport(t0, 1.0)
-        if t1.is_full and not t0.is_empty:
-            return SimpleSupport(t0, p0 / total)
-        if t0.is_full and not t1.is_empty:
-            return SimpleSupport(t1, p1 / total)
-    return None
 
 
 @dataclass(frozen=True)
@@ -378,19 +332,6 @@ def require_valid(problem: EvidenceProblem) -> None:
         raise InvalidProblemError(report)
 
 
-def focal_intersect(sets: Sequence[FocalSet]) -> FocalSet:
-    """Intersection of one or more focal sets over a shared frame."""
-    if not sets:
-        raise ValueError("focal_intersect needs at least one set")
-    first = sets[0]
-    bits = first.bits
-    for other in sets[1:]:
-        if other.frame != first.frame:
-            raise FrameMismatchError("focal sets belong to different frames")
-        bits &= other.bits
-    return FocalSet(first.frame, bits)
-
-
 def _mass_within(table: Mapping[int, float], outside: int) -> float:
     """Total mass of the entries that share no bit with ``outside``.
 
@@ -407,16 +348,6 @@ def bel_from_mass(m: MassFunction, b: FocalSet) -> float:
     return _mass_within(m.by_bits, m.frame.full_bits ^ b.bits)
 
 
-def pl_from_mass(m: MassFunction, b: FocalSet) -> float:
-    """Plausibility of ``b``: the mass not committed against it,
-    ``1 - Bel(complement)``."""
-    if b.frame != m.frame:
-        raise FrameMismatchError("query set from a different frame")
-    return 1.0 - math.fsum(
-        v for bits, v in m.by_bits.items() if not bits & b.bits
-    )
-
-
 def mass_from_source(source: SourceModel) -> MassFunction:
     """Mass function induced by a source: outcome probabilities accumulated
     onto their target sets (duplicate targets merge)."""
@@ -430,44 +361,3 @@ def mass_from_source(source: SourceModel) -> MassFunction:
             raise InvalidProblemError([f"outcome {k}: empty target"])
         entries[t.bits] = entries.get(t.bits, 0.0) + p
     return MassFunction(source.frame, entries)
-
-
-def mass_from_bel(frame: Frame, bel: Sequence[float]) -> MassFunction:
-    """Invert a full belief table back to its mass function.
-
-    ``bel[bits]`` must give the belief of every subset of the frame (length
-    ``2**n``).  Inversion is the alternating-sign sum over subsets, done by
-    direct submask enumeration, so the frame is width-guarded.
-    """
-    n = frame.size
-    if n > MOBIUS_MAX_ELEMENTS:
-        raise FrameTooLargeError(
-            f"mass_from_bel: frame has {n} elements, limit is {MOBIUS_MAX_ELEMENTS}"
-        )
-    if len(bel) != 1 << n:
-        raise ValueError(f"belief table has {len(bel)} entries, expected {1 << n}")
-    if abs(bel[0]) > MASS_TOL:
-        raise ValueError(f"belief of the empty set is {bel[0]!r}, expected 0")
-    if abs(bel[frame.full_bits] - 1.0) > MASS_TOL:
-        raise ValueError(f"belief of the frame is {bel[frame.full_bits]!r}, expected 1")
-    entries: dict[int, float] = {}
-    for a in range(1, 1 << n):
-        size_a = a.bit_count()
-        acc = 0.0
-        # Walk submasks c of a; the sign alternates with |a \ c|.
-        c = a
-        terms = []
-        while True:
-            sign = -1.0 if (size_a - c.bit_count()) & 1 else 1.0
-            terms.append(sign * bel[c])
-            if c == 0:
-                break
-            c = (c - 1) & a
-        acc = math.fsum(terms)
-        if acc < -MASS_TOL:
-            raise ValueError(
-                f"not a belief function: inverted mass {acc!r} on {FocalSet(frame, a)}"
-            )
-        if acc > MASS_DUST:
-            entries[a] = acc
-    return MassFunction(frame, entries)

@@ -62,8 +62,8 @@ class CombinationResult:
 
 
 def _combine_bits(
-    m1: dict[int, float] | MassFunction,
-    m2: dict[int, float] | MassFunction,
+    d1: dict[int, float],
+    d2: dict[int, float],
     *,
     max_entries: int | None = None,
     deadline: float | None = None,
@@ -83,8 +83,6 @@ def _combine_bits(
     every ``_DEADLINE_STRIDE``-th product: the entry cap is consulted after
     every chunk, the deadline at each of those stride boundaries.
     """
-    d1 = m1.by_bits if isinstance(m1, MassFunction) else m1
-    d2 = m2.by_bits if isinstance(m2, MassFunction) else m2
     small, big = (d1, d2) if len(d1) <= len(d2) else (d2, d1)
     cover = reduce(or_, big, 0)
     outer = sorted(small.items(), key=lambda item: item[0] & cover != cover)
@@ -126,21 +124,6 @@ def _surviving(table: dict[int, float], conflict: float, step: str) -> float:
     return remaining
 
 
-def _finish(frame, table: dict[int, float], remaining: float) -> MassFunction:
-    return MassFunction(frame, {b: v / remaining for b, v in table.items()})
-
-
-def combine_pair(m1: MassFunction, m2: MassFunction) -> CombinationResult:
-    """Dempster combination of two mass functions over the same frame."""
-    if m1.frame != m2.frame:
-        raise FrameMismatchError("mass functions over different frames")
-    table, conflict = _combine_bits(m1, m2)
-    remaining = _surviving(table, conflict, "combine_pair")
-    # relative to the computed total, guarding against rounding in big tables
-    conflict /= remaining + conflict
-    return CombinationResult(_finish(m1.frame, table, remaining), conflict)
-
-
 def combine_all(
     problem: EvidenceProblem,
     *,
@@ -176,16 +159,17 @@ def combine_all(
         )
         remaining = _surviving(acc, conflict, step)
         survival *= remaining / (remaining + conflict)
-    return CombinationResult(_finish(problem.frame, acc, remaining), 1.0 - survival)
+    combined = MassFunction(problem.frame, {b: v / remaining for b, v in acc.items()})
+    return CombinationResult(combined, 1.0 - survival)
 
 
 def _enumerate(
-    problem: EvidenceProblem, b: FocalSet, max_outcomes: int
+    problem: EvidenceProblem, max_outcomes: int
 ) -> tuple[dict[int, float], float]:
     """Sweep the sources once, merging joint outcomes that reach the same
     intersection; return the final ``{non-empty intersection bits:
     probability}`` table and P[empty], with per-source probabilities
-    renormalized exactly.  ``b`` is only checked against the frame.
+    renormalized exactly.  The caller validates the problem.
 
     The running ``{intersection bits: probability}`` table multiplies into
     each source's ``{target bits: p/total}`` table through the fold's
@@ -193,9 +177,6 @@ def _enumerate(
     than the joint outcome count.  The joint outcome count is still capped
     at ``max_outcomes``, and the table at ``DEFAULT_MAX_ENTRIES``.
     """
-    require_valid(problem)
-    if b.frame != problem.frame:
-        raise FrameMismatchError("query set from a different frame")
     joint = 1
     for s in problem.sources:
         joint *= len(s.outcomes)
@@ -232,7 +213,10 @@ def exact_belief_enumeration(
     Raises ``ResourceLimitError`` when the joint outcome count exceeds
     ``max_outcomes`` or the intersection table exceeds
     :data:`DEFAULT_MAX_ENTRIES` entries."""
-    acc, empty_p = _enumerate(problem, b, max_outcomes)
+    require_valid(problem)
+    if b.frame != problem.frame:
+        raise FrameMismatchError("query set from a different frame")
+    acc, empty_p = _enumerate(problem, max_outcomes)
     inside_p = _mass_within(acc, problem.frame.full_bits ^ b.bits)
     survival = 1.0 - empty_p
     if survival <= CONFLICT_TOL:
@@ -244,5 +228,6 @@ def conflict_exact(
     problem: EvidenceProblem, *, max_outcomes: int = DEFAULT_MAX_OUTCOMES
 ) -> float:
     """Exact conflict mass: probability that a joint draw is contradictory."""
-    _, empty_p = _enumerate(problem, problem.frame.universe(), max_outcomes)
+    require_valid(problem)
+    _, empty_p = _enumerate(problem, max_outcomes)
     return empty_p

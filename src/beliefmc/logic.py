@@ -87,6 +87,16 @@ def lits(*texts: str) -> tuple[Literal, ...]:
     return tuple(Literal.parse(t) for t in texts)
 
 
+def _has_both_signs(literals: tuple[Literal, ...]) -> bool:
+    """True when some atom appears both plain and negated."""
+    signs: dict[str, bool] = {}
+    for l in literals:
+        if signs.get(l.atom, l.positive) != l.positive:
+            return True
+        signs[l.atom] = l.positive
+    return False
+
+
 @dataclass(frozen=True)
 class TermSet:
     """A conjunction of literals, canonicalized to a sorted, deduplicated
@@ -135,12 +145,7 @@ class ClauseQuery:
 
     @cached_property
     def is_tautology(self) -> bool:
-        signs: dict[str, bool] = {}
-        for l in self.literals:
-            if signs.get(l.atom, l.positive) != l.positive:
-                return True
-            signs[l.atom] = l.positive
-        return False
+        return _has_both_signs(self.literals)
 
     def __str__(self) -> str:
         return "[" + " ".join(str(l) for l in self.literals) + "]"
@@ -201,12 +206,7 @@ class ClauseBatchEstimate:
 
 def is_contradictory(term: TermSet) -> bool:
     """True when the term contains an atom with both signs."""
-    signs: dict[str, bool] = {}
-    for l in term.literals:
-        if signs.get(l.atom, l.positive) != l.positive:
-            return True
-        signs[l.atom] = l.positive
-    return False
+    return _has_both_signs(term.literals)
 
 
 def entails(term: TermSet, clause: ClauseQuery) -> bool:

@@ -14,11 +14,11 @@ trial.
 The draw contract is that each attempt consumes exactly one uniform per
 source, in source order, with no early exit; results are therefore a pure
 function of ``(seed, worker_count)``.  The set and logic kernels build
-their per-source tables with :func:`_draw_plan` from the cumulative table
-that :func:`sample_source` bisects, so all three map a uniform to the same
-outcome.  The logic kernel skips only the mapping, never the draw: once an
-attempt is lost, its remaining sources each draw their uniform, which is
-not mapped to an outcome.
+their per-source tables with :func:`_draw_plan` from each source's
+cumulative table, so both map a uniform to the same outcome.  The logic
+kernel skips only the mapping, never the draw: once an attempt is lost,
+its remaining sources each draw their uniform, which is not mapped to an
+outcome.
 
 ``worker_count`` splits the trials into per-worker substreams derived from
 the seed, and the shares run on one thread per share, capped at the core
@@ -37,13 +37,12 @@ import math
 import os
 import random
 from bisect import bisect_right
-from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import ExcessiveConflictError, FrameMismatchError
-from .evidence import EvidenceProblem, FocalSet, SourceModel, require_valid
+from .evidence import EvidenceProblem, FocalSet, require_valid
 
 DEFAULT_RESTART_CAP = 10_000
 
@@ -165,17 +164,12 @@ def _cap_error(rejected: int, completed: int, cap: int) -> ExcessiveConflictErro
 
 
 def _score_tally(
-    tally: dict[int, int],
-    not_queries: Sequence[int],
-    successes: list[int],
-    collect: Counter | None,
+    tally: dict[int, int], not_queries: Sequence[int], successes: list[int]
 ) -> None:
-    """Add the tallied intersections to the per-query successes (and to
-    ``collect``), then empty the tally."""
+    """Add the tallied intersections to the per-query successes, then empty
+    the tally."""
     for qi, nq in enumerate(not_queries):
         successes[qi] += sum(c for g, c in tally.items() if not g & nq)
-    if collect is not None:
-        collect.update(tally)
     tally.clear()
 
 
@@ -186,12 +180,10 @@ def _kernel_set(
     trials: int,
     rng: random.Random,
     cap: int,
-    collect: Counter | None = None,
 ) -> tuple[list[int], int]:
     """The set-trial kernel: intersect the drawn masks inline and score the
     surviving intersection against every query; returns
-    ``(successes per query, restarts)``.  ``collect`` counts the surviving
-    intersections when given.
+    ``(successes per query, restarts)``.
 
     Accepted intersections are tallied, and each distinct one is scored
     once when the tally reaches ``_TALLY_LIMIT`` entries and at the end, so
@@ -218,14 +210,9 @@ def _kernel_set(
                 raise _cap_error(restarts, t, cap)
         tally[g] = tally.get(g, 0) + 1
         if len(tally) >= limit:
-            _score_tally(tally, not_queries, successes, collect)
-    _score_tally(tally, not_queries, successes, collect)
+            _score_tally(tally, not_queries, successes)
+    _score_tally(tally, not_queries, successes)
     return successes, restarts
-
-
-def sample_source(source: SourceModel, rng: random.Random) -> int:
-    """Draw one outcome index from a source's distribution."""
-    return bisect_right(source.cumulative, rng.random())
 
 
 def _run_workers(cfg: TrialEngineConfig, job) -> list:
@@ -312,30 +299,3 @@ def conflict_estimate(
     restarts = sum(r for _, r in parts)
     kappa = restarts / (restarts + cfg.trials)
     return kappa, (restarts + cfg.trials) / cfg.trials
-
-
-def subset_frequency_scan(
-    problem: EvidenceProblem, cfg: TrialEngineConfig, max_report: int = 10
-) -> list[tuple[FocalSet, float]]:
-    """Most frequent surviving intersections and their trial frequencies.
-
-    The frequencies estimate the combined mass function entry by entry;
-    ties break toward the smaller bitmask for a stable report.
-    """
-    require_valid(problem)
-    plans = _source_plans(problem)
-    full = problem.frame.full_bits
-
-    def job(share, rng):
-        counts: Counter = Counter()
-        _kernel_set(plans, full, (), share, rng, cfg.restart_cap, counts)
-        return counts
-
-    parts = _run_workers(cfg, job)
-    merged: Counter = Counter()
-    for c in parts:
-        merged += c
-    ranked = sorted(merged.items(), key=lambda kv: (-kv[1], kv[0]))[:max_report]
-    return [
-        (FocalSet(problem.frame, bits), count / cfg.trials) for bits, count in ranked
-    ]

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import strategies as st
 
 from beliefmc import (
+    CombinationResult,
     EvidenceProblem,
     FocalSet,
     Frame,
@@ -23,6 +24,7 @@ from beliefmc import (
     MassFunction,
     SourceModel,
     TermSet,
+    combine_all,
     simple_support,
 )
 from beliefmc.mc import derive_stream_seed
@@ -38,16 +40,13 @@ class CountingRandom(random.Random):
         return super().random()
 
 
-class ScriptedRandom(random.Random):
-    """A ``random.Random`` whose ``random()`` returns the given uniforms in
-    order."""
-
-    def __init__(self, uniforms) -> None:
-        super().__init__(0)
-        self.uniforms = list(uniforms)
-
-    def random(self) -> float:
-        return self.uniforms.pop(0)
+def combine_masses(*masses: MassFunction) -> CombinationResult:
+    """``combine_all`` over one source per mass function, whose outcomes are
+    that function's focal sets."""
+    sources = tuple(
+        SourceModel(m.frame, tuple((v, fs) for fs, v in m.items())) for m in masses
+    )
+    return combine_all(EvidenceProblem(masses[0].frame, sources))
 
 
 # ---------------------------------------------------------------- oracles
@@ -55,10 +54,6 @@ class ScriptedRandom(random.Random):
 
 def oracle_bel(entries: dict[frozenset, float], b: frozenset) -> float:
     return math.fsum(v for a, v in entries.items() if a <= b)
-
-
-def oracle_pl(entries: dict[frozenset, float], b: frozenset) -> float:
-    return math.fsum(v for a, v in entries.items() if a & b)
 
 
 def oracle_combined_mass(

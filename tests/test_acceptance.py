@@ -25,7 +25,6 @@ from beliefmc import (
     ResourceLimitError,
     TrialEngineConfig,
     combine_all,
-    combine_pair,
     conflict_estimate,
     derive_stream_seed,
     estimate,
@@ -39,6 +38,7 @@ from beliefmc import (
 )
 from beliefmc.bench import run_bench, tune_cell
 from conftest import (
+    combine_masses,
     random_clause,
     random_logic_problem,
     random_problem,
@@ -164,11 +164,9 @@ def test_draws_per_trial_match_tuned_conflict():
 
 def test_combination_algebra(two_ssf_problem):
     """Combination is commutative/associative with a vacuous identity (1e-9)."""
-    from beliefmc import bel_from_mass, mass_from_source
+    from beliefmc import bel_from_mass
 
-    m1 = mass_from_source(two_ssf_problem.sources[0])
-    m2 = mass_from_source(two_ssf_problem.sources[1])
-    pair = combine_pair(m1, m2)
+    pair = combine_all(two_ssf_problem)
     assert pair.conflict == pytest.approx(0.3, abs=1e-9)
     bel = bel_from_mass(pair.combined, two_ssf_problem.frame.singleton("x1"))
     assert bel == pytest.approx(3 / 7, abs=1e-9)
@@ -180,15 +178,16 @@ def test_combination_algebra(two_ssf_problem):
         a, b, c = (_random_mass(frame, rng) for _ in range(3))
         vac = MassFunction(frame, {frame.full_bits: 1.0})
 
-        ab, ba = combine_pair(a, b), combine_pair(b, a)
+        ab, ba = combine_masses(a, b), combine_masses(b, a)
         assert _mass_close(ab.combined, ba.combined)
         assert abs(ab.conflict - ba.conflict) <= 1e-9
 
-        left = combine_pair(ab.combined, c).combined
-        right = combine_pair(a, combine_pair(b, c).combined).combined
+        left = combine_masses(ab.combined, c).combined
+        right = combine_masses(a, combine_masses(b, c).combined).combined
         assert _mass_close(left, right)
+        assert _mass_close(combine_masses(a, b, c).combined, left)
 
-        ident = combine_pair(a, vac)
+        ident = combine_masses(a, vac)
         assert ident.conflict == 0.0
         assert _mass_close(ident.combined, a)
         checked += 1

@@ -14,15 +14,10 @@ from beliefmc import (
     FocalSet,
     Frame,
     FrameMismatchError,
-    FrameTooLargeError,
     MassFunction,
     SourceModel,
-    as_simple_support,
     bel_from_mass,
-    focal_intersect,
-    mass_from_bel,
     mass_from_source,
-    pl_from_mass,
     simple_support,
     validate_problem,
 )
@@ -31,7 +26,6 @@ from conftest import (
     mass_functions,
     mass_to_label_entries,
     oracle_bel,
-    oracle_pl,
 )
 
 
@@ -100,27 +94,6 @@ class TestFocalSet:
         assert str(frame.singleton("x2")) == "{x2}"
 
 
-class TestFocalIntersect:
-    def test_pairwise(self):
-        frame = Frame(("x1", "x2", "x3"))
-        got = focal_intersect([frame.subset(["x1", "x2"]), frame.subset(["x2", "x3"])])
-        assert got == frame.singleton("x2")
-
-    def test_disjoint_gives_empty(self):
-        frame = Frame(("x1", "x2", "x3"))
-        got = focal_intersect([frame.singleton("x1"), frame.singleton("x2")])
-        assert got.is_empty
-
-    def test_single_operand_is_identity(self):
-        frame = Frame(("x1", "x2"))
-        s = frame.singleton("x1")
-        assert focal_intersect([s]) == s
-
-    def test_empty_list_rejected(self):
-        with pytest.raises(ValueError):
-            focal_intersect([])
-
-
 class TestMassFunction:
     def test_rejects_empty_set_mass(self):
         frame = Frame(("x1", "x2"))
@@ -179,6 +152,9 @@ class TestMassFunction:
 
 
 class TestBelPl:
+    """Belief from a mass function.  Plausibility is ``1 - Bel`` of the
+    complement and has no function of its own."""
+
     def test_worked_example(self):
         frame = Frame(("x1", "x2", "x3"))
         m = MassFunction(
@@ -191,14 +167,10 @@ class TestBelPl:
         )
         b = frame.singleton("x1")
         assert bel_from_mass(m, b) == pytest.approx(3 / 7, abs=1e-12)
-        assert pl_from_mass(m, b) == pytest.approx(5 / 7, abs=1e-12)
         # cross-check against the label-set oracle
         entries = mass_to_label_entries(m)
         assert bel_from_mass(m, b) == pytest.approx(
             oracle_bel(entries, frozenset(["x1"])), abs=1e-12
-        )
-        assert pl_from_mass(m, b) == pytest.approx(
-            oracle_pl(entries, frozenset(["x1"])), abs=1e-12
         )
 
     def test_trivial_queries(self):
@@ -206,8 +178,6 @@ class TestBelPl:
         m = MassFunction(frame, {1: 0.5, 3: 0.5})
         assert bel_from_mass(m, frame.universe()) == pytest.approx(1.0)
         assert bel_from_mass(m, frame.empty()) == 0.0
-        assert pl_from_mass(m, frame.empty()) == pytest.approx(0.0)
-        assert pl_from_mass(m, frame.universe()) == pytest.approx(1.0)
 
     @given(mass_functions())
     @settings(max_examples=60)
@@ -218,7 +188,6 @@ class TestBelPl:
             b = FocalSet(frame, bits)
             lb = frozenset(b.labels())
             assert bel_from_mass(m, b) == pytest.approx(oracle_bel(entries, lb), abs=1e-12)
-            assert pl_from_mass(m, b) == pytest.approx(oracle_pl(entries, lb), abs=1e-12)
 
     @given(mass_functions())
     @settings(max_examples=60)
@@ -226,10 +195,8 @@ class TestBelPl:
         frame = m.frame
         for bits in range(frame.full_bits + 1):
             b = FocalSet(frame, bits)
-            assert pl_from_mass(m, b) == pytest.approx(
-                1.0 - bel_from_mass(m, b.complement()), abs=1e-12
-            )
-            assert bel_from_mass(m, b) <= pl_from_mass(m, b) + 1e-12
+            # belief in b leaves at most the rest for its complement
+            assert bel_from_mass(m, b) + bel_from_mass(m, b.complement()) <= 1.0 + 1e-12
             # supersets can only gain belief
             wider = FocalSet(frame, bits | (bits << 1) & frame.full_bits)
             if b.issubset(wider):
@@ -258,27 +225,6 @@ class TestSimpleSupport:
         with pytest.raises(ValueError):
             simple_support(frame, frame.empty(), 0.5)
 
-    def test_recognizer_roundtrip(self):
-        frame = Frame(("x1", "x2", "x3"))
-        s = simple_support(frame, frame.subset(["x1", "x2"]), 0.7)
-        ss = as_simple_support(s)
-        assert ss is not None
-        assert ss.focus == frame.subset(["x1", "x2"])
-        assert ss.weight == pytest.approx(0.7)
-        assert ss.to_source() == s
-
-    def test_recognizer_accepts_swapped_order(self):
-        frame = Frame(("x1", "x2"))
-        s = SourceModel(frame, ((0.4, frame.universe()), (0.6, frame.singleton("x1"))))
-        ss = as_simple_support(s)
-        assert ss is not None and ss.weight == pytest.approx(0.6)
-
-    def test_recognizer_rejects_general_sources(self):
-        frame = Frame(("x1", "x2"))
-        s = SourceModel(frame, ((0.5, frame.singleton("x1")), (0.5, frame.singleton("x2"))))
-        assert as_simple_support(s) is None
-
-
 class TestMassFromSource:
     def test_simple_support_mass(self):
         frame = Frame(("x1", "x2", "x3"))
@@ -300,59 +246,6 @@ class TestMassFromSource:
         frame = Frame(("x1", "x2"))
         m = mass_from_source(SourceModel(frame, ((1.0, frame.singleton("x2")),)))
         assert m.by_bits == {frame.singleton("x2").bits: 1.0}
-
-
-class TestMassFromBel:
-    def test_roundtrip_simple_support(self):
-        frame = Frame(("x1", "x2"))
-        m = MassFunction(frame, {frame.singleton("x1"): 0.75, frame.universe(): 0.25})
-        table = [bel_from_mass(m, FocalSet(frame, bits)) for bits in range(4)]
-        assert mass_from_bel(frame, table) == m
-
-    def test_roundtrip_bayesian(self):
-        frame = Frame(("x1", "x2", "x3"))
-        m = MassFunction(frame, {0b001: 0.2, 0b010: 0.3, 0b100: 0.5})
-        table = [bel_from_mass(m, FocalSet(frame, bits)) for bits in range(8)]
-        got = mass_from_bel(frame, table)
-        for bits, v in m.by_bits.items():
-            assert got.by_bits[bits] == pytest.approx(v, abs=1e-12)
-
-    def test_vacuous(self):
-        frame = Frame(("x1", "x2"))
-        table = [0.0, 0.0, 0.0, 1.0]
-        m = mass_from_bel(frame, table)
-        assert m.by_bits == {0b11: 1.0}
-
-    @given(mass_functions(max_entries=4))
-    @settings(max_examples=40)
-    def test_roundtrip_random(self, m):
-        frame = m.frame
-        table = [bel_from_mass(m, FocalSet(frame, bits)) for bits in range(frame.full_bits + 1)]
-        got = mass_from_bel(frame, table)
-        for bits in set(m.by_bits) | set(got.by_bits):
-            assert got.by_bits.get(bits, 0.0) == pytest.approx(
-                m.by_bits.get(bits, 0.0), abs=1e-9
-            )
-
-    def test_rejects_non_belief_table(self):
-        frame = Frame(("x1", "x2"))
-        # superadditivity violated: Bel{x1}+Bel{x2} > Bel{x1,x2}
-        with pytest.raises(ValueError):
-            mass_from_bel(frame, [0.0, 0.8, 0.8, 1.0])
-
-    def test_rejects_wrong_length_and_ends(self):
-        frame = Frame(("x1", "x2"))
-        with pytest.raises(ValueError):
-            mass_from_bel(frame, [0.0, 1.0])
-        with pytest.raises(ValueError):
-            mass_from_bel(frame, [0.1, 0.5, 0.5, 1.0])
-        with pytest.raises(ValueError):
-            mass_from_bel(frame, [0.0, 0.5, 0.5, 0.9])
-
-    def test_width_guard(self):
-        frame = Frame(tuple(f"e{i}" for i in range(25)))
-        with pytest.raises(FrameTooLargeError):
-            mass_from_bel(frame, [0.0])
 
 
 class TestValidateProblem:

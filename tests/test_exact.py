@@ -15,20 +15,19 @@ from beliefmc import (
     EvidenceProblem,
     FocalSet,
     Frame,
-    FrameMismatchError,
     InvalidProblemError,
     MassFunction,
     ResourceLimitError,
     TotalConflictError,
     bel_from_mass,
     combine_all,
-    combine_pair,
     conflict_exact,
     exact_belief_enumeration,
     mass_from_source,
     simple_support,
 )
 from conftest import (
+    combine_masses,
     framed_mass_pair,
     framed_mass_triple,
     mass_to_label_entries,
@@ -62,9 +61,10 @@ def approx_entries(a: MassFunction, b: MassFunction, tol: float = 1e-9) -> None:
 
 
 class TestCombinePair:
+    """Dempster's rule on two (and three) sources, through the fold."""
+
     def test_worked_example(self, two_ssf_problem):
-        m1, m2 = (mass_from_source(s) for s in two_ssf_problem.sources)
-        result = combine_pair(m1, m2)
+        result = combine_all(two_ssf_problem)
         frame = two_ssf_problem.frame
         assert result.conflict == pytest.approx(0.3, abs=1e-9)
         assert result.combined.mass(frame.singleton("x1")) == pytest.approx(
@@ -81,16 +81,15 @@ class TestCombinePair:
         frame = Frame(("x1", "x2", "x3"))
         m = MassFunction(frame, {0b011: 0.5, 0b100: 0.2, 0b111: 0.3})
         vacuous = MassFunction(frame, {frame.universe(): 1.0})
-        result = combine_pair(m, vacuous)
-        assert result.conflict == 0.0
-        approx_entries(result.combined, m)
+        for result in (combine_masses(m, vacuous), combine_masses(vacuous, m)):
+            assert result.conflict == 0.0
+            approx_entries(result.combined, m)
 
     def test_shared_focus_reinforces(self):
         frame = Frame(("x1", "x2"))
         s = frame.singleton("x1")
-        m1 = mass_from_source(simple_support(frame, s, 0.5))
-        m2 = mass_from_source(simple_support(frame, s, 0.5))
-        result = combine_pair(m1, m2)
+        source = simple_support(frame, s, 0.5)
+        result = combine_all(EvidenceProblem(frame, (source, source)))
         assert result.conflict == 0.0
         assert result.combined.mass(s) == pytest.approx(0.75, abs=1e-12)
 
@@ -99,25 +98,26 @@ class TestCombinePair:
         m1 = MassFunction(frame, {frame.singleton("x1"): 1.0})
         m2 = MassFunction(frame, {frame.singleton("x2"): 1.0})
         with pytest.raises(TotalConflictError):
-            combine_pair(m1, m2)
+            combine_masses(m1, m2)
 
     def test_frame_mismatch(self):
+        # a source over another frame is a validation failure of the problem
         m1 = MassFunction(Frame(("x1",)), {0b1: 1.0})
         m2 = MassFunction(Frame(("y1",)), {0b1: 1.0})
-        with pytest.raises(FrameMismatchError):
-            combine_pair(m1, m2)
+        with pytest.raises(InvalidProblemError, match="source 1: frame mismatch"):
+            combine_masses(m1, m2)
 
     @given(framed_mass_pair())
     @settings(max_examples=60, deadline=None)
     def test_commutative(self, fmp):
         _, m1, m2 = fmp
         try:
-            r12 = combine_pair(m1, m2)
+            r12 = combine_masses(m1, m2)
         except TotalConflictError:
             with pytest.raises(TotalConflictError):
-                combine_pair(m2, m1)
+                combine_masses(m2, m1)
             return
-        r21 = combine_pair(m2, m1)
+        r21 = combine_masses(m2, m1)
         assert r12.conflict == pytest.approx(r21.conflict, abs=1e-9)
         approx_entries(r12.combined, r21.combined)
 
@@ -126,11 +126,13 @@ class TestCombinePair:
     def test_associative(self, fmt):
         _, m1, m2, m3 = fmt
         try:
-            left = combine_pair(combine_pair(m1, m2).combined, m3).combined
-            right = combine_pair(m1, combine_pair(m2, m3).combined).combined
+            left = combine_masses(combine_masses(m1, m2).combined, m3).combined
+            right = combine_masses(m1, combine_masses(m2, m3).combined).combined
+            folded = combine_masses(m1, m2, m3).combined
         except TotalConflictError:
             return
         approx_entries(left, right)
+        approx_entries(folded, left)
 
     @given(framed_mass_pair())
     @settings(max_examples=60, deadline=None)
@@ -142,9 +144,9 @@ class TestCombinePair:
         oracle_mass, oracle_conflict = oracle_combined_mass(sources)
         if oracle_mass is None:
             with pytest.raises(TotalConflictError):
-                combine_pair(m1, m2)
+                combine_masses(m1, m2)
             return
-        result = combine_pair(m1, m2)
+        result = combine_masses(m1, m2)
         assert result.conflict == pytest.approx(oracle_conflict, abs=1e-9)
         got = mass_to_label_entries(result.combined)
         for key in set(got) | set(oracle_mass):
@@ -160,9 +162,12 @@ class TestCombineAll:
 
     def test_two_sources_match_pairwise(self, two_ssf_problem):
         folded = combine_all(two_ssf_problem)
-        paired = combine_pair(*(mass_from_source(s) for s in two_ssf_problem.sources))
-        assert folded.conflict == pytest.approx(paired.conflict, abs=1e-12)
-        approx_entries(folded.combined, paired.combined)
+        paired, conflict = oracle_combined_mass(problem_to_label_sources(two_ssf_problem))
+        assert folded.conflict == pytest.approx(conflict, abs=1e-12)
+        got = mass_to_label_entries(folded.combined)
+        assert set(got) == set(paired)
+        for key, v in paired.items():
+            assert got[key] == pytest.approx(v, abs=1e-12)
 
     def test_conflict_accumulates_across_fold(self):
         # three pairwise-overlapping sources with a conflicting third

@@ -21,15 +21,12 @@ from beliefmc import (
     SourceModel,
     TrialEngineConfig,
     bel_from_mass,
-    combine_all,
     conflict_estimate,
     estimate,
     exact_belief_enumeration,
     plan_trials,
-    sample_source,
     sd_bound,
     simple_support,
-    subset_frequency_scan,
 )
 from beliefmc import mc
 from beliefmc.mc import (
@@ -40,7 +37,7 @@ from beliefmc.mc import (
     derive_stream_seed,
     worker_rng,
 )
-from conftest import CountingRandom, ScriptedRandom, random_problem, random_ssf_problem
+from conftest import CountingRandom, random_problem, random_ssf_problem
 
 
 class TestPlanning:
@@ -79,12 +76,27 @@ class TestPlanning:
             TrialEngineConfig(trials=10, worker_count=0)
 
 
+def _pick(plan: tuple, u: float):
+    """The item a kernel picks for uniform ``u`` under a :func:`_draw_plan`."""
+    thr, lo, hi, cum, items = plan
+    if cum is None:
+        return lo if u < thr else hi
+    return items[bisect_right(cum, u)]
+
+
+def _index_plan(s: SourceModel) -> tuple:
+    """A source's draw plan over its outcome indices."""
+    return _draw_plan(s.cumulative, tuple(range(len(s.outcomes))))
+
+
 class TestSampleSource:
+    """How a kernel maps one uniform to a source's outcome."""
+
     def test_certain_source(self):
         frame = Frame(("x1", "x2"))
-        s = SourceModel(frame, ((1.0, frame.singleton("x1")),))
+        plan = _index_plan(SourceModel(frame, ((1.0, frame.singleton("x1")),)))
         rng = random.Random(0)
-        assert all(sample_source(s, rng) == 0 for _ in range(50))
+        assert all(_pick(plan, rng.random()) == 0 for _ in range(50))
 
     def test_frequencies_match_probabilities(self):
         frame = Frame(("x1", "x2", "x3"))
@@ -93,27 +105,18 @@ class TestSampleSource:
             ((0.2, frame.singleton("x1")), (0.3, frame.singleton("x2")),
              (0.5, frame.universe())),
         )
+        plan = _index_plan(s)
         rng = random.Random(7)
         n = 100_000
         counts = [0, 0, 0]
         for _ in range(n):
-            counts[sample_source(s, rng)] += 1
+            counts[_pick(plan, rng.random())] += 1
         for count, p in zip(counts, (0.2, 0.3, 0.5)):
             assert count / n == pytest.approx(p, abs=0.01)
 
-    def test_deterministic_for_fixed_seed(self):
-        frame = Frame(("x1", "x2"))
-        s = simple_support(frame, frame.singleton("x1"), 0.6)
-        seq1 = [sample_source(s, random.Random(42)) for _ in range(1)]
-        a = random.Random(5)
-        b = random.Random(5)
-        assert [sample_source(s, a) for _ in range(100)] == [
-            sample_source(s, b) for _ in range(100)
-        ]
-
     def test_draw_rule_matches_kernel_plan_at_boundaries(self):
-        # sample_source and the kernels' draw plan pick the same outcome
-        # for uniforms on and around every cumulative boundary
+        # the draw plan picks the outcome that bisecting the cumulative
+        # table picks, for uniforms on and around every boundary
         frame = Frame(("x1", "x2", "x3"))
         sources = [
             SourceModel(frame, ((1.0, frame.universe()),)),
@@ -126,16 +129,12 @@ class TestSampleSource:
         ]
         for s in sources:
             cum = s.cumulative
-            thr, lo, hi, plan_cum, items = _draw_plan(cum, tuple(range(len(cum))))
+            plan = _index_plan(s)
             us = {0.0, 1.0 - 2.0**-53}
             for c in cum:
                 us.update({math.nextafter(c, 0.0), c})
             for u in sorted(u for u in us if u < 1.0):
-                if plan_cum is None:
-                    expected = lo if u < thr else hi
-                else:
-                    expected = items[bisect_right(plan_cum, u)]
-                assert sample_source(s, ScriptedRandom([u])) == expected, (cum, u)
+                assert _pick(plan, u) == bisect_right(cum, u), (cum, u)
 
 
 class TestRunTrial:
@@ -221,8 +220,7 @@ def _stream_problems() -> dict[str, EvidenceProblem]:
 def _stream_runs() -> dict:
     """Draw-stream fingerprints at 1 and 2 workers: ``(successes, restarts)``
     of each query alone, ``(successes..., restarts)`` of all queries in one
-    batch, the conflict estimate, and the top surviving intersections as
-    ``(bits, frequency)``."""
+    batch, and the conflict estimate."""
     out = {}
     for label, problem in _stream_problems().items():
         full = problem.frame.full_bits
@@ -237,9 +235,6 @@ def _stream_runs() -> dict:
                 *(r.successes for r in res), res[0].restarts
             )
             out[(label, "conflict", workers)] = conflict_estimate(problem, cfg)
-            out[(label, "scan", workers)] = [
-                (fs.bits, freq) for fs, freq in subset_frequency_scan(problem, cfg, 4)
-            ]
     return out
 
 
@@ -253,68 +248,58 @@ PINNED_STREAMS = {
     ("ssf-pair", 7, 1): (2000, 809),
     ("ssf-pair", "batch", 1): (851, 1421, 570, 2000, 809),
     ("ssf-pair", "conflict", 1): (0.28800284798860804, 1.4045),
-    ("ssf-pair", "scan", 1): [(1, 0.4255), (7, 0.2895), (2, 0.285)],
     ("ssf-pair", 1, 2): (809, 826),
     ("ssf-pair", 3, 2): (1424, 826),
     ("ssf-pair", 6, 2): (615, 826),
     ("ssf-pair", 7, 2): (2000, 826),
     ("ssf-pair", "batch", 2): (809, 1424, 615, 2000, 826),
     ("ssf-pair", "conflict", 2): (0.2922859164897382, 1.413),
-    ("ssf-pair", "scan", 2): [(1, 0.4045), (2, 0.3075), (7, 0.288)],
     ("ssf-swapped", 1, 1): (827, 876),
     ("ssf-swapped", 3, 1): (1416, 876),
     ("ssf-swapped", 6, 1): (589, 876),
     ("ssf-swapped", 7, 1): (2000, 876),
     ("ssf-swapped", "batch", 1): (827, 1416, 589, 2000, 876),
     ("ssf-swapped", "conflict", 1): (0.3045897079276773, 1.438),
-    ("ssf-swapped", "scan", 1): [(1, 0.4135), (2, 0.2945), (7, 0.292)],
     ("ssf-swapped", 1, 2): (809, 802),
     ("ssf-swapped", 3, 2): (1390, 802),
     ("ssf-swapped", 6, 2): (581, 802),
     ("ssf-swapped", 7, 2): (2000, 802),
     ("ssf-swapped", "batch", 2): (809, 1390, 581, 2000, 802),
     ("ssf-swapped", "conflict", 2): (0.2862241256245539, 1.401),
-    ("ssf-swapped", "scan", 2): [(1, 0.4045), (7, 0.305), (2, 0.2905)],
     ("ssf-certain", 1, 1): (36, 3368),
     ("ssf-certain", 3, 1): (2000, 3368),
     ("ssf-certain", 2, 1): (1941, 3368),
     ("ssf-certain", "batch", 1): (36, 2000, 1941, 2000, 3368),
     ("ssf-certain", "conflict", 1): (0.6274217585692996, 2.684),
-    ("ssf-certain", "scan", 1): [(2, 0.9705), (1, 0.018), (3, 0.0115)],
     ("ssf-certain", 1, 2): (39, 3470),
     ("ssf-certain", 3, 2): (2000, 3470),
     ("ssf-certain", 2, 2): (1943, 3470),
     ("ssf-certain", "batch", 2): (39, 2000, 1943, 2000, 3470),
     ("ssf-certain", "conflict", 2): (0.6343692870201096, 2.735),
-    ("ssf-certain", "scan", 2): [(2, 0.9715), (1, 0.0195), (3, 0.009)],
     ("general", 1, 1): (202, 2270),
     ("general", 3, 1): (202, 2270),
     ("general", 126, 1): (1798, 2270),
     ("general", 119, 1): (1815, 2270),
     ("general", "batch", 1): (202, 202, 1798, 1815, 2270),
     ("general", "conflict", 1): (0.531615925058548, 2.135),
-    ("general", "scan", 1): [(64, 0.292), (16, 0.2475), (80, 0.2145), (1, 0.101)],
     ("general", 1, 2): (196, 2429),
     ("general", 3, 2): (196, 2429),
     ("general", 126, 2): (1804, 2429),
     ("general", 119, 2): (1804, 2429),
     ("general", "batch", 2): (196, 196, 1804, 1804, 2429),
     ("general", "conflict", 2): (0.5484307970196433, 2.2145),
-    ("general", "scan", 2): [(64, 0.299), (16, 0.237), (80, 0.2175), (1, 0.098)],
     ("general-certain", 1, 1): (0, 350),
     ("general-certain", 3, 1): (0, 350),
     ("general-certain", 126, 1): (2000, 350),
     ("general-certain", 119, 1): (1001, 350),
     ("general-certain", "batch", 1): (0, 0, 2000, 1001, 350),
     ("general-certain", "conflict", 1): (0.14893617021276595, 1.175),
-    ("general-certain", "scan", 1): [(66, 0.5005), (74, 0.4995)],
     ("general-certain", 1, 2): (0, 351),
     ("general-certain", 3, 2): (0, 351),
     ("general-certain", 126, 2): (2000, 351),
     ("general-certain", 119, 2): (983, 351),
     ("general-certain", "batch", 2): (0, 0, 2000, 983, 351),
     ("general-certain", "conflict", 2): (0.14929817099106762, 1.1755),
-    ("general-certain", "scan", 2): [(74, 0.5085), (66, 0.4915)],
 }
 
 
@@ -404,6 +389,24 @@ class TestEstimate:
     def test_mixed_frame_batch_rejected(self):
         with pytest.raises(FrameMismatchError):
             QueryBatch((Frame(("a",)).universe(), Frame(("b",)).universe()))
+
+    def test_tally_limit_leaves_results_bit_identical(self, monkeypatch):
+        # Scoring each trial's intersection as soon as it is tallied gives
+        # the same counts as scoring the whole share's tally at the end.
+        problem = random_problem(3)
+        full = problem.frame.full_bits
+        queries = [FocalSet(problem.frame, b) for b in (1, 3, full ^ 1, full & ~8)]
+
+        def runs():
+            return [
+                estimate(problem, queries, TrialEngineConfig(
+                    trials=3000, seed=11, worker_count=workers))
+                for workers in (1, 2)
+            ]
+
+        default = runs()
+        monkeypatch.setattr(mc, "_TALLY_LIMIT", 1)
+        assert runs() == default
 
 
 class TestDeterminism:
@@ -499,55 +502,3 @@ class TestConflictEstimate:
         kappa, loops = conflict_estimate(problem, cfg)
         assert kappa == pytest.approx(0.5, abs=0.01)
         assert loops == pytest.approx(2.0, rel=0.05)
-
-
-class TestSubsetFrequencyScan:
-    def test_certain_problem(self):
-        frame = Frame(("x1", "x2"))
-        problem = EvidenceProblem(
-            frame, (SourceModel(frame, ((1.0, frame.singleton("x1")),)),)
-        )
-        top = subset_frequency_scan(problem, TrialEngineConfig(trials=1000, seed=0))
-        assert top == [(frame.singleton("x1"), 1.0)]
-
-    def test_frequencies_estimate_combined_mass(self, two_ssf_problem):
-        cfg = TrialEngineConfig(trials=100_000, seed=6)
-        top = subset_frequency_scan(two_ssf_problem, cfg, max_report=5)
-        combined = combine_all(two_ssf_problem).combined
-        assert len(top) == 3
-        for fs, freq in top:
-            assert freq == pytest.approx(combined.mass(fs), abs=0.01)
-
-    def test_report_cap_and_order(self, two_ssf_problem):
-        cfg = TrialEngineConfig(trials=20_000, seed=6)
-        top = subset_frequency_scan(two_ssf_problem, cfg, max_report=2)
-        assert len(top) == 2
-        assert top[0][1] >= top[1][1]
-
-    def test_tally_limit_leaves_results_bit_identical(self, monkeypatch):
-        # Scoring each trial's intersection as soon as it is tallied gives
-        # the same counts as scoring the whole share's tally at the end.
-        problem = random_problem(3)
-        full = problem.frame.full_bits
-        queries = [FocalSet(problem.frame, b) for b in (1, 3, full ^ 1, full & ~8)]
-
-        def runs():
-            out = []
-            for workers in (1, 2):
-                cfg = TrialEngineConfig(trials=3000, seed=11, worker_count=workers)
-                out.append(estimate(problem, queries, cfg))
-                out.append(subset_frequency_scan(problem, cfg, max_report=20))
-            return out
-
-        default = runs()
-        monkeypatch.setattr(mc, "_TALLY_LIMIT", 1)
-        assert runs() == default
-
-    def test_workers_merge_additively(self, two_ssf_problem):
-        cfg1 = TrialEngineConfig(trials=30_000, seed=3, worker_count=1)
-        cfg4 = TrialEngineConfig(trials=30_000, seed=3, worker_count=4)
-        top1 = dict(subset_frequency_scan(two_ssf_problem, cfg1))
-        top4 = dict(subset_frequency_scan(two_ssf_problem, cfg4))
-        assert set(top1) == set(top4)
-        for fs in top1:
-            assert top1[fs] == pytest.approx(top4[fs], abs=0.02)

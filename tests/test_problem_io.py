@@ -11,7 +11,6 @@ from beliefmc import (
     LogicProblem,
     ParseError,
     TermSet,
-    as_simple_support,
     generate_problem,
     parse_clause,
     parse_problem,
@@ -52,8 +51,7 @@ class TestParse:
         assert len(problem.sources) == 2
         s0 = problem.sources[0]
         assert s0.outcomes[0] == (0.6, problem.frame.singleton("x1"))
-        assert s0.outcomes[1][1].is_full
-        assert as_simple_support(s0) is not None
+        assert s0.outcomes[1] == (0.4, problem.frame.universe())
 
     def test_logic_problem(self):
         problem = parse_problem(LOGIC_TEXT)
@@ -198,10 +196,11 @@ class TestGenerate:
         assert g1.conflict_estimate == g2.conflict_estimate
         assert len(g1.problem.sources) == 5
         assert g1.problem.frame.size == 8
+        universe = g1.problem.frame.universe()
         for s in g1.problem.sources:
-            ss = as_simple_support(s)
-            assert ss is not None
-            assert 0.4 <= ss.weight <= 0.9
+            (w, focus), rest = s.outcomes
+            assert rest == (1.0 - w, universe)
+            assert 0.4 <= w <= 0.9
 
     def test_seeds_differ(self):
         assert generate_problem(5, 8, seed=1).problem != generate_problem(5, 8, seed=2).problem

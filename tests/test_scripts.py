@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import importlib.util
+import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -11,6 +13,17 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
+
+
+def _run_on_src(argv: list[str]) -> subprocess.CompletedProcess:
+    """Run ``python argv...`` with the checkout's ``src`` first on the path."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
+    )
+    return subprocess.run(
+        [sys.executable, *argv], env=env, capture_output=True, text=True, timeout=120,
+    )
 
 
 @pytest.mark.parametrize(
@@ -21,16 +34,23 @@ ROOT = Path(__file__).resolve().parent.parent
     ],
 )
 def test_demo_exits_cleanly(script, args):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
-    )
-    proc = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / script), *args],
-        env=env, capture_output=True, text=True, timeout=120,
-    )
+    proc = _run_on_src([str(ROOT / "scripts" / script), *args])
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout
+
+
+def test_readme_quick_start_runs_and_keeps_its_promises():
+    readme = (ROOT / "README.md").read_text()
+    block = re.search(r"## Quick start\n\n```python\n(.*?)```", readme, re.S).group(1)
+    report = "import json\nprint(json.dumps([exact, conflict, r.trials, r.value, r.interval]))\n"
+    proc = _run_on_src(["-c", block + report])
+    assert proc.returncode == 0, proc.stderr
+    exact, conflict, trials, value, (lo, hi) = json.loads(proc.stdout.splitlines()[-1])
+    assert exact == pytest.approx(3 / 7, abs=1e-12)
+    assert conflict == pytest.approx(0.3, abs=1e-12)
+    assert trials == 900
+    assert lo <= value <= hi
+    assert lo <= exact <= hi
 
 
 def test_tracer_finds_one_definition_of_every_traced_name(monkeypatch):
