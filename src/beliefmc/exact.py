@@ -7,14 +7,18 @@ Two routes with very different cost profiles:
   entry cap and an optional wall-clock deadline.  The product loop
   (:func:`_combine_bits`) makes one pass over the big table per outcome of
   the small one; an outcome that covers the big table's union makes a
-  scaled copy of it without intersecting.  The fold rescales each source's
-  small table by the running total instead of the big table, and
-  normalizes once at the end;
+  scaled copy of it without intersecting.  The fold takes the sources in
+  ascending order of their table sizes, rescales each source's small table
+  by the running total instead of the big table, and normalizes once at
+  the end;
 * joint-outcome enumeration (:func:`exact_belief_enumeration`) sweeps the
   sources once for a single query, merging joint outcomes that reach the
-  same intersection, through the same product loop as the fold; it is
-  capped by the joint outcome count (``max_outcomes``) and by the table
-  entry cap :data:`DEFAULT_MAX_ENTRIES`.
+  same intersection, through the same product loop as the fold.  It drops
+  an intersection as soon as it holds an element outside the query that
+  no later source can remove (the projection step of local propagation),
+  and stops when nothing is left.  It is capped by the joint outcome count
+  (``max_outcomes``) and by the table entry cap
+  :data:`DEFAULT_MAX_ENTRIES`.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ import time
 from dataclasses import dataclass
 from functools import reduce
 from itertools import islice
-from operator import or_
+from operator import and_, or_
 
 from .errors import (
     FrameMismatchError,
@@ -137,6 +141,13 @@ def combine_all(
     bounds the whole fold in wall-clock seconds.  Raises ``ValueError``
     when ``max_entries`` is below 1 or ``deadline_s`` is negative or NaN.
 
+    Sources fold in ascending order of their merged table sizes, ties in
+    problem order, and ``combine step i`` names the i-th fold step in that
+    order.  A step costs the running table's size times the source's table
+    size, and a source of k entries can multiply the running table by up to
+    k, so the small sources go first and the big ones meet the smallest
+    running tables they can.
+
     The running table is left unnormalized: each source's small table is
     divided by the running table's total instead, and the combined table is
     divided once at the end.
@@ -147,7 +158,7 @@ def combine_all(
         raise ValueError(f"time cap must be >= 0, got {deadline_s}")
     require_valid(problem)
     deadline = None if deadline_s is None else time.monotonic() + deadline_s
-    masses = [mass_from_source(s) for s in problem.sources]
+    masses = sorted(map(mass_from_source, problem.sources), key=len)
     acc = masses[0].by_bits
     remaining = 1.0
     survival = 1.0
@@ -159,23 +170,33 @@ def combine_all(
         )
         remaining = _surviving(acc, conflict, step)
         survival *= remaining / (remaining + conflict)
-    combined = MassFunction(problem.frame, {b: v / remaining for b, v in acc.items()})
-    return CombinationResult(combined, 1.0 - survival)
+    # Rebinding frees the unnormalized table before the constructor copies
+    # the normalized one, so two big tables are alive at the peak, not three.
+    acc = {b: v / remaining for b, v in acc.items()}
+    return CombinationResult(MassFunction(problem.frame, acc), 1.0 - survival)
 
 
 def _enumerate(
-    problem: EvidenceProblem, max_outcomes: int
+    problem: EvidenceProblem, max_outcomes: int, outside: int
 ) -> tuple[dict[int, float], float]:
     """Sweep the sources once, merging joint outcomes that reach the same
     intersection; return the final ``{non-empty intersection bits:
-    probability}`` table and P[empty], with per-source probabilities
-    renormalized exactly.  The caller validates the problem.
+    probability}`` table, less entries pruned as below, and P[empty], with
+    per-source probabilities renormalized exactly.  The caller validates
+    the problem.
 
     The running ``{intersection bits: probability}`` table multiplies into
     each source's ``{target bits: p/total}`` table through the fold's
     product loop, so the work is ``sum_i |table_i| * |outcomes_i|`` rather
     than the joint outcome count.  The joint outcome count is still capped
     at ``max_outcomes``, and the table at ``DEFAULT_MAX_ENTRIES``.
+
+    ``outside`` is the mask the caller scores against: the query's
+    complement for a belief, the whole frame for the conflict.  Before step
+    i, every entry holding an element of ``outside`` that every outcome of
+    source i and of each later source holds is dropped: it ends non-empty
+    and not inside the query, so neither P[empty] nor the mass within the
+    query changes.  The sweep stops once the table is empty.
     """
     joint = 1
     for s in problem.sources:
@@ -184,9 +205,23 @@ def _enumerate(
             raise ResourceLimitError(
                 f"exact enumeration: joint outcome space exceeds {max_outcomes}"
             )
-    acc: dict[int, float] = {problem.frame.full_bits: 1.0}
+    full = problem.frame.full_bits
+    # held[i]: the elements every outcome of source i and of each later
+    # source holds; it only grows with i.
+    held = [full]
+    for s in reversed(problem.sources):
+        held.append(held[-1] & reduce(and_, s.target_bits))
+    held.reverse()
+    acc: dict[int, float] = {full: 1.0}
     empty_p = 0.0
+    dropped = 0
     for i, s in enumerate(problem.sources):
+        dead = outside & held[i]
+        if dead != dropped:
+            dropped = dead
+            acc = {b: v for b, v in acc.items() if not b & dead}
+        if not acc:
+            break
         total = math.fsum(p for p, _ in s.outcomes)
         table: dict[int, float] = {}
         for p, t in s.outcomes:
@@ -216,8 +251,9 @@ def exact_belief_enumeration(
     require_valid(problem)
     if b.frame != problem.frame:
         raise FrameMismatchError("query set from a different frame")
-    acc, empty_p = _enumerate(problem, max_outcomes)
-    inside_p = _mass_within(acc, problem.frame.full_bits ^ b.bits)
+    outside = problem.frame.full_bits ^ b.bits
+    acc, empty_p = _enumerate(problem, max_outcomes, outside)
+    inside_p = _mass_within(acc, outside)
     survival = 1.0 - empty_p
     if survival <= CONFLICT_TOL:
         raise TotalConflictError("exact enumeration: total conflict, combination undefined")
@@ -229,5 +265,5 @@ def conflict_exact(
 ) -> float:
     """Exact conflict mass: probability that a joint draw is contradictory."""
     require_valid(problem)
-    _, empty_p = _enumerate(problem, max_outcomes)
+    _, empty_p = _enumerate(problem, max_outcomes, problem.frame.full_bits)
     return empty_p

@@ -466,12 +466,7 @@ class AssignmentSpace:
     @cached_property
     def frame(self) -> Frame:
         k = len(self.atoms)
-        return Frame(
-            tuple(
-                "".join("1" if a >> i & 1 else "0" for i in range(k))
-                for a in range(1 << k)
-            )
-        )
+        return Frame(tuple(format(a, f"0{k}b")[::-1] for a in range(1 << k)))
 
     @cached_property
     def _true_bits(self) -> dict[str, int]:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import io
+import json
 import os
 import subprocess
 import sys
@@ -15,6 +16,11 @@ from beliefmc import parse_problem
 from beliefmc.cli import main
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+BENCH_DATA = SRC.parent / "perfbench" / "data"
+
+# The benchmark's tolerance on exact answers: its own slack plus half a
+# unit in the seventh printed decimal.
+PRINTED_TOL = 1e-9 + 0.5e-7
 
 TWO_SSF = """\
 frame: x1 x2 x3
@@ -240,6 +246,29 @@ class TestExact:
         path = tmp_path / "tc.bel"
         path.write_text(TOTAL_CONFLICT)
         assert main(["exact", "--problem", str(path)]) == 3
+
+
+def bench_fixture(name: str) -> dict:
+    manifest = json.loads((BENCH_DATA / "fixtures.json").read_text())
+    return next(fx for fx in manifest["fixtures"] if fx["name"] == name)
+
+
+@pytest.mark.parametrize("name", ["b14x20", "b16x26", "b18x32"])
+def test_exact_answers_match_benchmark_references(name, capsys):
+    fx = bench_fixture(name)
+    path = str(BENCH_DATA / fx["file"])
+    ref = fx["reference"]
+    queries = [a for q in fx["queries"] for a in ("--query", q)]
+    assert main(["exact", "--problem", path, *queries, "--csv"]) == 0
+    rows = rows_of(capsys.readouterr().out)
+    assert [r["query"] for r in rows] == fx["queries"]
+    for row, want in zip(rows, ref["exact"]):
+        assert float(row["belief"]) == pytest.approx(want, abs=PRINTED_TOL), row["query"]
+        assert float(row["conflict"]) == pytest.approx(ref["conflict"], abs=PRINTED_TOL)
+    assert main(["conflict", "--exact", "--problem", path, "--csv"]) == 0
+    (row,) = rows_of(capsys.readouterr().out)
+    assert row["mode"] == "exact"
+    assert float(row["kappa"]) == pytest.approx(ref["conflict_enum"], abs=PRINTED_TOL)
 
 
 class TestConflict:

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import itertools
 import math
+import random
 import time
 from fractions import Fraction
 
@@ -18,6 +20,7 @@ from beliefmc import (
     InvalidProblemError,
     MassFunction,
     ResourceLimitError,
+    SourceModel,
     TotalConflictError,
     bel_from_mass,
     combine_all,
@@ -50,6 +53,32 @@ def complement_supports(n: int) -> EvidenceProblem:
             for i in range(n)
         ),
     )
+
+
+def staged_problem(seed: int) -> EvidenceProblem:
+    """Random problem in which each element has a last source that may
+    remove it (none for some elements): every outcome of a later source
+    holds it, so the pruned sweep fixes elements part way through."""
+    for attempt in itertools.count():
+        rng = random.Random(seed * 1000 + attempt)
+        n = rng.randint(2, 6)
+        m = rng.randint(1, 5)
+        frame = Frame(tuple(f"e{j}" for j in range(n)))
+        last = [rng.randint(-1, m - 1) for _ in range(n)]
+        sources = []
+        for i in range(m):
+            fixed = sum(1 << j for j in range(n) if last[j] < i)
+            k = rng.randint(1, 4)
+            weights = [rng.uniform(0.05, 1.0) for _ in range(k)]
+            total = math.fsum(weights)
+            outcomes = []
+            for w in weights:
+                bits = fixed | rng.getrandbits(n)
+                outcomes.append((w / total, FocalSet(frame, bits or frame.full_bits)))
+            sources.append(SourceModel(frame, tuple(outcomes)))
+        problem = EvidenceProblem(frame, tuple(sources))
+        if oracle_combined_mass(problem_to_label_sources(problem))[0] is not None:
+            return problem
 
 
 def approx_entries(a: MassFunction, b: MassFunction, tol: float = 1e-9) -> None:
@@ -198,6 +227,20 @@ class TestCombineAll:
                 assert got.get(key, 0.0) == pytest.approx(
                     oracle_mass.get(key, 0.0), abs=1e-9
                 ), f"seed {seed}"
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_source_order_does_not_change_the_fold(self, data):
+        problem = random_problem(
+            data.draw(st.integers(0, 10**6)), max_sources=5, max_outcomes=4, max_elements=6
+        )
+        order = data.draw(st.permutations(problem.sources))
+        want = combine_all(problem)
+        got = combine_all(EvidenceProblem(problem.frame, tuple(order)))
+        assert set(got.combined.by_bits) == set(want.combined.by_bits)
+        for bits, v in want.combined.by_bits.items():
+            assert got.combined.by_bits[bits] == pytest.approx(v, abs=1e-12)
+        assert got.conflict == pytest.approx(want.conflict, abs=1e-12)
 
     def test_invalid_problem_rejected(self):
         frame = Frame(("x1", "x2"))
@@ -400,17 +443,50 @@ class TestEnumeration:
                 assert conflict == pytest.approx(want_conflict, abs=1e-9), f"seed {seed}"
 
     def test_table_cap_names_the_step(self, monkeypatch):
-        frame = Frame(tuple(f"e{i}" for i in range(8)))
-        sources = tuple(
-            simple_support(frame, FocalSet(frame, frame.full_bits ^ (1 << i)), 0.5)
-            for i in range(8)
-        )
-        problem = EvidenceProblem(frame, sources)
+        problem = complement_supports(8)
+        frame = problem.frame
+        twice = EvidenceProblem(frame, problem.sources * 2)
+        want = oracle_problem_bel(problem, frame.universe())[1]
         monkeypatch.setattr(exact, "DEFAULT_MAX_ENTRIES", 4)
+        # the universe query has nothing outside it, so nothing is pruned
         with pytest.raises(ResourceLimitError, match="exact enumeration step"):
             exact_belief_enumeration(problem, frame.universe())
+        # twice over, no element is fixed before the last eight steps, so
+        # the table doubles past the cap before any pruning
         with pytest.raises(ResourceLimitError, match="exact enumeration step"):
-            conflict_exact(problem)
+            conflict_exact(twice)
+        # once over, element i is fixed after source i, its only remover:
+        # every entry still holding it is pruned and the table stays small
+        assert conflict_exact(problem) == pytest.approx(want, abs=1e-12)
+
+    def test_unremovable_element_ends_the_sweep(self, monkeypatch):
+        # element "k" is in every outcome, so no joint draw is empty and the
+        # first table entry is pruned before any product runs
+        frame = Frame(tuple(f"e{i}" for i in range(8)) + ("k",))
+        problem = EvidenceProblem(
+            frame,
+            tuple(
+                simple_support(frame, FocalSet(frame, frame.full_bits ^ (1 << i)), 0.5)
+                for i in range(8)
+            ),
+        )
+        monkeypatch.setattr(exact, "DEFAULT_MAX_ENTRIES", 1)
+        assert conflict_exact(problem) == 0.0
+
+    def test_pruned_sweep_matches_oracle(self):
+        for seed in range(40):
+            problem = staged_problem(seed)
+            frame = problem.frame
+            want_conflict = oracle_problem_bel(problem, frame.universe())[1]
+            assert conflict_exact(problem) == pytest.approx(
+                want_conflict, abs=1e-12
+            ), f"seed {seed}"
+            for bits in (0b1, 0b101, 0b110, frame.full_bits >> 1, frame.full_bits):
+                b = FocalSet(frame, bits & frame.full_bits)
+                want_bel, _ = oracle_problem_bel(problem, b)
+                bel, conflict = exact_belief_enumeration(problem, b)
+                assert bel == pytest.approx(want_bel, abs=1e-12), f"seed {seed}"
+                assert conflict == pytest.approx(want_conflict, abs=1e-12), f"seed {seed}"
 
 
 class TestConflictExact:

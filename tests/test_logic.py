@@ -617,6 +617,15 @@ class TestTranslation:
         clause = space.clause_focal(ClauseQuery.of("p", "q"))
         assert set(clause.labels()) == {"10", "01", "11"}
 
+    def test_labels_spell_each_atom_in_order(self):
+        # character i of label a is bit i of a
+        for k in range(1, 13):
+            space = AssignmentSpace(tuple(f"a{i}" for i in range(k)))
+            assert space.frame.elements == tuple(
+                "".join("1" if a >> i & 1 else "0" for i in range(k))
+                for a in range(1 << k)
+            ), k
+
     def test_literal_bits_match_bruteforce(self):
         for k in range(1, 13):
             space = AssignmentSpace(tuple(f"a{i}" for i in range(k)))
