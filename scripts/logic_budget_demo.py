@@ -11,6 +11,8 @@ envelope to a point estimate.
 from __future__ import annotations
 
 import argparse
+from functools import reduce
+from operator import or_
 
 from beliefmc import (
     AssignmentSpace,
@@ -53,9 +55,10 @@ def main() -> None:
     print(render_problem(problem))
 
     space = AssignmentSpace(problem.atoms)
-    exact, conflict = exact_belief_enumeration(
-        translate_to_set_problem(problem), space.clause_focal(clause)
-    )
+    translated = translate_to_set_problem(problem)
+    # The clause's mask over the translated frame, so one frame is built.
+    query = translated.frame.from_bits(reduce(or_, map(space.literal_bits, clause.literals)))
+    exact, conflict = exact_belief_enumeration(translated, query)
     print(f"translated exact: Bel({clause}) = {exact:.6f}  (conflict {conflict:.4f})\n")
 
     cfg = TrialEngineConfig(trials=args.trials, seed=args.seed)

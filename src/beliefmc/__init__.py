@@ -1,12 +1,13 @@
 """Combined-belief computation over independent evidence sources.
 
-Exact combination folds focal-set tables, or enumerates joint outcomes by
-sweeping the sources and merging equal intersections through the same
-product loop; the trial engine estimates the same quantities by sampling
-one outcome per source, restarting contradictory draws, and counting how
-often the surviving intersection settles inside the query set.  A
-literal-conjunction logic layer rides on the same trial loop with
-step-budgeted bounds.
+Exact answers come from one fold of the sources' focal-set tables, read
+three ways: the combined mass function (``combine_all``), the belief in one
+query (``exact_belief_enumeration``) and the conflict (``conflict_exact``);
+the last two drop table entries that can no longer change their answer.
+The trial engine estimates the same quantities by sampling one outcome per
+source, restarting contradictory draws, and counting how often the
+surviving intersection settles inside the query set.  A literal-conjunction
+logic layer rides on the same trial loop with step-budgeted bounds.
 """
 
 from .errors import (
@@ -45,7 +46,6 @@ from .logic import (
     LogicProblem,
     LogicSource,
     TermSet,
-    entails,
     is_contradictory,
     logic_estimate,
     translate_to_set_problem,
@@ -105,7 +105,6 @@ __all__ = [
     "conflict_estimate",
     "conflict_exact",
     "derive_stream_seed",
-    "entails",
     "estimate",
     "exact_belief_enumeration",
     "generate_problem",

@@ -20,6 +20,7 @@ import csv
 import functools
 import sys
 import time
+from operator import or_
 
 from .errors import (
     ExcessiveConflictError,
@@ -159,10 +160,13 @@ def cmd_exact(args) -> int:
         from .logic import AssignmentSpace
 
         space = AssignmentSpace(problem.atoms)
-        set_problem = translate_to_set_problem(problem)
-        queries = [space.clause_focal(c) for c in clauses]
+        problem = translate_to_set_problem(problem)
+        # Clause masks over the translated frame, so one frame is built.
+        queries = [
+            problem.frame.from_bits(functools.reduce(or_, map(space.literal_bits, c.literals)))
+            for c in clauses
+        ]
         labels = [str(c) for c in clauses]
-        problem = set_problem
     else:
         query_texts = args.query or ["*"]
         queries = [parse_query(problem.frame, q) for q in query_texts]

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 from .errors import FrameMismatchError, InvalidProblemError
 
@@ -68,17 +68,8 @@ class Frame:
     def __contains__(self, label: object) -> bool:
         return label in self._index
 
-    def subset(self, labels: Iterable[str]) -> FocalSet:
-        bits = 0
-        for label in labels:
-            bits |= 1 << self.index(label)
-        return FocalSet(self, bits)
-
     def singleton(self, label: str) -> FocalSet:
         return FocalSet(self, 1 << self.index(label))
-
-    def empty(self) -> FocalSet:
-        return FocalSet(self, 0)
 
     def universe(self) -> FocalSet:
         return FocalSet(self, self.full_bits)
@@ -121,9 +112,6 @@ class FocalSet:
             yield self.frame.elements[low.bit_length() - 1]
             bits ^= low
 
-    def labels(self) -> tuple[str, ...]:
-        return tuple(self)
-
     def _check_frame(self, other: FocalSet) -> None:
         if other.frame != self.frame:
             raise FrameMismatchError("focal sets belong to different frames")
@@ -135,17 +123,6 @@ class FocalSet:
     def __or__(self, other: FocalSet) -> FocalSet:
         self._check_frame(other)
         return FocalSet(self.frame, self.bits | other.bits)
-
-    def complement(self) -> FocalSet:
-        return FocalSet(self.frame, self.frame.full_bits ^ self.bits)
-
-    def issubset(self, other: FocalSet) -> bool:
-        self._check_frame(other)
-        return not (self.bits & ~other.bits)
-
-    def intersects(self, other: FocalSet) -> bool:
-        self._check_frame(other)
-        return bool(self.bits & other.bits)
 
     def __str__(self) -> str:
         if self.is_full:
@@ -207,11 +184,6 @@ class MassFunction:
                 raise ValueError(f"non-positive mass {value!r} on {FocalSet(frame, bits)}")
             masses[bits] = masses.get(bits, 0.0) + value
         return masses
-
-    def mass(self, b: FocalSet) -> float:
-        if b.frame != self.frame:
-            raise FrameMismatchError("focal set from a different frame")
-        return self._masses.get(b.bits, 0.0)
 
     @property
     def by_bits(self) -> Mapping[int, float]:

@@ -1,24 +1,25 @@
 """Exact combination of evidence by the orthogonal-sum rule.
 
-Two routes with very different cost profiles:
+One fold (:func:`_fold`) serves every exact answer.  It multiplies the
+sources' focal-set tables into one intersection table, smallest table
+first, through a product loop (:func:`_combine_bits`) that makes one pass
+over the big table per outcome of the small one.  Before each step it drops
+the entries that hold an element outside the scored set that no later
+source can remove (the projection step of local propagation), and it stops
+when nothing is left.  The table can grow toward ``2**n`` entries, so the
+fold takes an entry cap and an optional wall-clock deadline.  The public
+functions are three views of it:
 
-* mass-space folding (:func:`combine_all`) multiplies focal-set tables
-  pairwise; the table can grow toward ``2**n`` entries, so the fold takes an
-  entry cap and an optional wall-clock deadline.  The product loop
-  (:func:`_combine_bits`) makes one pass over the big table per outcome of
-  the small one; an outcome that covers the big table's union makes a
-  scaled copy of it without intersecting.  The fold takes the sources in
-  ascending order of their table sizes, rescales each source's small table
-  by the running total instead of the big table, and normalizes once at
-  the end;
-* joint-outcome enumeration (:func:`exact_belief_enumeration`) sweeps the
-  sources once for a single query, merging joint outcomes that reach the
-  same intersection, through the same product loop as the fold.  It drops
-  an intersection as soon as it holds an element outside the query that
-  no later source can remove (the projection step of local propagation),
-  and stops when nothing is left.  It is capped by the joint outcome count
-  (``max_outcomes``) and by the table entry cap
-  :data:`DEFAULT_MAX_ENTRIES`.
+* :func:`combine_all` prunes nothing and returns the combined mass function;
+* :func:`exact_belief_enumeration` prunes against a query's complement and
+  returns the belief in the query;
+* :func:`conflict_exact` prunes against the whole frame and returns the
+  conflict.
+
+All three read the conflict as one minus the fold's survival, and both
+belief views raise ``TotalConflictError`` when that survival is at most
+:data:`CONFLICT_TOL`.  The two enumeration views also cap the joint outcome
+count (``max_outcomes``) and the table at :data:`DEFAULT_MAX_ENTRIES`.
 """
 
 from __future__ import annotations
@@ -119,13 +120,71 @@ def _combine_bits(
     return out, out.pop(0, 0.0)
 
 
-def _surviving(table: dict[int, float], conflict: float, step: str) -> float:
-    """Mass left in ``table``; raises ``TotalConflictError`` when it is a
-    negligible share of the product's total."""
-    remaining = math.fsum(table.values())
-    if remaining / (remaining + conflict) <= CONFLICT_TOL:
-        raise TotalConflictError(f"{step}: total conflict, combination undefined")
-    return remaining
+def _fold(
+    problem: EvidenceProblem,
+    outside: int,
+    label: str,
+    *,
+    max_entries: int,
+    deadline: float | None = None,
+    max_outcomes: int | None = None,
+) -> tuple[dict[int, float], float, float]:
+    """Fold every source's table into one ``{non-empty intersection bits:
+    mass}`` table; return ``(table, total, survival)``.
+
+    ``survival`` is the probability that a joint draw is not contradictory,
+    so the conflict is ``1 - survival``, and ``total`` is the table's mass
+    plus the pruned mass (below), in the table's units: ``table[b] / total``
+    is the combined mass of ``b``.
+
+    Sources fold in ascending order of their merged table sizes, ties in
+    problem order, starting from the vacuous table ``{frame: 1}``; step i
+    (``"{label} step {i}"`` in cap errors) multiplies in the i-th source in
+    that order.  A step costs the running table's size times the source's
+    table size, and a source of k entries can multiply the running table
+    by up to k, so the small sources go first.  Each source's table is
+    divided by the running total, so the running table stays near 1 and is
+    never rescaled itself.
+
+    Before step i, every entry holding an element of ``outside`` that every
+    outcome of source i and of each later source holds is dropped: it ends
+    non-empty and outside the scored set (the complement of ``outside``),
+    so it adds to the survival and to nothing else, and its mass is carried
+    as one scalar.  The fold stops once the table is empty.  ``outside=0``
+    prunes nothing.  ``max_outcomes`` caps the joint outcome count before
+    any work.
+    """
+    require_valid(problem)
+    joint = math.prod(len(s.outcomes) for s in problem.sources)
+    if max_outcomes is not None and joint > max_outcomes:
+        raise ResourceLimitError(f"{label}: joint outcome space exceeds {max_outcomes}")
+    sources = sorted(problem.sources, key=lambda s: len(set(s.target_bits)))
+    # held[i]: the elements every outcome of source i and of each later
+    # source holds, in fold order; it only grows with i.
+    held = [problem.frame.full_bits]
+    for s in reversed(sources):
+        held.append(held[-1] & reduce(and_, s.target_bits))
+    held.reverse()
+    acc: dict[int, float] = {problem.frame.full_bits: 1.0}
+    total = survival = 1.0
+    gone = 0.0
+    dropped = 0
+    for i, source in enumerate(sources):
+        dead = outside & held[i]
+        if dead != dropped:
+            dropped = dead
+            gone += math.fsum([v for b, v in acc.items() if b & dead])
+            acc = {b: v for b, v in acc.items() if not b & dead}
+        if not acc:
+            break
+        table = {b: v / total for b, v in mass_from_source(source).by_bits.items()}
+        acc, conflict = _combine_bits(
+            acc, table, max_entries=max_entries, deadline=deadline, step=f"{label} step {i}"
+        )
+        gone /= total
+        total = math.fsum(acc.values()) + gone
+        survival *= total / (total + conflict)
+    return acc, total, survival
 
 
 def combine_all(
@@ -136,104 +195,28 @@ def combine_all(
 ) -> CombinationResult:
     """Fold all source mass functions into one combined mass function.
 
-    ``conflict`` in the result is the overall conflict of the joint problem:
-    one minus the product of per-step survival weights.  ``deadline_s``
-    bounds the whole fold in wall-clock seconds.  Raises ``ValueError``
-    when ``max_entries`` is below 1 or ``deadline_s`` is negative or NaN.
-
-    Sources fold in ascending order of their merged table sizes, ties in
-    problem order, and ``combine step i`` names the i-th fold step in that
-    order.  A step costs the running table's size times the source's table
-    size, and a source of k entries can multiply the running table by up to
-    k, so the small sources go first and the big ones meet the smallest
-    running tables they can.
-
-    The running table is left unnormalized: each source's small table is
-    divided by the running table's total instead, and the combined table is
-    divided once at the end.
+    ``conflict`` in the result is the overall conflict of the joint problem.
+    ``deadline_s`` bounds the whole fold in wall-clock seconds, and
+    ``max_entries`` every table it holds.  Raises ``ValueError`` when
+    ``max_entries`` is below 1 or ``deadline_s`` is negative or NaN, and
+    ``TotalConflictError`` when the survival is at most
+    :data:`CONFLICT_TOL`.  Cap errors name ``combine step i``, counted in
+    fold order (see :func:`_fold`).
     """
     if max_entries < 1:
         raise ValueError(f"max entries must be >= 1, got {max_entries}")
     if deadline_s is not None and not deadline_s >= 0.0:
         raise ValueError(f"time cap must be >= 0, got {deadline_s}")
-    require_valid(problem)
     deadline = None if deadline_s is None else time.monotonic() + deadline_s
-    masses = sorted(map(mass_from_source, problem.sources), key=len)
-    acc = masses[0].by_bits
-    remaining = 1.0
-    survival = 1.0
-    for i, nxt in enumerate(masses[1:], start=1):
-        step = f"combine step {i}"
-        scaled = {b: v / remaining for b, v in nxt.by_bits.items()}
-        acc, conflict = _combine_bits(
-            acc, scaled, max_entries=max_entries, deadline=deadline, step=step
-        )
-        remaining = _surviving(acc, conflict, step)
-        survival *= remaining / (remaining + conflict)
+    acc, total, survival = _fold(
+        problem, 0, "combine", max_entries=max_entries, deadline=deadline
+    )
+    if survival <= CONFLICT_TOL:
+        raise TotalConflictError("combine: total conflict, combination undefined")
     # Rebinding frees the unnormalized table before the constructor copies
     # the normalized one, so two big tables are alive at the peak, not three.
-    acc = {b: v / remaining for b, v in acc.items()}
+    acc = {b: v / total for b, v in acc.items()}
     return CombinationResult(MassFunction(problem.frame, acc), 1.0 - survival)
-
-
-def _enumerate(
-    problem: EvidenceProblem, max_outcomes: int, outside: int
-) -> tuple[dict[int, float], float]:
-    """Sweep the sources once, merging joint outcomes that reach the same
-    intersection; return the final ``{non-empty intersection bits:
-    probability}`` table, less entries pruned as below, and P[empty], with
-    per-source probabilities renormalized exactly.  The caller validates
-    the problem.
-
-    The running ``{intersection bits: probability}`` table multiplies into
-    each source's ``{target bits: p/total}`` table through the fold's
-    product loop, so the work is ``sum_i |table_i| * |outcomes_i|`` rather
-    than the joint outcome count.  The joint outcome count is still capped
-    at ``max_outcomes``, and the table at ``DEFAULT_MAX_ENTRIES``.
-
-    ``outside`` is the mask the caller scores against: the query's
-    complement for a belief, the whole frame for the conflict.  Before step
-    i, every entry holding an element of ``outside`` that every outcome of
-    source i and of each later source holds is dropped: it ends non-empty
-    and not inside the query, so neither P[empty] nor the mass within the
-    query changes.  The sweep stops once the table is empty.
-    """
-    joint = 1
-    for s in problem.sources:
-        joint *= len(s.outcomes)
-        if joint > max_outcomes:
-            raise ResourceLimitError(
-                f"exact enumeration: joint outcome space exceeds {max_outcomes}"
-            )
-    full = problem.frame.full_bits
-    # held[i]: the elements every outcome of source i and of each later
-    # source holds; it only grows with i.
-    held = [full]
-    for s in reversed(problem.sources):
-        held.append(held[-1] & reduce(and_, s.target_bits))
-    held.reverse()
-    acc: dict[int, float] = {full: 1.0}
-    empty_p = 0.0
-    dropped = 0
-    for i, s in enumerate(problem.sources):
-        dead = outside & held[i]
-        if dead != dropped:
-            dropped = dead
-            acc = {b: v for b, v in acc.items() if not b & dead}
-        if not acc:
-            break
-        total = math.fsum(p for p, _ in s.outcomes)
-        table: dict[int, float] = {}
-        for p, t in s.outcomes:
-            table[t.bits] = table.get(t.bits, 0.0) + p / total
-        # An empty intersection stays empty whatever the later sources
-        # draw, and their probabilities sum to 1, so it is final here.
-        acc, conflict = _combine_bits(
-            acc, table, max_entries=DEFAULT_MAX_ENTRIES,
-            step=f"exact enumeration step {i}",
-        )
-        empty_p += conflict
-    return acc, empty_p
 
 
 def exact_belief_enumeration(
@@ -242,28 +225,32 @@ def exact_belief_enumeration(
     *,
     max_outcomes: int = DEFAULT_MAX_OUTCOMES,
 ) -> tuple[float, float]:
-    """Exact combined belief in ``b`` plus the conflict mass, by joint
-    outcome enumeration: sweeps the sources, merging equal intersections.
+    """Exact combined belief in ``b`` plus the conflict mass, by the fold
+    pruned against ``b``'s complement.
 
     Raises ``ResourceLimitError`` when the joint outcome count exceeds
-    ``max_outcomes`` or the intersection table exceeds
-    :data:`DEFAULT_MAX_ENTRIES` entries."""
-    require_valid(problem)
+    ``max_outcomes`` or the table exceeds :data:`DEFAULT_MAX_ENTRIES`
+    entries, and ``TotalConflictError`` when the survival is at most
+    :data:`CONFLICT_TOL`."""
     if b.frame != problem.frame:
         raise FrameMismatchError("query set from a different frame")
     outside = problem.frame.full_bits ^ b.bits
-    acc, empty_p = _enumerate(problem, max_outcomes, outside)
-    inside_p = _mass_within(acc, outside)
-    survival = 1.0 - empty_p
+    acc, total, survival = _fold(
+        problem, outside, "exact enumeration",
+        max_entries=DEFAULT_MAX_ENTRIES, max_outcomes=max_outcomes,
+    )
     if survival <= CONFLICT_TOL:
         raise TotalConflictError("exact enumeration: total conflict, combination undefined")
-    return inside_p / survival, empty_p
+    return _mass_within(acc, outside) / total, 1.0 - survival
 
 
 def conflict_exact(
     problem: EvidenceProblem, *, max_outcomes: int = DEFAULT_MAX_OUTCOMES
 ) -> float:
-    """Exact conflict mass: probability that a joint draw is contradictory."""
-    require_valid(problem)
-    _, empty_p = _enumerate(problem, max_outcomes, problem.frame.full_bits)
-    return empty_p
+    """Exact conflict mass: probability that a joint draw is contradictory,
+    by the fold pruned against the whole frame."""
+    _, _, survival = _fold(
+        problem, problem.frame.full_bits, "exact enumeration",
+        max_entries=DEFAULT_MAX_ENTRIES, max_outcomes=max_outcomes,
+    )
+    return 1.0 - survival

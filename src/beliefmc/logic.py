@@ -209,22 +209,6 @@ def is_contradictory(term: TermSet) -> bool:
     return _has_both_signs(term.literals)
 
 
-def entails(term: TermSet, clause: ClauseQuery) -> bool:
-    """Does the term force the clause?
-
-    For a consistent conjunction of literals this reduces to a syntactic
-    check: the clause is a tautology, or the term contains one of its
-    literals.  Raises ``ValueError`` on a contradictory term, whose
-    entailments are not meaningful.
-    """
-    if is_contradictory(term):
-        raise ValueError(f"term {term} is contradictory")
-    if clause.is_tautology:
-        return True
-    have = set(term.literals)
-    return any(l in have for l in clause.literals)
-
-
 def validate_logic_sources(sources: Sequence[LogicSource]) -> list[str]:
     """Structural checks shared by every logic entry point."""
     report: list[str] = []
@@ -486,8 +470,10 @@ class AssignmentSpace:
         return out
 
     def literal_bits(self, lit: Literal) -> int:
+        """The assignments satisfying ``lit``, as a mask over the frame's
+        ``2**k`` elements; it does not build the frame."""
         bits = self._true_bits[lit.atom]
-        return bits if lit.positive else self.frame.full_bits ^ bits
+        return bits if lit.positive else bits ^ ((1 << (1 << len(self.atoms))) - 1)
 
     def term_focal(self, term: TermSet) -> FocalSet:
         """Assignments satisfying a conjunction (the frame for an empty term)."""

@@ -24,7 +24,10 @@ from beliefmc import (
     MassFunction,
     SourceModel,
     TermSet,
+    TrialEngineConfig,
     combine_all,
+    is_contradictory,
+    logic_estimate,
     simple_support,
 )
 from beliefmc.mc import derive_stream_seed
@@ -50,6 +53,39 @@ def combine_masses(*masses: MassFunction) -> CombinationResult:
 
 
 # ---------------------------------------------------------------- oracles
+
+
+def subset(frame: Frame, labels) -> FocalSet:
+    """The focal set of ``labels`` over ``frame``."""
+    return FocalSet(frame, sum(1 << frame.index(label) for label in set(labels)))
+
+
+def complement(fs: FocalSet) -> FocalSet:
+    return subset(fs.frame, set(fs.frame.elements) - set(fs))
+
+
+def issubset(a: FocalSet, b: FocalSet) -> bool:
+    return set(a) <= set(b)
+
+
+def intersects(a: FocalSet, b: FocalSet) -> bool:
+    return bool(set(a) & set(b))
+
+
+def mass(m: MassFunction, fs: FocalSet) -> float:
+    """The mass ``m`` puts on exactly ``fs``."""
+    assert fs.frame == m.frame
+    return mass_to_label_entries(m).get(frozenset(fs), 0.0)
+
+
+def entails(term: TermSet, clause) -> bool:
+    """Does the trial kernel score ``clause`` on a certain draw of
+    ``term``?  Raises ``ValueError`` on a contradictory term, which no
+    source may certify."""
+    if is_contradictory(term):
+        raise ValueError(f"term {term} is contradictory")
+    source = LogicSource(((1.0, term),))
+    return logic_estimate((source,), clause, TrialEngineConfig(trials=1)).successes == 1
 
 
 def oracle_bel(entries: dict[frozenset, float], b: frozenset) -> float:
@@ -83,20 +119,20 @@ def oracle_combined_mass(
 
 def problem_to_label_sources(problem: EvidenceProblem) -> list[list[tuple[float, frozenset]]]:
     return [
-        [(p, frozenset(t.labels())) for p, t in s.outcomes]
+        [(p, frozenset(t)) for p, t in s.outcomes]
         for s in problem.sources
     ]
 
 
 def mass_to_label_entries(m: MassFunction) -> dict[frozenset, float]:
-    return {frozenset(fs.labels()): v for fs, v in m.items()}
+    return {frozenset(fs): v for fs, v in m.items()}
 
 
 def oracle_problem_bel(problem: EvidenceProblem, b: FocalSet) -> tuple[float, float]:
     """(combined belief, conflict) via the label-set oracle."""
     mass, empty = oracle_combined_mass(problem_to_label_sources(problem))
     assert mass is not None, "oracle hit total conflict"
-    return oracle_bel(mass, frozenset(b.labels())), empty
+    return oracle_bel(mass, frozenset(b)), empty
 
 
 LitPair = tuple[str, bool]

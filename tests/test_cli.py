@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from beliefmc import parse_problem
+from beliefmc import Frame, parse_problem
 from beliefmc.cli import main
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -225,6 +225,21 @@ class TestExact:
 
     def test_logic_needs_query(self, logic_file, capsys):
         assert main(["exact", "--problem", logic_file]) == 2
+
+    def test_logic_builds_one_frame(self, logic_file, capsys, monkeypatch):
+        built = []
+        post_init = Frame.__post_init__
+
+        def counted(frame):
+            built.append(frame)
+            post_init(frame)
+
+        monkeypatch.setattr(Frame, "__post_init__", counted)
+        assert main([
+            "exact", "--problem", logic_file, "--query", "[p]", "--query", "[!p q]",
+        ]) == 0
+        assert "Bel([p]) = 0.5384615" in capsys.readouterr().out
+        assert len(built) == 1
 
     def test_entry_cap_exit_code(self, tmp_path, capsys):
         path = tmp_path / "wide.bel"

@@ -33,12 +33,14 @@ from conftest import (
     combine_masses,
     framed_mass_pair,
     framed_mass_triple,
+    mass,
     mass_to_label_entries,
     oracle_bel,
     oracle_combined_mass,
     oracle_problem_bel,
     problem_to_label_sources,
     random_problem,
+    subset,
 )
 
 
@@ -96,13 +98,13 @@ class TestCombinePair:
         result = combine_all(two_ssf_problem)
         frame = two_ssf_problem.frame
         assert result.conflict == pytest.approx(0.3, abs=1e-9)
-        assert result.combined.mass(frame.singleton("x1")) == pytest.approx(
+        assert mass(result.combined, frame.singleton("x1")) == pytest.approx(
             float(Fraction(3, 7)), abs=1e-9
         )
-        assert result.combined.mass(frame.singleton("x2")) == pytest.approx(
+        assert mass(result.combined, frame.singleton("x2")) == pytest.approx(
             float(Fraction(2, 7)), abs=1e-9
         )
-        assert result.combined.mass(frame.universe()) == pytest.approx(
+        assert mass(result.combined, frame.universe()) == pytest.approx(
             float(Fraction(2, 7)), abs=1e-9
         )
 
@@ -120,7 +122,7 @@ class TestCombinePair:
         source = simple_support(frame, s, 0.5)
         result = combine_all(EvidenceProblem(frame, (source, source)))
         assert result.conflict == 0.0
-        assert result.combined.mass(s) == pytest.approx(0.75, abs=1e-12)
+        assert mass(result.combined, s) == pytest.approx(0.75, abs=1e-12)
 
     def test_total_conflict_raises(self):
         frame = Frame(("x1", "x2"))
@@ -168,7 +170,7 @@ class TestCombinePair:
     def test_matches_label_oracle(self, fmp):
         frame, m1, m2 = fmp
         sources = [
-            [(v, frozenset(fs.labels())) for fs, v in m.items()] for m in (m1, m2)
+            [(v, frozenset(fs)) for fs, v in m.items()] for m in (m1, m2)
         ]
         oracle_mass, oracle_conflict = oracle_combined_mass(sources)
         if oracle_mass is None:
@@ -204,8 +206,8 @@ class TestCombineAll:
         problem = EvidenceProblem(
             frame,
             (
-                simple_support(frame, frame.subset(["x1", "x2"]), 0.8),
-                simple_support(frame, frame.subset(["x2", "x3"]), 0.7),
+                simple_support(frame, subset(frame, ["x1", "x2"]), 0.8),
+                simple_support(frame, subset(frame, ["x2", "x3"]), 0.7),
                 simple_support(frame, frame.singleton("x1"), 0.5),
             ),
         )
@@ -235,12 +237,19 @@ class TestCombineAll:
             data.draw(st.integers(0, 10**6)), max_sources=5, max_outcomes=4, max_elements=6
         )
         order = data.draw(st.permutations(problem.sources))
+        permuted = EvidenceProblem(problem.frame, tuple(order))
         want = combine_all(problem)
-        got = combine_all(EvidenceProblem(problem.frame, tuple(order)))
+        got = combine_all(permuted)
         assert set(got.combined.by_bits) == set(want.combined.by_bits)
         for bits, v in want.combined.by_bits.items():
             assert got.combined.by_bits[bits] == pytest.approx(v, abs=1e-12)
         assert got.conflict == pytest.approx(want.conflict, abs=1e-12)
+        # the pruned views prune in fold order, which the permutation changes
+        b = FocalSet(problem.frame, data.draw(st.integers(0, problem.frame.full_bits)))
+        assert exact_belief_enumeration(permuted, b) == pytest.approx(
+            exact_belief_enumeration(problem, b), abs=1e-12
+        )
+        assert conflict_exact(permuted) == pytest.approx(conflict_exact(problem), abs=1e-12)
 
     def test_invalid_problem_rejected(self):
         frame = Frame(("x1", "x2"))
@@ -421,7 +430,7 @@ class TestEnumeration:
         # into {focus, universe} at every step, so it takes microseconds
         # where visiting each joint outcome takes seconds.
         frame = Frame(("x1", "x2", "x3"))
-        focus = frame.subset(["x1", "x2"])
+        focus = subset(frame, ["x1", "x2"])
         s = 0.3
         problem = EvidenceProblem(frame, (simple_support(frame, focus, s),) * 21)
         start = time.perf_counter()
@@ -510,6 +519,23 @@ class TestConflictExact:
             ),
         )
         assert conflict_exact(problem) == pytest.approx(1.0)
+
+    def test_routes_share_one_total_conflict_rule(self):
+        # Every step keeps more than CONFLICT_TOL of its mass, but the
+        # overall survival is about 1e-17: both belief views refuse, and
+        # the conflict stays within [0, 1].
+        frame = Frame(tuple(f"e{i}" for i in range(5)))
+        sources = [simple_support(frame, frame.singleton("e0"), 1 - 1e-4)]
+        for i in range(1, 5):
+            focus = ((1 - 1e-4, frame.singleton(f"e{i}")),)
+            spread = tuple((1e-4 / i, frame.singleton(f"e{j}")) for j in range(i))
+            sources.append(SourceModel(frame, focus + spread))
+        problem = EvidenceProblem(frame, tuple(sources))
+        with pytest.raises(TotalConflictError):
+            combine_all(problem)
+        with pytest.raises(TotalConflictError):
+            exact_belief_enumeration(problem, frame.universe())
+        assert 0.0 <= conflict_exact(problem) <= 1.0
 
     def test_matches_oracle(self):
         for seed in range(20):

@@ -23,7 +23,6 @@ from beliefmc import (
     LogicSource,
     TermSet,
     TrialEngineConfig,
-    entails,
     exact_belief_enumeration,
     is_contradictory,
     logic_estimate,
@@ -37,6 +36,7 @@ from beliefmc.mc import DEFAULT_RESTART_CAP
 from beliefmc.problem_io import parse_clause
 from conftest import (
     CountingRandom,
+    entails,
     logic_problem_to_pairs,
     oracle_logic_bel,
     random_clause,
@@ -605,7 +605,7 @@ class TestTranslation:
         sp = translate_to_set_problem(problem)
         assert sp.frame.elements == ("0", "1")
         (o1, o2) = sp.sources[0].outcomes
-        assert o1[1].labels() == ("1",)
+        assert tuple(o1[1]) == ("1",)
         assert o2[1].is_full
 
     def test_assignment_space_labels(self):
@@ -613,9 +613,9 @@ class TestTranslation:
         assert space.frame.elements == ("00", "10", "01", "11")
         # character i of a label is the truth value of atom i
         focal = space.term_focal(TermSet.of("p", "!q"))
-        assert focal.labels() == ("10",)
+        assert tuple(focal) == ("10",)
         clause = space.clause_focal(ClauseQuery.of("p", "q"))
-        assert set(clause.labels()) == {"10", "01", "11"}
+        assert set(clause) == {"10", "01", "11"}
 
     def test_labels_spell_each_atom_in_order(self):
         # character i of label a is bit i of a

@@ -37,7 +37,7 @@ from beliefmc.mc import (
     derive_stream_seed,
     worker_rng,
 )
-from conftest import CountingRandom, random_problem, random_ssf_problem
+from conftest import CountingRandom, random_problem, random_ssf_problem, subset
 
 
 class TestPlanning:
@@ -323,7 +323,7 @@ class TestEstimate:
     def test_universe_and_empty_queries_are_exact(self, two_ssf_problem):
         frame = two_ssf_problem.frame
         cfg = TrialEngineConfig(trials=500, seed=0)
-        res = estimate(two_ssf_problem, QueryBatch((frame.universe(), frame.empty())), cfg)
+        res = estimate(two_ssf_problem, QueryBatch((frame.universe(), FocalSet(frame, 0))), cfg)
         assert res[0].value == 1.0
         assert res[1].value == 0.0
 
@@ -352,12 +352,12 @@ class TestEstimate:
         frame = Frame(("x1", "x2", "x3", "x4"))
         s1 = SourceModel(
             frame,
-            ((0.5, frame.subset(["x1", "x2"])), (0.2, frame.subset(["x2", "x3"])),
+            ((0.5, subset(frame, ["x1", "x2"])), (0.2, subset(frame, ["x2", "x3"])),
              (0.3, frame.universe())),
         )
-        s2 = simple_support(frame, frame.subset(["x2", "x4"]), 0.55)
+        s2 = simple_support(frame, subset(frame, ["x2", "x4"]), 0.55)
         problem = EvidenceProblem(frame, (s1, s2))
-        b = frame.subset(["x2", "x3", "x4"])
+        b = subset(frame, ["x2", "x3", "x4"])
         exact, _ = exact_belief_enumeration(problem, b)
         cfg = TrialEngineConfig(trials=50_000, seed=9)
         r = estimate(problem, QueryBatch((b,)), cfg)[0]

@@ -70,7 +70,7 @@ class TestParse:
         frame = parse_problem(TWO_SSF).frame
         assert parse_query(frame, "*").is_full
         assert parse_query(frame, "{}").is_empty
-        assert parse_query(frame, "{x1 x3}").labels() == ("x1", "x3")
+        assert tuple(parse_query(frame, "{x1 x3}")) == ("x1", "x3")
 
     def test_clause_parse(self):
         c = parse_clause("[!q p]")
