@@ -176,7 +176,7 @@ def cmd_exact(args) -> int:
         problem, max_entries=args.max_entries, deadline_s=args.time_cap
     )
     wall_ms = (time.perf_counter() - t0) * 1e3
-    beliefs = [bel_from_mass(combo.combined, q) for q in queries]
+    beliefs = bel_from_mass(combo.combined, queries)
     if args.csv:
         _write_csv(
             (

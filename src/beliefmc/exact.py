@@ -195,7 +195,11 @@ def combine_all(
 ) -> CombinationResult:
     """Fold all source mass functions into one combined mass function.
 
-    ``conflict`` in the result is the overall conflict of the joint problem.
+    The fold's table is divided by its total once, and entries that end
+    below :data:`~beliefmc.evidence.MASS_DUST` are dropped as the
+    ``MassFunction`` constructor drops them; the constructor's checks are
+    not run again on a table the fold built.  ``conflict`` in the result is
+    the overall conflict of the joint problem.
     ``deadline_s`` bounds the whole fold in wall-clock seconds, and
     ``max_entries`` every table it holds.  Raises ``ValueError`` when
     ``max_entries`` is below 1 or ``deadline_s`` is negative or NaN, and
@@ -213,10 +217,9 @@ def combine_all(
     )
     if survival <= CONFLICT_TOL:
         raise TotalConflictError("combine: total conflict, combination undefined")
-    # Rebinding frees the unnormalized table before the constructor copies
-    # the normalized one, so two big tables are alive at the peak, not three.
-    acc = {b: v / total for b, v in acc.items()}
-    return CombinationResult(MassFunction(problem.frame, acc), 1.0 - survival)
+    return CombinationResult(
+        MassFunction._from_table(problem.frame, acc, total), 1.0 - survival
+    )
 
 
 def exact_belief_enumeration(

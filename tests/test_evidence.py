@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from beliefmc import evidence
 from beliefmc import (
     EvidenceProblem,
     FocalSet,
@@ -23,6 +25,7 @@ from beliefmc import (
 )
 from conftest import (
     complement,
+    focal_sets,
     frames,
     intersects,
     issubset,
@@ -206,6 +209,69 @@ class TestBelPl:
             wider = FocalSet(frame, bits | (bits << 1) & frame.full_bits)
             if issubset(b, wider):
                 assert bel_from_mass(m, b) <= bel_from_mass(m, wider) + 1e-12
+
+    def test_query_sequence_matches_one_query_at_a_time(self, monkeypatch):
+        # Frames of 1-40 elements put sequences of 0-20 queries on both
+        # sides of the route choice: one pass, or one scan per query.
+        routes = set()
+        passes = []
+        one_pass = evidence._masses_within
+
+        def spy(*args):
+            passes.append(args)
+            return one_pass(*args)
+
+        monkeypatch.setattr(evidence, "_masses_within", spy)
+
+        @st.composite
+        def queries(draw, frame):
+            pool = [FocalSet(frame, 0), frame.universe()]
+            pool += draw(st.lists(focal_sets(frame), max_size=6))
+            return draw(st.lists(st.sampled_from(pool), max_size=20))
+
+        @st.composite
+        def cases(draw):
+            frame = draw(frames(40))
+            return draw(mass_functions(frame, max_entries=30)), draw(queries(frame))
+
+        def spread(n, count):
+            """Up to 12 random entries and ``count`` random queries on an
+            ``n``-element frame."""
+            frame = Frame(tuple(f"e{i}" for i in range(n)))
+            rng = random.Random(n * 1000 + count)
+            bits = {rng.getrandbits(n) | 1 << rng.randrange(n) for _ in range(12)}
+            queries = [FocalSet(frame, rng.getrandbits(n) | rng.getrandbits(n)) for _ in range(count)]
+            return MassFunction(frame, {b: 1 / len(bits) for b in bits}), queries
+
+        @given(cases())
+        @settings(max_examples=150, deadline=None)
+        @example(spread(1, 4))  # one pass, one byte
+        @example(spread(40, 1))  # one scan
+        @example(spread(72, 20))  # one pass, keys wider than a machine word
+        @example(spread(3, 70))  # one pass, signatures wider than a machine word
+        def check(case):
+            m, qs = case
+            seen = len(passes)
+            got = bel_from_mass(m, qs)
+            routes.add("pass" if len(passes) > seen else "scan")
+            assert isinstance(got, list) and len(got) == len(qs)
+            for b, q in zip(got, qs):
+                assert b == pytest.approx(bel_from_mass(m, q), abs=1e-12)
+
+        check()
+        assert routes == {"pass", "scan"}
+
+    def test_query_sequence_rejects_a_foreign_query(self):
+        frame = Frame(("x1", "x2", "x3"))
+        m = MassFunction(frame, {1: 0.5, 7: 0.5})
+        foreign = Frame(("y1",)).universe()
+        with pytest.raises(FrameMismatchError) as one:
+            bel_from_mass(m, foreign)
+        for qs in ([frame.universe(), foreign], [frame.universe()] * 5 + [foreign]):
+            with pytest.raises(FrameMismatchError) as many:
+                bel_from_mass(m, qs)
+            assert str(many.value) == str(one.value)
+        assert type(bel_from_mass(m, frame.universe())) is float
 
 
 class TestSimpleSupport:

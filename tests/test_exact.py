@@ -7,6 +7,7 @@ import math
 import random
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -27,8 +28,10 @@ from beliefmc import (
     conflict_exact,
     exact_belief_enumeration,
     mass_from_source,
+    parse_problem,
     simple_support,
 )
+from beliefmc.evidence import MASS_DUST
 from conftest import (
     combine_masses,
     framed_mass_pair,
@@ -42,6 +45,21 @@ from conftest import (
     random_problem,
     subset,
 )
+
+
+BENCH_DATA = Path(__file__).resolve().parents[1] / "perfbench" / "data"
+
+
+def assert_fold_finish_matches_constructor(problem: EvidenceProblem) -> MassFunction:
+    """``combine_all``'s mass function equals the public constructor's
+    normalization of the fold's table divided by its total, to 1e-15 per
+    entry, with the same entries kept."""
+    acc, total, _ = exact._fold(problem, 0, "combine", max_entries=exact.DEFAULT_MAX_ENTRIES)
+    want = MassFunction(problem.frame, {b: v / total for b, v in acc.items()}).by_bits
+    got = combine_all(problem).combined
+    assert got.by_bits.keys() == want.keys()
+    assert max(abs(got.by_bits[b] - v) for b, v in want.items()) <= 1e-15
+    return got
 
 
 def complement_supports(n: int) -> EvidenceProblem:
@@ -250,6 +268,34 @@ class TestCombineAll:
             exact_belief_enumeration(problem, b), abs=1e-12
         )
         assert conflict_exact(permuted) == pytest.approx(conflict_exact(problem), abs=1e-12)
+
+    @pytest.mark.parametrize("name", ["b14x20", "b16x26", "b18x32"])
+    def test_fold_finish_matches_constructor_on_benchmark_problems(self, name):
+        assert_fold_finish_matches_constructor(
+            parse_problem((BENCH_DATA / f"{name}.bel").read_text())
+        )
+
+    def test_fold_finish_matches_constructor_on_random_problems(self):
+        for seed in range(40):
+            assert_fold_finish_matches_constructor(
+                random_problem(seed, max_sources=5, max_outcomes=4, max_elements=8)
+            )
+
+    def test_fold_finish_drops_dust(self):
+        # {y} = {x y} & {y z} gets 1e-7 * 1e-7 = 1e-14, below MASS_DUST
+        frame = Frame(("x", "y", "z"))
+        problem = EvidenceProblem(
+            frame,
+            (
+                simple_support(frame, subset(frame, "xy"), 1e-7),
+                simple_support(frame, subset(frame, "yz"), 1e-7),
+            ),
+        )
+        acc, total, _ = exact._fold(problem, 0, "combine", max_entries=exact.DEFAULT_MAX_ENTRIES)
+        assert acc[0b010] / total < MASS_DUST
+        got = assert_fold_finish_matches_constructor(problem).by_bits
+        assert 0b010 not in got and len(got) == len(acc) - 1
+        assert math.fsum(got.values()) == pytest.approx(1.0, abs=1e-12)
 
     def test_invalid_problem_rejected(self):
         frame = Frame(("x1", "x2"))
