@@ -12,8 +12,8 @@ import math
 import struct
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import compress, repeat
-from operator import and_, rshift
+from itertools import chain
+from operator import and_
 from typing import Collection, Iterator, Mapping, Sequence
 
 from .errors import FrameMismatchError, InvalidProblemError
@@ -27,16 +27,14 @@ MASS_DUST = 1e-12
 
 #: :func:`bel_from_mass` scores a sequence of queries in one pass when it
 #: holds at least this many queries per byte of the frame, counting one
-#: byte more for summing the mass per signature, and scans the table once
+#: byte more for grouping the masses by signature, and scans the table once
 #: per query otherwise.  Per entry, a scan costs one mask test and the pass
-#: one lookup per byte plus the sum.  On random tables of 3,000 and 40,000
-#: entries (2 cores, Python 3.11.7), the pass took 0.5-0.9x the scans' time
-#: at this threshold on frames of 2 to 16 bytes and 0.7x on 1024-element
-#: ones; on 300-entry tables its fixed cost made it 1.2-1.9x slower.
+#: one lookup per byte plus the grouping.  On random tables of 3,000 and
+#: 40,000 entries over frames of 2 to 8 bytes (2 cores, Python 3.11.7), the
+#: pass took 0.4-0.75x the scans' time at this threshold; on 255- and
+#: 300-entry tables its fixed cost made it 1.0-1.4x slower.
 _PASS_QUERIES_PER_BYTE = 2
 
-# _HAS_BIT[i][v] is 1 when byte value v has bit i set.
-_HAS_BIT = tuple(bytes(v >> i & 1 for v in range(256)) for i in range(8))
 # _CLEAR_DIGIT[i][v] is the digit "1" when byte value v has bit i clear, else "0".
 _CLEAR_DIGIT = tuple(bytes(b"10"[v >> i & 1] for v in range(256)) for i in range(8))
 
@@ -353,28 +351,24 @@ def _mass_within(table: Mapping[int, float], outside: int) -> float:
 def _byte_columns(ints: Collection[int], nbytes: int) -> list[bytes]:
     """Column k holds byte k of every int in ``ints``, in iteration order.
 
-    The ints are non-negative and below ``2 ** (8 * nbytes)``.  They are
-    packed at C speed, eight bytes at a time.
+    The ints are non-negative and below ``2 ** (8 * nbytes)``, with
+    ``nbytes <= 8``; they are packed at C speed as one 8-byte word each.
     """
-    cols: list[bytes] = []
-    for w in range(0, nbytes, 8):
-        words = ints if nbytes <= 8 else map(and_, map(rshift, ints, repeat(8 * w)), repeat(2**64 - 1))
-        raw = struct.pack(f"<{len(ints)}Q", *words)
-        cols += [raw[k::8] for k in range(min(8, nbytes - w))]
-    return cols
+    raw = struct.pack(f"<{len(ints)}Q", *ints)
+    return [raw[k::8] for k in range(nbytes)]
 
 
 def _masses_within(table: Mapping[int, float], outsides: Sequence[int], nbytes: int) -> list[float]:
     """``[_mass_within(table, o) for o in outsides]`` in one pass over ``table``,
-    whose keys fit in ``nbytes`` bytes.
+    whose keys fit in ``nbytes <= 8`` bytes.
 
     Bit j of an entry's signature is set when the entry shares no bit with
     ``outsides[j]``.  For each byte of the keys, a 256-entry list, built by
     doubling from single bits, maps the entry's byte to the signature bits
     it allows; an entry's signature ANDs one lookup per byte.  The table's
-    mass is summed per signature, and the signatures' mass per byte of
-    signature into 256 buckets; query j's belief is the ``fsum`` of the
-    buckets that hold its bit.
+    masses are grouped by signature, and query j's belief is the ``fsum`` of
+    the groups that hold its bit: the same values as in ``_mass_within``,
+    so the same correctly rounded sum.
     """
     lookups = []
     for col in _byte_columns(outsides, nbytes):
@@ -387,32 +381,28 @@ def _masses_within(table: Mapping[int, float], outsides: Sequence[int], nbytes: 
     cols = _byte_columns(table, nbytes)
     sigs = map(lookups[0].__getitem__, cols[0])
     for k in range(1, nbytes):
-        if k % 8 == 0:
-            sigs = list(sigs)  # keeps the chain of maps short
         sigs = map(and_, sigs, map(lookups[k].__getitem__, cols[k]))
-    mass: dict[int, float] = {}
-    get = mass.get
+    groups: dict[int, list[float]] = {}
     for sig, v in zip(sigs, table.values()):
-        mass[sig] = get(sig, 0.0) + v
-    # With many queries nearly every entry can have its own signature, so
-    # the signatures are not scanned once per query.
-    bels: list[float] = []
-    for c, col in enumerate(_byte_columns(mass, (len(outsides) + 7) // 8)):
-        buckets = [0.0] * 256
-        for byte, v in zip(col, mass.values()):
-            buckets[byte] += v
-        bels += [math.fsum(compress(buckets, has)) for has in _HAS_BIT[: len(outsides) - 8 * c]]
-    return bels
+        if sig in groups:
+            groups[sig].append(v)
+        else:
+            groups[sig] = [v]
+    return [
+        math.fsum(chain.from_iterable([g for sig, g in groups.items() if sig >> j & 1]))
+        for j in range(len(outsides))
+    ]
 
 
 def bel_from_mass(m: MassFunction, b: FocalSet | Sequence[FocalSet]) -> float | list[float]:
     """Belief in ``b``: the mass committed to subsets of ``b``.
 
     ``b`` is one focal set, answered as a float, or a sequence of them,
-    answered as a list in the same order.  A sequence of at least
-    ``_PASS_QUERIES_PER_BYTE * (bytes + 1)`` queries, where ``bytes`` is
-    the frame's size in bytes, is scored in one pass over the table
-    (:func:`_masses_within`); fewer queries get one scan each.  Raises
+    answered as a list in the same order.  On frames of at most 64
+    elements, a sequence of at least ``_PASS_QUERIES_PER_BYTE * (bytes + 1)``
+    queries, where ``bytes`` is the frame's size in bytes, is scored in one
+    pass over the table (:func:`_masses_within`); otherwise each query gets
+    one scan.  Both routes return the same correctly rounded sums.  Raises
     ``FrameMismatchError`` when a query is over another frame.
     """
     queries = [b] if isinstance(b, FocalSet) else list(b)
@@ -421,7 +411,7 @@ def bel_from_mass(m: MassFunction, b: FocalSet | Sequence[FocalSet]) -> float | 
     full = m.frame.full_bits
     outsides = [full ^ q.bits for q in queries]
     nbytes = (m.frame.size + 7) // 8
-    if len(outsides) >= _PASS_QUERIES_PER_BYTE * (nbytes + 1):
+    if nbytes <= 8 and len(outsides) >= _PASS_QUERIES_PER_BYTE * (nbytes + 1):
         bels = _masses_within(m.by_bits, outsides, nbytes)
     else:
         bels = [_mass_within(m.by_bits, o) for o in outsides]

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import json
 import math
 import random
 import time
@@ -13,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from beliefmc import exact
+from beliefmc import evidence, exact
 from beliefmc import (
     EvidenceProblem,
     FocalSet,
@@ -29,6 +30,7 @@ from beliefmc import (
     exact_belief_enumeration,
     mass_from_source,
     parse_problem,
+    parse_query,
     simple_support,
 )
 from beliefmc.evidence import MASS_DUST
@@ -274,6 +276,26 @@ class TestCombineAll:
         assert_fold_finish_matches_constructor(
             parse_problem((BENCH_DATA / f"{name}.bel").read_text())
         )
+
+    @pytest.mark.parametrize("name", ["b14x20", "b16x26", "b18x32"])
+    def test_benchmark_queries_score_alike_in_one_pass(self, name, monkeypatch):
+        # Up to 38,832 entries: one pass over the table gives each query
+        # the same correctly rounded sum as its own scan.
+        manifest = json.loads((BENCH_DATA / "fixtures.json").read_text())
+        fx = next(f for f in manifest["fixtures"] if f["name"] == name)
+        problem = parse_problem((BENCH_DATA / fx["file"]).read_text())
+        queries = [parse_query(problem.frame, q) for q in fx["queries"]]
+        m = combine_all(problem).combined
+        passes = []
+        one_pass = evidence._masses_within
+
+        def spy(*args):
+            passes.append(args)
+            return one_pass(*args)
+
+        monkeypatch.setattr(evidence, "_masses_within", spy)
+        assert bel_from_mass(m, queries) == [bel_from_mass(m, q) for q in queries]
+        assert len(passes) == 1
 
     def test_fold_finish_matches_constructor_on_random_problems(self):
         for seed in range(40):
