@@ -22,9 +22,11 @@ clause test is one mask test; the exact step count comes from counting term
 and clause literals up to the lowest clashing or hitting bit.  Most draws
 merge nothing, so they cost little: an empty term is ``None`` and costs
 its draw and an ``is None`` test, and after a clash the attempt's remaining
-uniforms are drawn without being mapped to outcomes.  Trials are
-split into per-worker substreams and run by the set problems' worker runner,
-``mc._run_workers``.
+uniforms are drawn without being mapped to outcomes.  A uniform picks the
+outcome that bisecting the source's cumulative table picks
+(:func:`_draw_plan`), as in the set-trial kernel, which reads the same
+uniforms in blocks.  Trials are split into per-worker substreams and run by
+the set problems' worker runner, ``mc._run_workers``.
 
 Problems over few atoms translate exactly to set problems over the frame of
 truth assignments, which connects this estimator to the exact combiners.
@@ -51,7 +53,6 @@ from .evidence import (
 from .mc import (
     TrialEngineConfig,
     _cap_error,
-    _draw_plan,
     _run_workers,
     sd_bound,
 )
@@ -261,10 +262,23 @@ def _term_masks(
     return pos, neg, len(literals), pos | neg
 
 
+def _draw_plan(cum: tuple[float, ...], items: tuple) -> tuple:
+    """How the kernel draws one source: ``(threshold, lo, hi, cum, items)``.
+
+    A uniform ``u`` picks ``items[bisect_right(cum, u)]``.  One- and
+    two-outcome sources get ``cum=None`` and pick the same item by a single
+    comparison, ``lo if u < threshold else hi``; larger sources bisect
+    ``cum``.
+    """
+    if len(cum) > 2:
+        return (0.0, None, None, cum, items)
+    return (cum[0], items[0], items[-1], None, items)
+
+
 def _logic_plans(
     sources: Sequence[LogicSource], *queries: ClauseQuery
 ) -> tuple[list, tuple[tuple[int, int, int, int] | None, ...]]:
-    """The kernel's tables: one :func:`~beliefmc.mc._draw_plan` per source
+    """The kernel's tables: one :func:`_draw_plan` per source
     over the :func:`_term_masks` of its terms (``None`` for an empty term,
     which merges nothing and costs nothing), and one clause mask per query
     (``None`` for a tautology).

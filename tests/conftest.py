@@ -10,6 +10,8 @@ from __future__ import annotations
 import itertools
 import math
 import random
+from bisect import bisect_right
+from typing import Sequence
 
 import pytest
 from hypothesis import strategies as st
@@ -30,8 +32,8 @@ from beliefmc import (
     logic_estimate,
     simple_support,
 )
-from beliefmc.mc import derive_stream_seed
-from beliefmc.logic import Literal
+from beliefmc.mc import _cap_error, derive_stream_seed
+from beliefmc.logic import Literal, _draw_plan
 
 class CountingRandom(random.Random):
     """A ``random.Random`` that counts its ``random()`` calls."""
@@ -50,6 +52,70 @@ def combine_masses(*masses: MassFunction) -> CombinationResult:
         SourceModel(m.frame, tuple((v, fs) for fs, v in m.items())) for m in masses
     )
     return combine_all(EvidenceProblem(masses[0].frame, sources))
+
+
+# ------------------------------------------------ per-draw set-trial kernel
+#
+# The set-trial kernel as it ran before the block kernel replaced it: one
+# ``random()`` call per source per attempt, kept as the reference the block
+# kernel must match draw for draw, count for count and error for error.
+
+
+#: Distinct intersections the per-draw kernel tallies before it scores them.
+_TALLY_LIMIT = 4096
+
+
+def per_draw_plans(problem: EvidenceProblem) -> list[tuple]:
+    """One draw plan per source, over its target masks."""
+    return [_draw_plan(s.cumulative, s.target_bits) for s in problem.sources]
+
+
+def _score_tally(
+    tally: dict[int, int], not_queries: Sequence[int], successes: list[int]
+) -> None:
+    """Add the tallied intersections to the per-query successes, then empty
+    the tally."""
+    for qi, nq in enumerate(not_queries):
+        successes[qi] += sum(c for g, c in tally.items() if not g & nq)
+    tally.clear()
+
+
+def per_draw_kernel_set(
+    plans,
+    full: int,
+    not_queries: Sequence[int],
+    trials: int,
+    rng: random.Random,
+    cap: int,
+) -> tuple[list[int], int]:
+    """The per-draw set-trial kernel: intersect the drawn masks inline and
+    score the surviving intersection against every query; returns
+    ``(successes per query, restarts)``."""
+    rand = rng.random
+    limit = _TALLY_LIMIT
+    successes = [0] * len(not_queries)
+    tally: dict[int, int] = {}
+    restarts = 0
+    for t in range(trials):
+        trial_restarts = 0
+        while True:
+            g = full
+            for thr, lo, hi, cum, masks in plans:
+                if cum is None:
+                    g &= lo if rand() < thr else hi
+                else:
+                    g &= masks[bisect_right(cum, rand())]
+            if g:
+                break
+            restarts += 1
+            trial_restarts += 1
+            if trial_restarts > cap:
+                raise _cap_error(restarts, t, cap)
+        tally[g] = tally.get(g, 0) + 1
+        if len(tally) >= limit:
+            _score_tally(tally, not_queries, successes)
+    _score_tally(tally, not_queries, successes)
+    return successes, restarts
 
 
 # ---------------------------------------------------------------- oracles

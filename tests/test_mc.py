@@ -7,6 +7,7 @@ import os
 import random
 from bisect import bisect_right
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -28,16 +29,26 @@ from beliefmc import (
     sd_bound,
     simple_support,
 )
-from beliefmc import mc
+from beliefmc import conflict_exact, mc
+from beliefmc.logic import _draw_plan
 from beliefmc.mc import (
     DEFAULT_RESTART_CAP,
-    _draw_plan,
     _kernel_set,
-    _source_plans,
+    _set_plan,
+    _word53,
     derive_stream_seed,
     worker_rng,
 )
-from conftest import CountingRandom, random_problem, random_ssf_problem, subset
+from beliefmc.problem_io import parse_problem
+from conftest import (
+    per_draw_kernel_set,
+    per_draw_plans,
+    random_problem,
+    random_ssf_problem,
+    subset,
+)
+
+BENCH_DATA = Path(__file__).resolve().parents[1] / "perfbench" / "data"
 
 
 class TestPlanning:
@@ -135,6 +146,50 @@ class TestSampleSource:
                 us.update({math.nextafter(c, 0.0), c})
             for u in sorted(u for u in us if u < 1.0):
                 assert _pick(plan, u) == bisect_right(cum, u), (cum, u)
+
+    def test_block_kernel_picks_outcomes_at_boundaries(self):
+        # the block kernel reads a uniform's 53 bits from its two words and
+        # picks the outcome bisecting the cumulative table picks, for
+        # uniforms on and around every boundary, with random low bits below
+        # the 53 that random() keeps
+        frame = Frame(("x1", "x2", "x3", "x4"))
+        source = SourceModel(
+            frame,
+            tuple(zip((0.2, 0.3, 0.1, 0.4), (frame.singleton(x) for x in frame.elements))),
+        )
+        cum = source.cumulative
+        xs = {0, 2**53 - 1}
+        for c in cum:
+            limit = math.ceil(c * 2**53)
+            xs.update(x for x in (limit - 1, limit, limit + 1, limit - 2**45) if 0 <= x < 2**53)
+        xs = sorted(xs)
+        junk = random.Random(5)
+        raw = b"".join(
+            ((x >> 26) << 5 | junk.getrandbits(5)).to_bytes(4, "little")
+            + ((x & (2**26 - 1)) << 6 | junk.getrandbits(6)).to_bytes(4, "little")
+            for x in xs
+        )
+        assert [_word53(raw, d) for d in range(len(xs))] == xs
+        # query k holds the targets of outcomes 0..k, so it scores exactly
+        # the attempts whose uniform falls below cum[k]
+        queries = [FocalSet(frame, (2 << k) - 1) for k in range(len(cum))]
+        plan = _set_plan(EvidenceProblem(frame, (source,)), queries)
+        accepted, hits = mc._block(plan, raw, len(xs))
+        assert accepted == (1 << len(xs)) - 1
+        for k, hit in enumerate(hits):
+            for a, x in enumerate(xs):
+                assert (hit >> a & 1) == (bisect_right(cum, x / 2**53) <= k), (k, x)
+
+    def test_block_words_decode_to_random(self):
+        # getrandbits(64 * k) returns the 2k words of k random() calls,
+        # first word least significant, so draw d is words 2d and 2d + 1
+        k = 10_000
+        for seed in (0, 1, 17, 2**40 + 3):
+            raw = random.Random(seed).getrandbits(64 * k).to_bytes(8 * k, "little")
+            ref = random.Random(seed)
+            assert [_word53(raw, d) for d in range(k)] == [
+                int(ref.random() * 2**53) for _ in range(k)
+            ], seed
 
 
 class TestRunTrial:
@@ -308,15 +363,19 @@ class TestDrawStream:
         assert _stream_runs() == PINNED_STREAMS
 
     def test_one_draw_per_source_per_attempt(self):
+        # the kernel leaves the generator exactly where one random() call
+        # per source per attempt would
         for label, problem in _stream_problems().items():
-            plans = _source_plans(problem)
-            full = problem.frame.full_bits
-            rng = CountingRandom(3)
+            queries = [FocalSet(problem.frame, b) for b in (1, 3)]
+            rng = random.Random(3)
             _, restarts = _kernel_set(
-                plans, full, [~1, ~3], 500, rng, DEFAULT_RESTART_CAP
+                _set_plan(problem, queries), 500, rng, DEFAULT_RESTART_CAP, mc._BLOCK_BYTES
             )
             assert restarts > 0, label
-            assert rng.calls == len(problem.sources) * (500 + restarts), label
+            ref = random.Random(3)
+            for _ in range(len(problem.sources) * (500 + restarts)):
+                ref.random()
+            assert rng.getstate() == ref.getstate(), label
 
 
 class TestEstimate:
@@ -390,23 +449,43 @@ class TestEstimate:
         with pytest.raises(FrameMismatchError):
             QueryBatch((Frame(("a",)).universe(), Frame(("b",)).universe()))
 
-    def test_tally_limit_leaves_results_bit_identical(self, monkeypatch):
-        # Scoring each trial's intersection as soon as it is tallied gives
-        # the same counts as scoring the whole share's tally at the end.
+    def test_block_budget_leaves_results_bit_identical(self, monkeypatch):
+        # The block size changes how many attempts one getrandbits call
+        # covers, never a count or an error.  The conflicting pair rejects
+        # nine attempts in ten, so with blocks of 4 attempts (below the cap
+        # of 25) its rejection runs fill whole blocks and carry over.
         problem = random_problem(3)
         full = problem.frame.full_bits
         queries = [FocalSet(problem.frame, b) for b in (1, 3, full ^ 1, full & ~8)]
+        frame = Frame(("x1", "x2"))
+        conflicting = EvidenceProblem(
+            frame,
+            (
+                simple_support(frame, frame.singleton("x1"), 0.9),
+                simple_support(frame, frame.singleton("x2"), 1.0),
+            ),
+        )
 
         def runs():
-            return [
+            out = [
                 estimate(problem, queries, TrialEngineConfig(
                     trials=3000, seed=11, worker_count=workers))
                 for workers in (1, 2)
             ]
+            for cap in (25, 200):
+                cfg = TrialEngineConfig(trials=300, seed=2, restart_cap=cap)
+                try:
+                    out.append(conflict_estimate(conflicting, cfg))
+                except ExcessiveConflictError as e:
+                    out.append((str(e), e.conflict_estimate))
+            return out
 
         default = runs()
-        monkeypatch.setattr(mc, "_TALLY_LIMIT", 1)
-        assert runs() == default
+        assert isinstance(default[2][0], str)  # cap 25 trips
+        assert isinstance(default[3][0], float)  # cap 200 does not
+        for budget in (1, 8 * 2 * 4):
+            monkeypatch.setattr(mc, "_BLOCK_BYTES", budget)
+            assert runs() == default, budget
 
 
 class TestDeterminism:
@@ -502,3 +581,146 @@ class TestConflictEstimate:
         kappa, loops = conflict_estimate(problem, cfg)
         assert kappa == pytest.approx(0.5, abs=0.01)
         assert loops == pytest.approx(2.0, rel=0.05)
+
+
+def _block_test_problem(seed: int) -> EvidenceProblem:
+    """A random problem mixing certain sources, simple supports and 3-4
+    outcome sources, some of whose cumulative tables reach 1.0 before the
+    last entry."""
+    rng = random.Random(derive_stream_seed(seed, "test-block"))
+    frame = Frame(tuple(f"e{j}" for j in range(rng.randint(2, 7))))
+
+    def target() -> FocalSet:
+        if rng.random() < 0.25:
+            return frame.universe()
+        bits = 0
+        while not bits:
+            bits = rng.getrandbits(frame.size)
+            if rng.random() < 0.5:
+                bits |= rng.getrandbits(frame.size)
+        return FocalSet(frame, bits)
+
+    sources = []
+    for _ in range(rng.randint(1, 5)):
+        kind = rng.choice(("certain", "support", "multi", "rounded"))
+        if kind == "certain":
+            probs = [1.0]
+        elif kind == "support":
+            probs = [rng.uniform(0.1, 0.9)]
+            probs.append(1.0 - probs[0])
+        elif kind == "multi":
+            probs = [rng.uniform(0.05, 1.0) for _ in range(rng.randint(3, 4))]
+            probs = [p / math.fsum(probs) for p in probs]
+        else:
+            # dyadic masses summing to 1, then a last outcome of 1e-18: the
+            # cumulative table is exactly 1.0 before its last entry
+            probs = rng.choice(([0.25, 0.75], [0.5, 0.25, 0.25])) + [1e-18]
+        sources.append(SourceModel(frame, tuple((p, target()) for p in probs)))
+    return EvidenceProblem(frame, tuple(sources))
+
+
+def _per_draw_estimate(problem, queries, cfg) -> tuple:
+    """``(successes per query, restarts)`` of the per-draw kernel over the
+    same worker shares and substreams as :func:`estimate`."""
+    plans = per_draw_plans(problem)
+    full = problem.frame.full_bits
+    not_qs = [~q.bits for q in queries]
+    successes, restarts = [0] * len(queries), 0
+    for w, share in enumerate(mc._split_trials(cfg.trials, cfg.worker_count)):
+        s, r = per_draw_kernel_set(
+            plans, full, not_qs, share, worker_rng(cfg.seed, w), cfg.restart_cap
+        )
+        successes = [a + b for a, b in zip(successes, s)]
+        restarts += r
+    return successes, restarts
+
+
+def _outcome(run) -> tuple:
+    """A run's result, or its cap error's message and conflict estimate."""
+    try:
+        return run()
+    except ExcessiveConflictError as e:
+        return ("error", str(e), e.conflict_estimate)
+
+
+class TestBlockKernel:
+    """The block kernel against the per-draw kernel it replaced."""
+
+    PROBLEMS = [_block_test_problem(seed) for seed in range(40)]
+
+    def test_covers_rounded_and_certain_sources(self):
+        cums = [s.cumulative for p in self.PROBLEMS for s in p.sources]
+        assert any(len(c) == 1 for c in cums)
+        assert any(len(c) >= 3 and c[-2] == 1.0 for c in cums)
+        assert any(len(c) == 4 and c[-2] < 1.0 for c in cums)
+
+    @pytest.mark.parametrize("block_attempts", [None, 5])
+    def test_matches_per_draw_kernel(self, monkeypatch, block_attempts):
+        # caps below and above a block's attempt count, at 1 and 2 workers;
+        # errors match in message and conflict estimate
+        for problem in self.PROBLEMS:
+            m = len(problem.sources)
+            if block_attempts is not None:
+                monkeypatch.setattr(mc, "_BLOCK_BYTES", 8 * m * block_attempts)
+            per_block = mc._BLOCK_BYTES // (8 * m)
+            full = problem.frame.full_bits
+            queries = [
+                FocalSet(problem.frame, b) for b in (full, 1, full ^ 1, full & 0b1011)
+            ]
+            for cap in (3, 40, per_block + 7):
+                for workers in (1, 2):
+                    cfg = TrialEngineConfig(
+                        trials=400, seed=cap, restart_cap=cap, worker_count=workers
+                    )
+
+                    def block():
+                        res = estimate(problem, queries, cfg)
+                        return [r.successes for r in res], res[0].restarts
+
+                    def per_draw():
+                        return _per_draw_estimate(problem, queries, cfg)
+
+                    assert _outcome(block) == _outcome(per_draw), (problem, cap, workers)
+
+    def test_leaves_generator_where_per_draw_kernel_does(self):
+        # the same final generator state, after a full run and after a
+        # tripped cap, with blocks of 64 uniforms
+        for problem in self.PROBLEMS:
+            full = problem.frame.full_bits
+            queries = [FocalSet(problem.frame, b) for b in (full, full ^ 1)]
+            for cap in (3, 200):
+                rngs = random.Random(cap), random.Random(cap)
+                block = _outcome(
+                    lambda: _kernel_set(_set_plan(problem, queries), 300, rngs[0], cap, 8 * 64)
+                )
+                per_draw = _outcome(lambda: per_draw_kernel_set(
+                    per_draw_plans(problem), full, [~q.bits for q in queries],
+                    300, rngs[1], cap,
+                ))
+                assert block == per_draw, (problem, cap)
+                assert rngs[0].getstate() == rngs[1].getstate(), (problem, cap)
+
+
+class TestRestartLaw:
+    """Restarts over N trials are a sum of N geometric counts: mean
+    ``N * kappa / (1 - kappa)``, variance ``N * kappa / (1 - kappa)**2``."""
+
+    @staticmethod
+    def _problems() -> list[tuple[str, EvidenceProblem]]:
+        out = [
+            (name, parse_problem((BENCH_DATA / f"{name}.bel").read_text()))
+            for name in ("b14x20", "b16x26")
+        ]
+        out += [(f"random-{seed}", random_problem(seed)) for seed in range(8)]
+        out += [(f"ssf-{seed}", random_ssf_problem(seed)) for seed in range(4)]
+        return out
+
+    def test_restarts_within_three_sd_of_exact_conflict(self):
+        n = 20_000
+        for name, problem in self._problems():
+            kappa = conflict_exact(problem)
+            cfg = TrialEngineConfig(trials=n, seed=29)
+            restarts = estimate(problem, [problem.frame.universe()], cfg)[0].restarts
+            mean = n * kappa / (1.0 - kappa)
+            sd = math.sqrt(n * kappa) / (1.0 - kappa)
+            assert abs(restarts - mean) <= 3.0 * sd + 1e-9, (name, kappa, restarts, mean, sd)
