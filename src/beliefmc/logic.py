@@ -15,18 +15,18 @@ toward the clause's lower bound and 1 toward its upper bound.  The metering
 never changes what is sampled, so tightening the budget only moves scores
 between the bounds.
 
-The trial kernel holds terms as positive and negative bitmasks over the
-atoms in sorted name order, so bit order is literal order.  A merge is an
-OR, a contradiction is a non-zero AND against the opposite sign, and each
-clause test is one mask test; the exact step count comes from counting term
-and clause literals up to the lowest clashing or hitting bit.  Most draws
-merge nothing, so they cost little: an empty term is ``None`` and costs
-its draw and an ``is None`` test, and after a clash the attempt's remaining
-uniforms are drawn without being mapped to outcomes.  A uniform picks the
-outcome that bisecting the source's cumulative table picks
-(:func:`_draw_plan`), as in the set-trial kernel, which reads the same
-uniforms in blocks.  Trials are split into per-worker substreams and run by
-the set problems' worker runner, ``mc._run_workers``.
+The trial kernel runs on the set problems' block driver
+(``mc._run_blocks``), which draws one uniform per source per attempt, a
+block of attempts at a time, and hands over one bitmask over the block's
+attempts per non-empty term.  Literals follow the atoms in sorted name
+order, so literal order is bit order.  Each literal gets the mask of the
+attempts whose merged term holds it: an attempt is rejected when it holds
+a literal and its negation, and an accepted attempt hits a clause when it
+holds one of the clause's literals.  With a budget, a walk over the terms
+in source order counts each attempt's literal operations up to its first
+clash in bit-sliced counters, and each clause's test up to its first hit,
+so the step counts are exact.  Trials are split into per-worker substreams
+and run by the set problems' worker runner, ``mc._run_workers``.
 
 Problems over few atoms translate exactly to set problems over the frame of
 truth assignments, which connects this estimator to the exact combiners.
@@ -36,9 +36,10 @@ from __future__ import annotations
 
 import math
 import random
-from bisect import bisect_right
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
+from itertools import accumulate, compress
+from operator import add, gt, or_, sub, xor
 from typing import Iterator, Sequence
 
 from .errors import FrameTooLargeError, InvalidProblemError
@@ -49,10 +50,14 @@ from .evidence import (
     MASS_TOL,
     SourceModel,
     _cumulative,
+    _element_bytes,
 )
 from .mc import (
     TrialEngineConfig,
-    _cap_error,
+    _below,
+    _block_bytes,
+    _cuts,
+    _run_blocks,
     _run_workers,
     sd_bound,
 )
@@ -248,140 +253,201 @@ def validate_logic_problem(problem: LogicProblem) -> list[str]:
     return report
 
 
-def _term_masks(
-    literals: tuple[Literal, ...], bit: dict[str, int]
-) -> tuple[int, int, int, int]:
-    """``(pos, neg, literal_count, pos | neg)`` of a set of literals over
-    the atom bits ``bit``."""
-    pos = neg = 0
-    for l in literals:
-        if l.positive:
-            pos |= bit[l.atom]
-        else:
-            neg |= bit[l.atom]
-    return pos, neg, len(literals), pos | neg
+@dataclass(frozen=True)
+class _LogicPlan:
+    """What the logic-trial kernel needs of the sources and clauses.
 
-
-def _draw_plan(cum: tuple[float, ...], items: tuple) -> tuple:
-    """How the kernel draws one source: ``(threshold, lo, hi, cum, items)``.
-
-    A uniform ``u`` picks ``items[bisect_right(cum, u)]``.  One- and
-    two-outcome sources get ``cum=None`` and pick the same item by a single
-    comparison, ``lo if u < threshold else hi``; larger sources bisect
-    ``cum``.
+    Literal ``2 * t`` is atom ``t`` and ``2 * t + 1`` its negation, over the
+    atoms of the sources and clauses in sorted name order, so literal order
+    is bit order and ``l ^ 1`` is the negation of ``l``.  Each non-empty
+    term of a source outcome gets a slot, source by source; ``cuts`` and
+    ``outs`` are the block front end's (:func:`mc._cuts`) over those slots.
+    ``terms[j]`` lists slot ``j``'s literals in order and ``holders[l]`` the
+    slots whose terms hold literal ``l``; ``clashes`` lists the positive
+    literals whose atom some terms assert and others deny.  ``clauses[q]``
+    lists query ``q``'s literals in order, or is ``None`` for a tautology.
+    ``width`` is the bit length of the most literal operations one attempt
+    can spend.
     """
-    if len(cum) > 2:
-        return (0.0, None, None, cum, items)
-    return (cum[0], items[0], items[-1], None, items)
+
+    source_count: int
+    cuts: tuple[tuple[int, int, int, bytes], ...]
+    outs: tuple[tuple[int, int], ...]
+    terms: tuple[tuple[int, ...], ...]
+    holders: tuple[tuple[int, ...], ...]
+    clashes: tuple[int, ...]
+    clauses: tuple[tuple[int, ...] | None, ...]
+    width: int
 
 
-def _logic_plans(
-    sources: Sequence[LogicSource], *queries: ClauseQuery
-) -> tuple[list, tuple[tuple[int, int, int, int] | None, ...]]:
-    """The kernel's tables: one :func:`_draw_plan` per source
-    over the :func:`_term_masks` of its terms (``None`` for an empty term,
-    which merges nothing and costs nothing), and one clause mask per query
-    (``None`` for a tautology).
-
-    The kernel maps one uniform per source per attempt through these plans,
-    except after a clash: the lost attempt's remaining uniforms are drawn
-    but not mapped to outcomes.  Atom bits follow sorted atom names over the sources and every clause,
-    so bit order is literal order.
-    """
+def _logic_plan(sources: Sequence[LogicSource], queries: Sequence[ClauseQuery]) -> _LogicPlan:
+    """Build the :class:`_LogicPlan` once per call; worker shares share it."""
     atoms = {l.atom for s in sources for _, t in s.outcomes for l in t}
     atoms.update(l.atom for q in queries for l in q.literals)
-    bit = {a: 1 << i for i, a in enumerate(sorted(atoms))}
-    plans = [
-        _draw_plan(
-            _cumulative([p for p, _ in source.outcomes]),
-            tuple(
-                _term_masks(t.literals, bit) if t.literals else None
-                for _, t in source.outcomes
-            ),
-        )
-        for source in sources
-    ]
-    clauses = tuple(
-        None if q.is_tautology else _term_masks(q.literals, bit) for q in queries
+    index = {a: 2 * i for i, a in enumerate(sorted(atoms))}
+
+    def literals(ls: Sequence[Literal]) -> tuple[int, ...]:
+        return tuple(sorted(index[l.atom] + (not l.positive) for l in ls))
+
+    picks = [[k for k, (_, t) in enumerate(s.outcomes) if t.literals] for s in sources]
+    cuts, outs = _cuts([_cumulative([p for p, _ in s.outcomes]) for s in sources], picks)
+    terms = tuple(literals(t.literals) for s in sources for _, t in s.outcomes if t.literals)
+    holders: list[list[int]] = [[] for _ in range(2 * len(atoms))]
+    for j, term in enumerate(terms):
+        for l in term:
+            holders[l].append(j)
+    return _LogicPlan(
+        source_count=len(sources),
+        cuts=cuts,
+        outs=outs,
+        terms=terms,
+        holders=tuple(map(tuple, holders)),
+        clashes=tuple(l for l in range(0, 2 * len(atoms), 2) if holders[l] and holders[l + 1]),
+        clauses=tuple(None if q.is_tautology else literals(q.literals) for q in queries),
+        width=sum(max(len(t.literals) for _, t in s.outcomes) for s in sources).bit_length(),
     )
-    return plans, clauses
+
+
+def _lane_values(slices: Sequence[int], size: int) -> Sequence[int]:
+    """Per attempt ``a < size``, the count whose bit ``b`` is bit ``a`` of
+    ``slices[b]``: eight slices at a time become one byte per attempt."""
+    groups = []
+    for g in range(0, max(len(slices), 1), 8):
+        lanes = 0
+        for b, bits in enumerate(slices[g:g + 8]):
+            if bits:
+                lanes += int.from_bytes(_element_bytes(bits, size), "little") << b
+        groups.append(lanes.to_bytes(size, "little"))
+    if len(groups) == 1:
+        return groups[0]
+    return [sum(v << 8 * g for g, v in enumerate(vs)) for vs in zip(*groups)]
 
 
 def _kernel_logic(
-    plans,
-    clauses: Sequence[tuple[int, int, int, int] | None],
+    plan: _LogicPlan,
     trials: int,
     rng: random.Random,
     cap: int,
     budget: int | None,
+    block_bytes: int,
 ) -> tuple[list[int], list[int], int]:
-    """The logic-trial kernel; returns ``(successes per clause, timeouts per
+    """The logic-trial kernel: run attempts on ``rng`` in blocks of at most
+    ``block_bytes`` generator bytes (:func:`mc._run_blocks`) until
+    ``trials`` are accepted; returns ``(successes per clause, timeouts per
     clause, restarts)``.
 
-    An attempt ORs the drawn terms into a partial assignment held as
-    positive and negative atom bits ``(P, N)`` and restarts when a term
-    contradicts it.  Every clause is scored on the same accepted
-    assignment; ``clauses`` holds the :func:`_term_masks` of each query, or
-    ``None`` for a tautology.  An empty term (``None`` in the plans) costs
-    its draw and nothing else.  Once a term clashes, the attempt is lost:
-    its remaining sources each still draw their one uniform, in source
-    order, but the uniforms are not mapped to outcomes.
+    Every mask holds one bit per attempt of a block.  ``held[l]`` holds the
+    attempts that draw a term with literal ``l``; an attempt is rejected
+    when it holds some literal and its negation, and an accepted attempt
+    hits a clause when it holds one of its literals (every accepted attempt
+    hits a tautology).  Without a budget that is all, since source order
+    does not matter.
 
-    Step accounting, in literal operations: a merged term costs its literal
-    count; a contradicting term costs its literals up to and including the
-    first clash (the lowest bit of the clash mask, since atom bits follow
-    literal order), and the attempt's later terms are not merged;
+    Step accounting, in literal operations, as one attempt merging its
+    terms in source order: a merged term costs its literal count; a
+    contradicting term costs its literals up to and including the first
+    clash, in literal order, and the attempt's later terms are not merged;
     a clause test costs its literals up to and including the first hit, or
-    all of them.  A trial's merge cost is shared by its clauses, and each
-    clause adds only its own test, so the budget applies per (trial,
-    clause): one trial can time out on one clause and score on another.
-    The count is a pure function of the draws, so the budget never perturbs
-    the stream.
+    all of them.  With a budget, the kernel walks the term slots in source
+    order with the mask of attempts that have not clashed yet, and adds one
+    to a bit-sliced counter (bit ``b`` of every attempt's count in slice
+    ``b``) for each literal an attempt tests.  A trial's merge cost, its
+    rejected attempts included, is shared by its clauses, and each clause
+    adds only its own test, so the budget applies per (trial, clause): one
+    trial can time out on one clause and score on another.  The count is a
+    pure function of the draws, so the budget never perturbs the stream.
     """
-    rand = rng.random
+    m = plan.source_count
+    clauses = plan.clauses
     successes = [0] * len(clauses)
     timeouts = [0] * len(clauses)
-    restarts = 0
-    for t in range(trials):
-        trial_restarts = 0
-        ops = 0
-        while True:
-            P = N = 0
-            draws = iter(plans)
-            for thr, lo, hi, cum, outs in draws:
-                if cum is None:
-                    term = lo if rand() < thr else hi
-                else:
-                    term = outs[bisect_right(cum, rand())]
-                if term is None:
-                    continue
-                pos, neg, count, mask = term
-                clash = P & neg | N & pos
-                if clash:
-                    ops += (mask & (clash ^ (clash - 1))).bit_count()
-                    for _ in draws:  # one uniform per source per attempt
-                        rand()
+    metered = budget is not None and bool(clauses)
+    his = [hi for hi, _ in plan.outs]
+    los = [lo for _, lo in plan.outs]
+    carry = 0  # the current trial's operations in earlier blocks
+
+    def score(raw: bytes, size: int):
+        below = _below(plan.cuts, raw, size, m)
+        every = below[1]
+        drawn = list(map(xor, map(below.__getitem__, his), map(below.__getitem__, los)))
+        if not metered:
+            held = [reduce(or_, map(drawn.__getitem__, h), 0) for h in plan.holders]
+            accepted = every ^ reduce(or_, [held[l] & held[l + 1] for l in plan.clashes], 0)
+
+            def tally(cut: int) -> None:
+                keep = accepted & ((1 << cut) - 1)
+                for qi, clause in enumerate(clauses):
+                    hit = keep if clause is None else keep & reduce(or_, map(held.__getitem__, clause))
+                    successes[qi] += hit.bit_count()
+
+            return accepted, tally
+
+        # metered: walk the slots in source order; ``held`` only grows from
+        # slots of earlier sources, and attempts that clash are dropped
+        # from ``alive``, so what a dead attempt holds is never read
+        held = [0] * len(plan.holders)
+        ops = [0] * plan.width
+        alive = every
+        for s, term in zip(drawn, plan.terms):
+            run = s & alive
+            for l in term:
+                if not run:
                     break
-                P |= pos
-                N |= neg
-                ops += count
-            else:
-                break
-            restarts += 1
-            trial_restarts += 1
-            if trial_restarts > cap:
-                raise _cap_error(restarts, t, cap)
-        for i, clause in enumerate(clauses):
+                x = run  # add one to every attempt of run
+                b = 0
+                while x:
+                    c = ops[b]
+                    ops[b] = c ^ x
+                    x &= c
+                    b += 1
+                clash = run & held[l ^ 1]
+                if clash:
+                    run ^= clash
+                    alive ^= clash
+            for l in term:
+                held[l] |= s
+        accepted = alive
+        hits = []
+        tests = []
+        for clause in clauses:
             if clause is None:
-                hit, cost = 1, ops
-            else:
-                cpos, cneg, clen, cmask = clause
-                hit = P & cpos | N & cneg
-                cost = ops + ((cmask & (hit ^ (hit - 1))).bit_count() if hit else clen)
-            if budget is not None and cost > budget:
-                timeouts[i] += 1
-            elif hit:
-                successes[i] += 1
+                hits.append(accepted)
+                tests.append(bytes(size))
+                continue
+            rest = accepted  # attempts no literal hit yet
+            cost = [0] * len(clause).bit_length()
+            for j, l in enumerate(clause, 1):
+                first = rest & held[l]
+                if first:
+                    rest ^= first
+                    for b in range(j.bit_length()):
+                        if j >> b & 1:
+                            cost[b] |= first
+            for b in range(len(cost)):
+                if len(clause) >> b & 1:
+                    cost[b] |= rest
+            hits.append(accepted ^ rest)
+            tests.append(_lane_values(cost, size))
+        merge = _lane_values(ops, size)
+
+        def tally(cut: int) -> None:
+            # each accepted attempt ends a trial, whose merge cost runs from
+            # the attempt after the previous trial's, carried across blocks
+            nonlocal carry
+            ends = list(accumulate(merge[:cut]))  # merge cost up to each attempt
+            at = list(compress(range(cut), _element_bytes(accepted & ((1 << cut) - 1), cut)))
+            closed = list(map(ends.__getitem__, at))
+            spent = list(map(sub, closed, [-carry, *closed[:-1]]))
+            carry = ends[-1] - closed[-1] if closed else carry + ends[-1]
+            for qi, (test, hit) in enumerate(zip(tests, hits)):
+                over = bytes(map(budget.__lt__, map(add, spent, map(test.__getitem__, at))))
+                timeouts[qi] += over.count(1)
+                scored = map(_element_bytes(hit, size).__getitem__, at)
+                successes[qi] += sum(map(gt, scored, over))
+
+        return accepted, tally
+
+    restarts = _run_blocks(m, score, trials, rng, cap, block_bytes)
     return successes, timeouts, restarts
 
 
@@ -410,15 +476,16 @@ def logic_estimate(
         raise InvalidProblemError(report)
     if step_budget is not None and step_budget < 0:
         raise ValueError(f"step budget must be >= 0, got {step_budget}")
-    plans, clauses = _logic_plans(sources, *queries)
+    plan = _logic_plan(sources, queries)
+    block_bytes = _block_bytes(cfg)
 
     def job(share, rng):
-        return _kernel_logic(plans, clauses, share, rng, cfg.restart_cap, step_budget)
+        return _kernel_logic(plan, share, rng, cfg.restart_cap, step_budget, block_bytes)
 
     parts = _run_workers(cfg, job)
     restarts = sum(p[2] for p in parts)
     estimates = []
-    for i in range(len(clauses)):
+    for i in range(len(queries)):
         successes = sum(p[0][i] for p in parts)
         timeouts = sum(p[1][i] for p in parts)
         estimates.append(

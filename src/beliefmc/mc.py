@@ -6,27 +6,26 @@ the surviving intersection lies inside the query set.  The success frequency
 estimates the combined belief; the rejected-draw frequency estimates the
 conflict mass.
 
-One set-trial kernel serves every call.  It scores attempts a block at a
-time: one ``getrandbits`` call yields the words of every uniform in the
-block, the top byte of each uniform decides which cumulative entries it
-falls below (the rare equal byte is decided from the whole 53 bits), and
-each source outcome becomes a bitmask over the block's attempts.  The
-frame's elements are grouped by the outcomes that lack them; a group
-leaves an attempt's intersection when one of those outcomes is drawn, so
-an attempt is rejected when every group leaves it and scores a query when
-every group outside the query leaves it.  Bitwise OR and AND over these
-masks do the work of every attempt at once.
+One block driver (:func:`_run_blocks`) runs the attempts of both
+kernels, this module's set-trial kernel and the logic kernel of
+``logic.py``.  It draws a block's uniforms with ``getrandbits`` calls into
+one buffer, sizes the blocks, and trips the restart cap; its front end
+(:func:`_below`) lets the top byte of each uniform decide which cumulative
+entries it falls below (the rare equal byte is decided from the next byte
+or the whole 53 bits), so each source outcome becomes a bitmask over the
+block's attempts.  A kernel only scores a block.  The set kernel groups
+the frame's elements by the outcomes that lack them; a group leaves an
+attempt's intersection when one of those outcomes is drawn, so an attempt
+is rejected when every group leaves it and scores a query when every group
+outside the query leaves it.  Bitwise OR and AND over these masks do the
+work of every attempt at once.
 
 The draw contract is that each attempt consumes exactly one uniform per
 source, in source order, with no early exit; results are therefore a pure
-function of ``(seed, worker_count)``.  The block kernel reads the same
-uniforms in the same order as one ``random()`` call per source per attempt,
-maps each to the outcome that bisecting the source's cumulative table
-picks, and leaves the generator where those calls would.  The logic kernel
-(``logic.py``) draws with ``random()`` and maps a uniform to the same
-outcome; it skips only the mapping, never the draw: once an attempt is
-lost, its remaining sources each draw their uniform, which is not mapped to
-an outcome.
+function of ``(seed, worker_count)``.  The driver reads the same uniforms
+in the same order as one ``random()`` call per source per attempt, the
+kernels map each to the outcome that bisecting the source's cumulative
+table picks, and the generator ends where those calls would leave it.
 
 ``worker_count`` splits the trials into per-worker substreams derived from
 the seed, and the shares run on one thread per share, capped at the core
@@ -42,6 +41,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import mmap
 import os
 import random
 from concurrent.futures import ThreadPoolExecutor
@@ -52,7 +52,7 @@ from operator import and_, or_
 from typing import Sequence
 
 from .errors import ExcessiveConflictError, FrameMismatchError
-from .evidence import EvidenceProblem, FocalSet, require_valid
+from .evidence import EvidenceProblem, FocalSet, _element_bytes, require_valid
 
 DEFAULT_RESTART_CAP = 10_000
 
@@ -158,30 +158,57 @@ def _word53(raw: bytes, d: int) -> int:
     return (w & 0xFFFFFFFF) >> 5 << 26 | w >> 38
 
 
+def _cuts(
+    cumulatives: Sequence[Sequence[float]], picks: Sequence[Sequence[int]]
+) -> tuple[tuple[tuple[int, int, int, bytes], ...], tuple[tuple[int, int], ...]]:
+    """The block front end's tables: ``(cuts, outs)``.
+
+    Each uniform is ``X / 2**53`` for a 53-bit integer ``X``, and source
+    ``i`` picks outcome ``k`` when ``X`` is below ``cumulatives[i][k]`` for
+    the first time.  ``cuts`` holds ``(source, limit, top, table)`` for every
+    cumulative entry below 1.0 that bounds an outcome in ``picks[i]``:
+    ``X / 2**53 < cum[k]`` exactly when ``X < limit``, ``top`` is
+    ``limit``'s top byte, and ``table`` maps the top byte of ``X`` to
+    ``"1"`` when it is at most ``top``, so only a top byte equal to ``top``
+    needs the next byte, and an equal next byte the whole of ``X``.  A
+    block's :func:`_below` list holds no attempt, every attempt, then the
+    attempts below each cut; ``outs`` holds ``(hi, lo)`` for each picked
+    outcome, source by source, and ``below[hi] ^ below[lo]`` are the
+    attempts that pick it.
+    """
+    cuts = []
+    outs = []
+    for i, (cum, picked) in enumerate(zip(cumulatives, picks)):
+        below = [0]  # per cumulative entry, its index in a block's below list
+        for k, c in enumerate(cum[:-1]):
+            limit = math.ceil(c * 2.0**53)
+            top = limit >> 45
+            if top > 255:  # c is 1.0
+                below.append(1)
+            elif k in picked or k + 1 in picked:
+                below.append(len(cuts) + 2)
+                cuts.append((i, limit, top, b"1" * (top + 1) + b"0" * (255 - top)))
+            else:
+                below.append(-1)  # bounds no picked outcome
+        below.append(1)
+        outs.extend((below[k + 1], below[k]) for k in picked)
+    return tuple(cuts), tuple(outs)
+
+
 @dataclass(frozen=True)
 class _SetPlan:
     """What the set-trial kernel needs of a problem and its queries.
 
-    Each uniform is ``X / 2**53`` for a 53-bit integer ``X``, and a source
-    picks outcome ``k`` when ``X`` is below ``cum[k]`` for the first time.
-    ``cuts`` holds ``(source, limit, top, table)`` for every cumulative
-    entry below 1.0 that some outcome mask needs: ``X / 2**53 < cum[k]``
-    exactly when ``X < limit``, ``top`` is ``limit``'s top byte, and
-    ``table`` maps the top byte of ``X`` to ``"1"`` when it is at most
-    ``top``, so only a top byte equal to ``top`` needs the whole of ``X``.
-    A block's ``below`` list holds no attempt, every attempt, then the
-    attempts below each cut; ``outs[j]`` is ``(hi, lo)``, and
-    ``below[hi] ^ below[lo]`` are the attempts in which outcome slot ``j``
-    is picked.  Only outcomes that lack some element get a slot.
-
-    A block's values are one mask per slot and a 0, and ``program``
-    appends ``vals[a] | vals[b]`` for each of its pairs: the entries of
-    256-entry OR tables over 8 slots at a time that some group reads.  The
-    elements are grouped by the slots that lack them, and a group's kill
-    mask, the attempts whose intersection loses the group's elements, is
-    the OR of one table entry per 8 slots: ``lookups[c][g]`` is group
-    ``g``'s entry for slots ``8c`` to ``8c + 7``.  ``outside[q]`` lists the
-    groups that query ``q`` leaves out.
+    ``cuts`` and ``outs`` are the block front end's (:func:`_cuts`), with an
+    outcome slot for each outcome that lacks some element.  A block's values
+    are one mask per slot and a 0, and ``program`` appends
+    ``vals[a] | vals[b]`` for each of its pairs: the entries of 256-entry OR
+    tables over 8 slots at a time that some group reads.  The elements are
+    grouped by the slots that lack them, and a group's kill mask, the
+    attempts whose intersection loses the group's elements, is the OR of one
+    table entry per 8 slots: ``lookups[c][g]`` is group ``g``'s entry for
+    slots ``8c`` to ``8c + 7``.  ``outside[q]`` lists the groups that query
+    ``q`` leaves out.
     """
 
     source_count: int
@@ -192,37 +219,16 @@ class _SetPlan:
     outside: tuple[tuple[int, ...], ...]
 
 
-#: Maps the ``"0"``/``"1"`` digits of a binary string to bytes 0 and 1.
-_DIGITS = bytes.maketrans(b"01", b"\x00\x01")
-
-
-def _element_bytes(bits: int, n: int) -> bytes:
-    """Byte ``e`` is bit ``e`` of ``bits``, for ``e < n``."""
-    return format(bits, f"0{n}b").encode()[::-1].translate(_DIGITS)
-
-
 def _set_plan(problem: EvidenceProblem, queries: Sequence[FocalSet]) -> _SetPlan:
     """Build the :class:`_SetPlan` once per call; worker shares share it."""
     n = problem.frame.size
     full = problem.frame.full_bits
-    cuts = []
-    outs = []
-    lacks: list[int] = []  # per slot: the elements its outcome lacks
-    for i, s in enumerate(problem.sources):
-        below = [0]  # per cumulative entry, its index in a block's below list
-        for c in s.cumulative[:-1]:
-            limit = math.ceil(c * 2.0**53)
-            top = limit >> 45
-            if top > 255:  # c is 1.0
-                below.append(1)
-            else:
-                below.append(len(cuts) + 2)
-                cuts.append((i, limit, top, b"1" * (top + 1) + b"0" * (255 - top)))
-        below.append(1)
-        for k, bits in enumerate(s.target_bits):
-            if full & ~bits:
-                outs.append((below[k + 1], below[k]))
-                lacks.append(full & ~bits)
+    picks = [
+        [k for k, bits in enumerate(s.target_bits) if full & ~bits] for s in problem.sources
+    ]
+    cuts, outs = _cuts([s.cumulative for s in problem.sources], picks)
+    # per slot: the elements its outcome lacks
+    lacks = [full & ~s.target_bits[k] for s, ks in zip(problem.sources, picks) for k in ks]
     # one byte lane per 8 slots: byte e holds the slots that lack element e
     lanes = []
     for c0 in range(0, len(lacks), 8):
@@ -266,40 +272,73 @@ def _set_plan(problem: EvidenceProblem, queries: Sequence[FocalSet]) -> _SetPlan
 
 
 #: Generator bytes that the blocks of one call hold at once, 8 per source per
-#: attempt, shared equally by the worker threads that run at once.  Larger
-#: blocks spread each source's per-block steps over more attempts but hold
-#: more memory: a thread holds about twice its block while drawing it.  In
-#: 8 s ``perfbench`` runs (seed 3), with one block per thread, against the
-#: per-draw kernel's ``round_s`` 0.118 s and ``peak_rss_mb`` 24.36 on
-#: set-single and 32.82 on set-batch-exact (two workers), blocks of 64, 128
-#: and 256 KiB read set-single 0.073, 0.067 and 0.062 s with peak RSS
-#: +0.3%, +1.9% and +4.2%, and blocks of 32, 64, 128 and 192 KiB read
-#: set-batch-exact peak RSS +1.2%, +2.0%, +3.0% and +4.0%.  Over 36 s runs,
-#: set-batch-exact read +2.9% with 64 KiB per thread (5 pairs) and +2.0%
-#: with the 64 KiB shared (10 pairs).
-_BLOCK_BYTES = 64 * 1024
+#: attempt, shared equally by the worker threads that run at once.  A block
+#: spreads its fixed steps (one per cumulative cut, outcome slot and term)
+#: over more attempts the larger it is, and a thread holds one block's
+#: buffer while it runs.  ``perfbench`` (2 cores, Python 3.11.7) against 64
+#: KiB blocks and the per-draw logic kernel, 8 s runs at seeds 5 and 6 with
+#: a new buffer per block: budgets of 128, 192, 256 and 384 KiB read
+#: logic-budget ``estimate_s.p50`` 0.0589 s -> 0.0400, 0.0349, 0.0327 and
+#: 0.0310 s with ``peak_rss_mb`` +1.0%, +1.4%, +2.2% and +3.3%, set-single
+#: ``round_s`` 0.0724 s -> 0.0586, 0.0574, 0.0558 and 0.0567 s (RSS +0.5%
+#: to +2.5%), and set-batch-exact ``estimate_s.p50`` 0.0076 s -> 0.0063,
+#: 0.0060, 0.0062 and 0.0060 s (RSS +0.5% to +2.1%).  Over 36 s runs the
+#: logic-budget RSS grew further, +3.0% to +4.8% at 192 KiB and +2.9% at
+#: 128 KiB, because each worker thread's malloc arena kept its freed blocks
+#: (+0.7% with one arena).  With one anonymous map per share, 192 KiB read
+#: +2.5%, and 128 KiB read +1.6% over 10 alternating pairs.
+_BLOCK_BYTES = 128 * 1024
+
+#: A block is drawn into its buffer by ``getrandbits`` calls of at most this
+#: many bytes, so the integer and the bytes of a whole block are never alive
+#: together.  Chunks of 4 to 32 KiB draw a 96 KiB block equally fast.
+_CHUNK_BYTES = 4 * 1024
+
+
+def _draw(rng: random.Random, uniforms: int, raw=None) -> None:
+    """Write the words of the next ``uniforms`` ``random()`` calls, 8 bytes
+    each, to the start of ``raw``, or only move the generator past them when
+    ``raw`` is None."""
+    for at in range(0, 8 * uniforms, _CHUNK_BYTES):
+        n = min(_CHUNK_BYTES, 8 * uniforms - at)
+        words = rng.getrandbits(8 * n)
+        if raw is not None:
+            raw[at:at + n] = words.to_bytes(n, "little")
+
+
+def _below(cuts, raw: bytes, size: int, m: int) -> list[int]:
+    """A block's below list over the ``size`` attempts whose uniforms start
+    ``raw``, ``m`` per attempt: no attempt, every attempt, then per
+    cut of :func:`_cuts` the attempts whose uniform for the cut's source
+    falls below it (bit ``a`` for attempt ``a``)."""
+    last = (size - 1) * m
+    below = [0, (1 << size) - 1]
+    for i, limit, top, table in cuts:
+        # source i's top bytes (byte 3 of a uniform's first word), last
+        # attempt first
+        col = raw[8 * (last + i) + 3::-8 * m]
+        mask = int(col.translate(table), 2)
+        p = col.find(top)
+        if p >= 0:
+            second = limit >> 37 & 255  # the next byte down
+            while p >= 0:
+                a = size - 1 - p
+                d = a * m + i
+                b = raw[8 * d + 2]
+                if b > second or b == second and _word53(raw, d) >= limit:
+                    mask ^= 1 << a
+                p = col.find(top, p + 1)
+        below.append(mask)
+    return below
 
 
 def _block(plan: _SetPlan, raw: bytes, size: int) -> tuple[int, list[int]]:
-    """Score the ``size`` attempts whose uniforms ``raw`` holds, 8 bytes
+    """Score the ``size`` attempts whose uniforms start ``raw``, 8 bytes
     each, attempt by attempt and source by source: returns the mask of
     accepted attempts (bit ``a`` for attempt ``a``) and, per query, the
     mask of attempts whose intersection lies inside it."""
-    m = plan.source_count
-    every = (1 << size) - 1
-    tops = raw[3::8]  # the top byte of each uniform's first word
-    last = (size - 1) * m
-    below = [0, every]
-    for i, limit, top, table in plan.cuts:
-        col = tops[last + i::-m]  # source i's top bytes, last attempt first
-        mask = int(col.translate(table), 2)
-        p = col.find(top)
-        while p >= 0:
-            a = size - 1 - p
-            if _word53(raw, a * m + i) >= limit:
-                mask ^= 1 << a
-            p = col.find(top, p + 1)
-        below.append(mask)
+    below = _below(plan.cuts, raw, size, plan.source_count)
+    every = below[1]
     vals = [below[hi] ^ below[lo] for hi, lo in plan.outs]
     vals.append(0)
     for a, b in plan.program:
@@ -314,54 +353,104 @@ def _block(plan: _SetPlan, raw: bytes, size: int) -> tuple[int, list[int]]:
     ]
 
 
+def _run_blocks(
+    m: int, score, trials: int, rng: random.Random, cap: int, block_bytes: int
+) -> int:
+    """Run attempts of ``m`` sources on ``rng`` in blocks until ``trials``
+    are accepted; returns the restarts.
+
+    ``score(raw, size)`` scores the ``size`` attempts whose uniforms start
+    ``raw`` and returns the mask of accepted attempts with a ``tally(cut)``
+    that adds the results of the attempts below ``cut`` to the kernel's
+    counts.  CPython's ``random()`` builds its 53 bits from two consecutive
+    32-bit words, and ``getrandbits(64 * k)`` returns the words of ``k``
+    such calls, first word least significant, so uniform ``a * m + i`` of a
+    block is the one source ``i`` draws in attempt ``a`` under one
+    ``random()`` call per source per attempt.
+
+    A block holds at most ``block_bytes`` generator bytes.  The first holds
+    no more attempts than trials are left; once some are accepted, a block
+    holds the attempts the trials left need at the acceptance rate so far,
+    plus two standard deviations, so a share's tail mostly takes one block.
+    When a block accepts the last trial left before its end, or the restart
+    cap trips inside it, the generator is set back to the state saved
+    before the block and draws again up to the attempt that accepted that
+    trial or tripped the cap, so it ends where the per-draw loop would
+    leave it.
+    """
+    per_block = max(1, block_bytes // (8 * m))
+    done = restarts = run = 0  # run: rejections since the last acceptance
+    # One buffer serves every block of the share.  An anonymous map hands its
+    # pages back to the system when closed, where a freed buffer would stay
+    # in the worker thread's malloc arena.
+    with mmap.mmap(-1, 8 * m * per_block) as raw:
+        while done < trials:
+            left = trials - done
+            if done:
+                p = done / (done + restarts)
+                need = (left + 2.0 * math.sqrt(left * (1.0 - p))) / p
+                size = min(per_block, math.ceil(need))
+            else:
+                size = min(per_block, left) if not restarts else per_block
+            state = rng.getstate()
+            _draw(rng, m * size, raw)
+            accepted, tally = score(raw, size)
+            cut = size
+            if accepted.bit_count() >= left:
+                # the attempt that accepts the last trial left ends the share
+                lo = left
+                while lo < cut:
+                    mid = (lo + cut) // 2
+                    if (accepted & ((1 << mid) - 1)).bit_count() >= left:
+                        cut = mid
+                    else:
+                        lo = mid + 1
+            # the cap trips at the (cap + 1)-th rejection in a row, counting
+            # the rejections carried over from earlier blocks
+            first = (accepted & -accepted).bit_length() - 1 if accepted else size
+            trip = -1
+            if run + first > cap:
+                trip = cap - run
+            elif cap + 2 <= size:
+                at = format(accepted, f"0{size}b")[::-1].find("1" + "0" * (cap + 1))
+                if at >= 0:
+                    trip = at + cap + 1
+            if 0 <= trip < cut:
+                kept = (accepted & ((1 << trip) - 1)).bit_count()
+                rng.setstate(state)
+                _draw(rng, m * (trip + 1))
+                raise _cap_error(restarts + trip + 1 - kept, done + kept, cap)
+            if cut < size:
+                rng.setstate(state)
+                _draw(rng, m * cut)
+                accepted &= (1 << cut) - 1
+            tally(cut)
+            count = accepted.bit_count()
+            done += count
+            restarts += cut - count
+            run = cut - accepted.bit_length() if accepted else run + cut
+    return restarts
+
+
 def _kernel_set(
     plan: _SetPlan, trials: int, rng: random.Random, cap: int, block_bytes: int
 ) -> tuple[list[int], int]:
-    """The set-trial kernel: run attempts on ``rng`` until ``trials`` are
-    accepted; returns ``(successes per query, restarts)``.
-
-    Attempts run in blocks of at most ``block_bytes`` generator bytes,
-    drawn by one ``getrandbits`` call.  CPython's ``random()`` builds its
-    53 bits from two consecutive 32-bit words, and ``getrandbits(64 * k)``
-    returns the words of ``k`` such calls, first word least significant, so
-    uniform ``a * m + i`` of a block is the one source ``i`` draws in
-    attempt ``a`` under one ``random()`` call per source per attempt.  A
-    block holds no more attempts than trials are left, so the last trial
-    ends with a block.  When the restart cap trips inside a block, the block
-    is drawn again from the state saved before it, up to the attempt that
-    tripped the cap, so the generator ends where the per-draw loop would
-    leave it.
-    """
-    m = plan.source_count
-    per_block = max(1, block_bytes // (8 * m))
+    """The set-trial kernel: run attempts on ``rng`` in blocks of at most
+    ``block_bytes`` generator bytes (:func:`_run_blocks`) until ``trials``
+    are accepted; returns ``(successes per query, restarts)``."""
     successes = [0] * len(plan.outside)
-    done = restarts = run = 0  # run: rejections since the last acceptance
-    while done < trials:
-        size = min(per_block, trials - done)
-        state = rng.getstate()
-        raw = rng.getrandbits(64 * m * size).to_bytes(8 * m * size, "little")
+
+    def score(raw: bytes, size: int):
         accepted, hits = _block(plan, raw, size)
-        # the cap trips at the (cap + 1)-th rejection in a row, counting
-        # the rejections carried over from earlier blocks
-        first = (accepted & -accepted).bit_length() - 1 if accepted else size
-        trip = -1
-        if run + first > cap:
-            trip = cap - run
-        elif cap + 2 <= size:
-            at = format(accepted, f"0{size}b")[::-1].find("1" + "0" * (cap + 1))
-            if at >= 0:
-                trip = at + cap + 1
-        if trip >= 0:
-            kept = (accepted & ((1 << trip) - 1)).bit_count()
-            rng.setstate(state)
-            rng.getrandbits(64 * m * (trip + 1))
-            raise _cap_error(restarts + trip + 1 - kept, done + kept, cap)
-        count = accepted.bit_count()
-        done += count
-        restarts += size - count
-        run = size - accepted.bit_length() if accepted else run + size
-        for qi, hit in enumerate(hits):
-            successes[qi] += hit.bit_count()
+
+        def tally(cut: int) -> None:
+            keep = (1 << cut) - 1
+            for qi, hit in enumerate(hits):
+                successes[qi] += (hit & keep).bit_count()
+
+        return accepted, tally
+
+    restarts = _run_blocks(plan.source_count, score, trials, rng, cap, block_bytes)
     return successes, restarts
 
 
@@ -369,6 +458,11 @@ def _threads(cfg: TrialEngineConfig) -> int:
     """How many worker threads run at once: one per share, no more than
     cores."""
     return min(len(_split_trials(cfg.trials, cfg.worker_count)), os.cpu_count() or 1)
+
+
+def _block_bytes(cfg: TrialEngineConfig) -> int:
+    """A worker thread's share of :data:`_BLOCK_BYTES`."""
+    return _BLOCK_BYTES // _threads(cfg)
 
 
 def _run_workers(cfg: TrialEngineConfig, job) -> list:
@@ -423,7 +517,7 @@ def estimate(
         if q.frame != problem.frame:
             raise FrameMismatchError("query set from a different frame")
     plan = _set_plan(problem, batch.queries)
-    block_bytes = _BLOCK_BYTES // _threads(cfg)
+    block_bytes = _block_bytes(cfg)
 
     def job(share, rng):
         return _kernel_set(plan, share, rng, cfg.restart_cap, block_bytes)
@@ -445,7 +539,7 @@ def conflict_estimate(
     """
     require_valid(problem)
     plan = _set_plan(problem, ())
-    block_bytes = _BLOCK_BYTES // _threads(cfg)
+    block_bytes = _block_bytes(cfg)
 
     def job(share, rng):
         return _kernel_set(plan, share, rng, cfg.restart_cap, block_bytes)

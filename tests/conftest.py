@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 from beliefmc import (
     CombinationResult,
     EvidenceProblem,
+    ExcessiveConflictError,
     FocalSet,
     Frame,
     LogicProblem,
@@ -32,17 +33,9 @@ from beliefmc import (
     logic_estimate,
     simple_support,
 )
+from beliefmc.evidence import _cumulative
 from beliefmc.mc import _cap_error, derive_stream_seed
-from beliefmc.logic import Literal, _draw_plan
-
-class CountingRandom(random.Random):
-    """A ``random.Random`` that counts its ``random()`` calls."""
-
-    calls = 0
-
-    def random(self) -> float:
-        self.calls += 1
-        return super().random()
+from beliefmc.logic import ClauseQuery, Literal
 
 
 def combine_masses(*masses: MassFunction) -> CombinationResult:
@@ -54,11 +47,25 @@ def combine_masses(*masses: MassFunction) -> CombinationResult:
     return combine_all(EvidenceProblem(masses[0].frame, sources))
 
 
-# ------------------------------------------------ per-draw set-trial kernel
+# ------------------------------------------------------ per-draw kernels
 #
-# The set-trial kernel as it ran before the block kernel replaced it: one
-# ``random()`` call per source per attempt, kept as the reference the block
-# kernel must match draw for draw, count for count and error for error.
+# The set- and logic-trial kernels as they ran before the block kernels
+# replaced them: one ``random()`` call per source per attempt, kept as the
+# references the block kernels must match draw for draw, count for count
+# and error for error.
+
+
+def draw_plan(cum: tuple[float, ...], items: tuple) -> tuple:
+    """How the kernel draws one source: ``(threshold, lo, hi, cum, items)``.
+
+    A uniform ``u`` picks ``items[bisect_right(cum, u)]``.  One- and
+    two-outcome sources get ``cum=None`` and pick the same item by a single
+    comparison, ``lo if u < threshold else hi``; larger sources bisect
+    ``cum``.
+    """
+    if len(cum) > 2:
+        return (0.0, None, None, cum, items)
+    return (cum[0], items[0], items[-1], None, items)
 
 
 #: Distinct intersections the per-draw kernel tallies before it scores them.
@@ -67,7 +74,7 @@ _TALLY_LIMIT = 4096
 
 def per_draw_plans(problem: EvidenceProblem) -> list[tuple]:
     """One draw plan per source, over its target masks."""
-    return [_draw_plan(s.cumulative, s.target_bits) for s in problem.sources]
+    return [draw_plan(s.cumulative, s.target_bits) for s in problem.sources]
 
 
 def _score_tally(
@@ -116,6 +123,139 @@ def per_draw_kernel_set(
             _score_tally(tally, not_queries, successes)
     _score_tally(tally, not_queries, successes)
     return successes, restarts
+
+
+def term_masks(
+    literals: tuple[Literal, ...], bit: dict[str, int]
+) -> tuple[int, int, int, int]:
+    """``(pos, neg, literal_count, pos | neg)`` of a set of literals over
+    the atom bits ``bit``."""
+    pos = neg = 0
+    for l in literals:
+        if l.positive:
+            pos |= bit[l.atom]
+        else:
+            neg |= bit[l.atom]
+    return pos, neg, len(literals), pos | neg
+
+
+def per_draw_logic_plans(
+    sources: Sequence[LogicSource], *queries: ClauseQuery
+) -> tuple[list, tuple[tuple[int, int, int, int] | None, ...]]:
+    """The kernel's tables: one :func:`draw_plan` per source
+    over the :func:`term_masks` of its terms (``None`` for an empty term,
+    which merges nothing and costs nothing), and one clause mask per query
+    (``None`` for a tautology).
+
+    The kernel maps one uniform per source per attempt through these plans,
+    except after a clash: the lost attempt's remaining uniforms are drawn
+    but not mapped to outcomes.  Atom bits follow sorted atom names over the sources and every clause,
+    so bit order is literal order.
+    """
+    atoms = {l.atom for s in sources for _, t in s.outcomes for l in t}
+    atoms.update(l.atom for q in queries for l in q.literals)
+    bit = {a: 1 << i for i, a in enumerate(sorted(atoms))}
+    plans = [
+        draw_plan(
+            _cumulative([p for p, _ in source.outcomes]),
+            tuple(
+                term_masks(t.literals, bit) if t.literals else None
+                for _, t in source.outcomes
+            ),
+        )
+        for source in sources
+    ]
+    clauses = tuple(
+        None if q.is_tautology else term_masks(q.literals, bit) for q in queries
+    )
+    return plans, clauses
+
+
+def per_draw_kernel_logic(
+    plans,
+    clauses: Sequence[tuple[int, int, int, int] | None],
+    trials: int,
+    rng: random.Random,
+    cap: int,
+    budget: int | None,
+) -> tuple[list[int], list[int], int]:
+    """The logic-trial kernel; returns ``(successes per clause, timeouts per
+    clause, restarts)``.
+
+    An attempt ORs the drawn terms into a partial assignment held as
+    positive and negative atom bits ``(P, N)`` and restarts when a term
+    contradicts it.  Every clause is scored on the same accepted
+    assignment; ``clauses`` holds the :func:`term_masks` of each query, or
+    ``None`` for a tautology.  An empty term (``None`` in the plans) costs
+    its draw and nothing else.  Once a term clashes, the attempt is lost:
+    its remaining sources each still draw their one uniform, in source
+    order, but the uniforms are not mapped to outcomes.
+
+    Step accounting, in literal operations: a merged term costs its literal
+    count; a contradicting term costs its literals up to and including the
+    first clash (the lowest bit of the clash mask, since atom bits follow
+    literal order), and the attempt's later terms are not merged;
+    a clause test costs its literals up to and including the first hit, or
+    all of them.  A trial's merge cost is shared by its clauses, and each
+    clause adds only its own test, so the budget applies per (trial,
+    clause): one trial can time out on one clause and score on another.
+    The count is a pure function of the draws, so the budget never perturbs
+    the stream.
+    """
+    rand = rng.random
+    successes = [0] * len(clauses)
+    timeouts = [0] * len(clauses)
+    restarts = 0
+    for t in range(trials):
+        trial_restarts = 0
+        ops = 0
+        while True:
+            P = N = 0
+            draws = iter(plans)
+            for thr, lo, hi, cum, outs in draws:
+                if cum is None:
+                    term = lo if rand() < thr else hi
+                else:
+                    term = outs[bisect_right(cum, rand())]
+                if term is None:
+                    continue
+                pos, neg, count, mask = term
+                clash = P & neg | N & pos
+                if clash:
+                    ops += (mask & (clash ^ (clash - 1))).bit_count()
+                    for _ in draws:  # one uniform per source per attempt
+                        rand()
+                    break
+                P |= pos
+                N |= neg
+                ops += count
+            else:
+                break
+            restarts += 1
+            trial_restarts += 1
+            if trial_restarts > cap:
+                raise _cap_error(restarts, t, cap)
+        for i, clause in enumerate(clauses):
+            if clause is None:
+                hit, cost = 1, ops
+            else:
+                cpos, cneg, clen, cmask = clause
+                hit = P & cpos | N & cneg
+                cost = ops + ((cmask & (hit ^ (hit - 1))).bit_count() if hit else clen)
+            if budget is not None and cost > budget:
+                timeouts[i] += 1
+            elif hit:
+                successes[i] += 1
+    return successes, timeouts, restarts
+
+
+def run_outcome(run) -> tuple:
+    """A run's result, or its cap error's message and conflict estimate, so
+    a kernel and its per-draw reference compare alike either way."""
+    try:
+        return run()
+    except ExcessiveConflictError as e:
+        return ("error", str(e), e.conflict_estimate)
 
 
 # ---------------------------------------------------------------- oracles

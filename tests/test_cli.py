@@ -289,6 +289,94 @@ def test_exact_answers_match_benchmark_references(name, capsys):
         assert float(row["kappa"]) == pytest.approx(ref["conflict_enum"], abs=PRINTED_TOL)
 
 
+#: ``estimate --logic --budget B --accuracy 0.03 --csv`` rows of the
+#: ``logic-budget`` fixtures, by ``(fixture, workers, seed)``, recorded with
+#: the per-draw logic kernel.
+LOGIC_BUDGET_ROWS = {
+    ("l10a40", 1, 1): (
+        "[a1 a6],0.820800,0.935600,0.010000,2500,2052,287,2474",
+        "[!a5 a8],0.056400,0.178400,0.010000,2500,141,305,2474",
+    ),
+    ("l10a40", 1, 2): (
+        "[a1 a6],0.823200,0.932800,0.010000,2500,2058,274,2458",
+        "[!a5 a8],0.068400,0.185200,0.010000,2500,171,292,2458",
+    ),
+    ("l10a40", 2, 1): (
+        "[a1 a6],0.833200,0.934400,0.010000,2500,2083,253,2362",
+        "[!a5 a8],0.058000,0.164800,0.010000,2500,145,267,2362",
+    ),
+    ("l10a40", 2, 2): (
+        "[a1 a6],0.818800,0.932400,0.010000,2500,2047,284,2515",
+        "[!a5 a8],0.064000,0.186800,0.010000,2500,160,307,2515",
+    ),
+    ("l10a50", 1, 1): (
+        "[!a3 a8],0.045600,0.151600,0.010000,2500,114,265,5667",
+        "[!a4 a8],0.069600,0.175600,0.010000,2500,174,265,5667",
+    ),
+    ("l10a50", 1, 2): (
+        "[!a3 a8],0.042000,0.153200,0.010000,2500,105,278,5710",
+        "[!a4 a8],0.063200,0.174400,0.010000,2500,158,278,5710",
+    ),
+    ("l10a50", 2, 1): (
+        "[!a3 a8],0.046400,0.152800,0.010000,2500,116,266,5596",
+        "[!a4 a8],0.072000,0.177600,0.010000,2500,180,264,5596",
+    ),
+    ("l10a50", 2, 2): (
+        "[!a3 a8],0.046400,0.164000,0.010000,2500,116,294,5899",
+        "[!a4 a8],0.060800,0.178000,0.010000,2500,152,293,5899",
+    ),
+    ("l12a50", 1, 1): (
+        "[a1 a2],0.829200,0.942400,0.010000,2500,2073,283,3712",
+        "[!a5 !a6],0.060000,0.178800,0.010000,2500,150,297,3712",
+    ),
+    ("l12a50", 1, 2): (
+        "[a1 a2],0.834000,0.946000,0.010000,2500,2085,280,3733",
+        "[!a5 !a6],0.068400,0.184400,0.010000,2500,171,290,3733",
+    ),
+    ("l12a50", 2, 1): (
+        "[a1 a2],0.835200,0.946800,0.010000,2500,2088,279,3620",
+        "[!a5 !a6],0.064000,0.182000,0.010000,2500,160,295,3620",
+    ),
+    ("l12a50", 2, 2): (
+        "[a1 a2],0.831200,0.954400,0.010000,2500,2078,308,3899",
+        "[!a5 !a6],0.064000,0.192400,0.010000,2500,160,321,3899",
+    ),
+    ("l12a60", 1, 1): (
+        "[a2 a3],0.850800,0.936800,0.010000,2500,2127,215,14358",
+        "[!a10 !a2],0.058400,0.147200,0.010000,2500,146,222,14358",
+    ),
+    ("l12a60", 1, 2): (
+        "[a2 a3],0.839600,0.927200,0.010000,2500,2099,219,14351",
+        "[!a10 !a2],0.056800,0.145600,0.010000,2500,142,222,14351",
+    ),
+    ("l12a60", 2, 1): (
+        "[a2 a3],0.858800,0.941200,0.010000,2500,2147,206,14086",
+        "[!a10 !a2],0.062000,0.146000,0.010000,2500,155,210,14086",
+    ),
+    ("l12a60", 2, 2): (
+        "[a2 a3],0.829600,0.922000,0.010000,2500,2074,231,14702",
+        "[!a10 !a2],0.060000,0.154400,0.010000,2500,150,236,14702",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", ["l10a40", "l10a50", "l12a50", "l12a60"])
+def test_budgeted_logic_estimates_match_pinned_rows(name, capsys):
+    # byte-identical CSV on the benchmark's own problems, budgets and clauses
+    fx = bench_fixture(name)
+    queries = [a for q in fx["queries"] for a in ("--query", q)]
+    for workers in (1, 2):
+        for seed in (1, 2):
+            assert main([
+                "estimate", "--logic", "--problem", str(BENCH_DATA / fx["file"]), *queries,
+                "--budget", str(fx["budget"]), "--accuracy", "0.03",
+                "--workers", str(workers), "--seed", str(seed), "--csv",
+            ]) == 0
+            lines = capsys.readouterr().out.splitlines()
+            assert lines[0] == "query,lower,upper,sd_bound,trials,successes,timeouts,restarts"
+            assert tuple(lines[1:]) == LOGIC_BUDGET_ROWS[(name, workers, seed)], (workers, seed)
+
+
 class TestConflict:
     def test_mc(self, set_file, capsys):
         assert main(["conflict", "--problem", set_file, "--trials", "20000"]) == 0

@@ -6,6 +6,7 @@ import contextlib
 import io
 import math
 import os
+import random
 import tempfile
 
 import pytest
@@ -31,16 +32,19 @@ from beliefmc import (
     validate_logic_problem,
 )
 from beliefmc.cli import main
-from beliefmc.logic import _kernel_logic, _logic_plans
+from beliefmc import mc
+from beliefmc.logic import _kernel_logic, _logic_plan, lits
 from beliefmc.mc import DEFAULT_RESTART_CAP
 from beliefmc.problem_io import parse_clause
 from conftest import (
-    CountingRandom,
     entails,
     logic_problem_to_pairs,
     oracle_logic_bel,
+    per_draw_kernel_logic,
+    per_draw_logic_plans,
     random_clause,
     random_logic_problem,
+    run_outcome,
     satisfiable_by_bruteforce,
     term_sets,
 )
@@ -235,23 +239,33 @@ PINNED_STREAMS = {
 }
 
 
+def _advanced(seed: int, calls: int) -> tuple:
+    """The state of ``random.Random(seed)`` after ``calls`` ``random()``
+    calls."""
+    rng = random.Random(seed)
+    for _ in range(calls):
+        rng.random()
+    return rng.getstate()
+
+
 class TestDrawStream:
     def test_pinned_streams(self):
         assert _stream_runs() == PINNED_STREAMS
 
     def test_one_draw_per_source_per_attempt(self):
+        # the kernel leaves the generator exactly where one random() call
+        # per source per attempt would
         problem, _ = _stream_problems()["random"]
         m = len(problem.sources)
         for text in ("[a1]", "[a1 !a1]"):
-            clause = parse_clause(text)
-            plans, masks = _logic_plans(problem.sources, clause)
+            plan = _logic_plan(problem.sources, [parse_clause(text)])
             for budget in (None, 0, 12):
-                rng = CountingRandom(3)
+                rng = random.Random(3)
                 _, _, restarts = _kernel_logic(
-                    plans, masks, 500, rng, DEFAULT_RESTART_CAP, budget
+                    plan, 500, rng, DEFAULT_RESTART_CAP, budget, mc._BLOCK_BYTES
                 )
                 assert restarts > 0
-                assert rng.calls == m * (500 + restarts)
+                assert rng.getstate() == _advanced(3, m * (500 + restarts))
 
 
 class TestClauseBatch:
@@ -301,16 +315,16 @@ class TestClauseBatch:
         problem, _ = _stream_problems()["random"]
         m = len(problem.sources)
         queries = [parse_clause(text) for text in ("[a1]", "[!a2 c]", "[a1 !a1]")]
-        plans, clauses = _logic_plans(problem.sources, *queries)
-        assert len(clauses) == 3
+        plan = _logic_plan(problem.sources, queries)
+        assert len(plan.clauses) == 3
         for budget in (None, 0, 12):
-            rng = CountingRandom(3)
+            rng = random.Random(3)
             successes, timeouts, restarts = _kernel_logic(
-                plans, clauses, 500, rng, DEFAULT_RESTART_CAP, budget
+                plan, 500, rng, DEFAULT_RESTART_CAP, budget, mc._BLOCK_BYTES
             )
             assert len(successes) == len(timeouts) == 3
             assert restarts > 0
-            assert rng.calls == m * (500 + restarts)
+            assert rng.getstate() == _advanced(3, m * (500 + restarts))
 
     def test_restart_cap_error_matches_single_clause(self):
         sources = (
@@ -324,6 +338,144 @@ class TestClauseBatch:
             with pytest.raises(ExcessiveConflictError) as batch:
                 logic_estimate(sources, clauses, cfg)
             assert str(batch.value) == str(alone.value)
+
+
+def _wide_problem() -> LogicProblem:
+    """Twenty-eight sources certify the same ten-literal term, so one
+    attempt can spend up to 283 literal operations, more than one byte
+    holds.  ``[!a9]`` from the first source makes each of those terms clash
+    at its tenth literal, and ``[a10 a11]`` comes last."""
+    long_term = TermSet(lits(*(f"a{i}" for i in range(10))))
+    return LogicProblem(
+        tuple(f"a{i}" for i in range(12)),
+        (
+            LogicSource(((0.03, TermSet.of("!a9")), (0.97, TermSet()))),
+            *[LogicSource(((0.9, long_term), (0.1, TermSet()))) for _ in range(28)],
+            LogicSource(((0.5, TermSet.of("a10", "a11")), (0.5, TermSet()))),
+        ),
+    )
+
+
+#: Clauses of the wide problem: a hit at the first literal, a clause longer
+#: than every term that can only hit at its last literal, and a tautology.
+WIDE_CLAUSES = (
+    "[a10]",
+    "[!a0 !a1 !a2 !a3 !a4 !a5 !a6 !a7 !a8 !a9 !a10 a11]",
+    "[a0 !a0]",
+)
+
+
+def _block_cases() -> list[tuple[str, LogicProblem, list[ClauseQuery], tuple]]:
+    """``(label, problem, clauses, budgets)``: the stream problems, the wide
+    problem and random problems, each with budgets ``None``, 0, tight ones
+    and a generous one; every random problem also gets a clause over every
+    atom, longer than its terms."""
+    cases = [
+        (label, problem, [parse_clause(text) for text in STREAM_CLAUSES], (None, 0, *tight, 500))
+        for label, (problem, tight) in _stream_problems().items()
+    ]
+    cases.append(
+        ("wide", _wide_problem(), [parse_clause(t) for t in WIDE_CLAUSES], (None, 0, 255, 270, 600))
+    )
+    # no source certifies a literal: every trial merges nothing
+    empty = LogicSource(((0.4, TermSet()), (0.6, TermSet())))
+    cases.append(
+        ("empty", LogicProblem(("p",), (empty, empty)), [ClauseQuery.of("p")], (None, 0, 1))
+    )
+    for seed in range(8):
+        problem = random_logic_problem(
+            seed + 100, max_atoms=6, max_sources=6, max_outcomes=4, max_term=4
+        )
+        everything = ClauseQuery(lits(*(f"!{a}" for a in problem.atoms)))
+        clauses = [random_clause(seed + 100 + k, problem.atoms) for k in range(2)]
+        cases.append((f"random-{seed}", problem, [*clauses, everything], (None, 0, 3, 7, 100)))
+    return cases
+
+
+def _per_draw_logic(sources, clauses, cfg: TrialEngineConfig, budget) -> tuple:
+    """``(successes, timeouts, restarts)`` of the per-draw logic kernel over
+    the same worker shares and substreams as :func:`logic_estimate`."""
+    plans, masks = per_draw_logic_plans(sources, *clauses)
+    successes, timeouts, restarts = [0] * len(clauses), [0] * len(clauses), 0
+    for w, share in enumerate(mc._split_trials(cfg.trials, cfg.worker_count)):
+        s, t, r = per_draw_kernel_logic(
+            plans, masks, share, mc.worker_rng(cfg.seed, w), cfg.restart_cap, budget
+        )
+        successes = [a + b for a, b in zip(successes, s)]
+        timeouts = [a + b for a, b in zip(timeouts, t)]
+        restarts += r
+    return successes, timeouts, restarts
+
+
+class TestBlockKernel:
+    """The block logic kernel against the per-draw kernel it replaced."""
+
+    CASES = _block_cases()
+
+    def test_covers_wide_counters_and_cap_trips(self):
+        wide = _logic_plan(_wide_problem().sources, [parse_clause(t) for t in WIDE_CLAUSES])
+        assert wide.width > 8  # counts take two bytes per attempt
+        trips = 0
+        for _, problem, clauses, _ in self.CASES:
+            cfg = TrialEngineConfig(trials=300, seed=3, restart_cap=3)
+            trips += run_outcome(lambda: _per_draw_logic(problem.sources, clauses, cfg, None))[0] == "error"
+        assert 0 < trips < len(self.CASES)
+
+    @pytest.mark.parametrize("block_attempts", [None, 1, 4])
+    def test_matches_per_draw_kernel(self, monkeypatch, block_attempts):
+        # blocks of 1 attempt, and of 4 attempts below the caps, carry
+        # restart runs and a trial's metered operations across blocks;
+        # errors match in message and conflict estimate
+        for label, problem, clauses, budgets in self.CASES:
+            if block_attempts is not None:
+                monkeypatch.setattr(
+                    mc, "_BLOCK_BYTES", 8 * len(problem.sources) * block_attempts
+                )
+            for workers in (1, 2):
+                for cap in (3, 25, DEFAULT_RESTART_CAP):
+                    cfg = TrialEngineConfig(
+                        trials=300 if block_attempts is None else 100,
+                        seed=cap,
+                        restart_cap=cap,
+                        worker_count=workers,
+                    )
+                    for budget in budgets:
+                        def block():
+                            batch = logic_estimate(problem.sources, clauses, cfg, budget)
+                            return (
+                                [e.successes for e in batch.estimates],
+                                [e.timeouts for e in batch.estimates],
+                                batch.restarts,
+                            )
+
+                        assert run_outcome(block) == run_outcome(
+                            lambda: _per_draw_logic(problem.sources, clauses, cfg, budget)
+                        ), (label, workers, cap, budget)
+                    bare = run_outcome(lambda: logic_estimate(problem.sources, (), cfg).restarts)
+                    alone = run_outcome(lambda: _per_draw_logic(problem.sources, (), cfg, None)[2])
+                    assert bare == alone, (label, workers, cap)
+
+    @pytest.mark.parametrize("chunk_bytes", [8, 24, None])
+    def test_leaves_generator_where_per_draw_kernel_does(self, monkeypatch, chunk_bytes):
+        # the same final generator state, after a full run and after a
+        # tripped cap, with blocks of 7 attempts drawn and redrawn in chunks
+        # of 1 or 3 uniforms or of the default size
+        if chunk_bytes is not None:
+            monkeypatch.setattr(mc, "_CHUNK_BYTES", chunk_bytes)
+        for label, problem, clauses, budgets in self.CASES:
+            m = len(problem.sources)
+            plans, masks = per_draw_logic_plans(problem.sources, *clauses)
+            for cap in (3, 200):
+                for budget in budgets[:3]:
+                    rngs = random.Random(cap), random.Random(cap)
+                    block = run_outcome(lambda: _kernel_logic(
+                        _logic_plan(problem.sources, clauses), 300, rngs[0], cap, budget, 8 * m * 7
+                    ))
+                    per_draw = run_outcome(
+                        lambda: per_draw_kernel_logic(plans, masks, 300, rngs[1], cap, budget)
+                    )
+                    assert block == per_draw, (label, cap, budget)
+                    assert rngs[0].getstate() == rngs[1].getstate(), (label, cap, budget)
 
 
 class TestLiteralsAndTerms:

@@ -30,7 +30,6 @@ from beliefmc import (
     simple_support,
 )
 from beliefmc import conflict_exact, mc
-from beliefmc.logic import _draw_plan
 from beliefmc.mc import (
     DEFAULT_RESTART_CAP,
     _kernel_set,
@@ -41,9 +40,11 @@ from beliefmc.mc import (
 )
 from beliefmc.problem_io import parse_problem
 from conftest import (
+    draw_plan,
     per_draw_kernel_set,
     per_draw_plans,
     random_problem,
+    run_outcome,
     random_ssf_problem,
     subset,
 )
@@ -88,7 +89,7 @@ class TestPlanning:
 
 
 def _pick(plan: tuple, u: float):
-    """The item a kernel picks for uniform ``u`` under a :func:`_draw_plan`."""
+    """The item a kernel picks for uniform ``u`` under a :func:`draw_plan`."""
     thr, lo, hi, cum, items = plan
     if cum is None:
         return lo if u < thr else hi
@@ -97,7 +98,7 @@ def _pick(plan: tuple, u: float):
 
 def _index_plan(s: SourceModel) -> tuple:
     """A source's draw plan over its outcome indices."""
-    return _draw_plan(s.cumulative, tuple(range(len(s.outcomes))))
+    return draw_plan(s.cumulative, tuple(range(len(s.outcomes))))
 
 
 class TestSampleSource:
@@ -150,8 +151,9 @@ class TestSampleSource:
     def test_block_kernel_picks_outcomes_at_boundaries(self):
         # the block kernel reads a uniform's 53 bits from its two words and
         # picks the outcome bisecting the cumulative table picks, for
-        # uniforms on and around every boundary, with random low bits below
-        # the 53 that random() keeps
+        # uniforms on and around every boundary, one unit of the second byte
+        # away and one of the top byte below, with random low bits below the
+        # 53 that random() keeps
         frame = Frame(("x1", "x2", "x3", "x4"))
         source = SourceModel(
             frame,
@@ -161,7 +163,11 @@ class TestSampleSource:
         xs = {0, 2**53 - 1}
         for c in cum:
             limit = math.ceil(c * 2**53)
-            xs.update(x for x in (limit - 1, limit, limit + 1, limit - 2**45) if 0 <= x < 2**53)
+            xs.update(
+                x
+                for x in (limit - 1, limit, limit + 1, limit - 2**37, limit + 2**37, limit - 2**45)
+                if 0 <= x < 2**53
+            )
         xs = sorted(xs)
         junk = random.Random(5)
         raw = b"".join(
@@ -635,14 +641,6 @@ def _per_draw_estimate(problem, queries, cfg) -> tuple:
     return successes, restarts
 
 
-def _outcome(run) -> tuple:
-    """A run's result, or its cap error's message and conflict estimate."""
-    try:
-        return run()
-    except ExcessiveConflictError as e:
-        return ("error", str(e), e.conflict_estimate)
-
-
 class TestBlockKernel:
     """The block kernel against the per-draw kernel it replaced."""
 
@@ -680,7 +678,7 @@ class TestBlockKernel:
                     def per_draw():
                         return _per_draw_estimate(problem, queries, cfg)
 
-                    assert _outcome(block) == _outcome(per_draw), (problem, cap, workers)
+                    assert run_outcome(block) == run_outcome(per_draw), (problem, cap, workers)
 
     def test_leaves_generator_where_per_draw_kernel_does(self):
         # the same final generator state, after a full run and after a
@@ -690,15 +688,21 @@ class TestBlockKernel:
             queries = [FocalSet(problem.frame, b) for b in (full, full ^ 1)]
             for cap in (3, 200):
                 rngs = random.Random(cap), random.Random(cap)
-                block = _outcome(
+                block = run_outcome(
                     lambda: _kernel_set(_set_plan(problem, queries), 300, rngs[0], cap, 8 * 64)
                 )
-                per_draw = _outcome(lambda: per_draw_kernel_set(
+                per_draw = run_outcome(lambda: per_draw_kernel_set(
                     per_draw_plans(problem), full, [~q.bits for q in queries],
                     300, rngs[1], cap,
                 ))
                 assert block == per_draw, (problem, cap)
                 assert rngs[0].getstate() == rngs[1].getstate(), (problem, cap)
+
+    @pytest.mark.parametrize("chunk_bytes", [8, 24])
+    def test_small_chunks_leave_generator_alike(self, monkeypatch, chunk_bytes):
+        # blocks drawn and redrawn in chunks of 1 or 3 uniforms
+        monkeypatch.setattr(mc, "_CHUNK_BYTES", chunk_bytes)
+        self.test_leaves_generator_where_per_draw_kernel_does()
 
 
 class TestRestartLaw:
