@@ -12,7 +12,7 @@ import math
 import struct
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, compress
+from itertools import chain
 from operator import and_
 from typing import Collection, Iterator, Mapping, Sequence
 
@@ -27,34 +27,16 @@ MASS_DUST = 1e-12
 
 #: :func:`bel_from_mass` scores a sequence of queries in one pass when it
 #: holds at least this many queries per byte of the frame, counting one
-#: byte more for grouping the masses by signature, and the table's entries
-#: times the queries reach :data:`_PASS_MIN_WORK`; otherwise it scans the
-#: table once per query.  Per entry, a scan costs one mask test and the
-#: pass one lookup per byte plus the grouping; the pass also builds a
-#: 256-entry lookup per byte, which small tables do not repay.  On random
-#: tables of 3,000 and 40,000 entries over frames of 2 to 8 bytes (2 cores,
-#: Python 3.11.7), the pass took 0.4-0.75x the scans' time at this
-#: threshold.  On 1- to 3-byte frames, the pass broke even with the scans
-#: at 1,300-5,000 entry-queries (16-255 entries, 4-512 queries) and took
-#: 0.1-0.8x their time from 6,000.
+#: byte more for grouping the masses by signature, and scans the table once
+#: per query otherwise.  Per entry, a scan costs one mask test and the pass
+#: one lookup per byte plus the grouping.  On random tables of 3,000 and
+#: 40,000 entries over frames of 2 to 8 bytes (2 cores, Python 3.11.7), the
+#: pass took 0.4-0.75x the scans' time at this threshold; on 255- and
+#: 300-entry tables its fixed cost made it 1.0-1.4x slower.
 _PASS_QUERIES_PER_BYTE = 2
-_PASS_MIN_WORK = 4096
-
-#: Bytes of the group-by-query matrix that :func:`_masses_within` builds at
-#: once: one byte per signature group and query.
-_PASS_MATRIX_BYTES = 1 << 20
 
 # _CLEAR_DIGIT[i][v] is the digit "1" when byte value v has bit i clear, else "0".
 _CLEAR_DIGIT = tuple(bytes(b"10"[v >> i & 1] for v in range(256)) for i in range(8))
-
-#: Maps the ``"0"``/``"1"`` digits of a binary string to bytes 0 and 1.
-_DIGITS = bytes.maketrans(b"01", b"\x00\x01")
-
-
-def _element_bytes(bits: int, n: int) -> bytes:
-    """Byte ``e`` is bit ``e`` of ``bits``, for ``e < n``."""
-    return format(bits, f"0{n}b").encode()[::-1].translate(_DIGITS)
-
 
 @dataclass(frozen=True)
 class Frame:
@@ -386,10 +368,7 @@ def _masses_within(table: Mapping[int, float], outsides: Sequence[int], nbytes: 
     it allows; an entry's signature ANDs one lookup per byte.  The table's
     masses are grouped by signature, and query j's belief is the ``fsum`` of
     the groups that hold its bit: the same values as in ``_mass_within``,
-    so the same correctly rounded sum.  The groups that hold each bit are
-    picked at C speed from a matrix with one byte per group and query,
-    built for as many queries at a time as :data:`_PASS_MATRIX_BYTES`
-    allows.
+    so the same correctly rounded sum.
     """
     lookups = []
     for col in _byte_columns(outsides, nbytes):
@@ -409,16 +388,10 @@ def _masses_within(table: Mapping[int, float], outsides: Sequence[int], nbytes: 
             groups[sig].append(v)
         else:
             groups[sig] = [v]
-    sigs = list(groups)
-    masses = list(groups.values())
-    step = max(1, _PASS_MATRIX_BYTES // len(sigs))
-    bels = []
-    for j0 in range(0, len(outsides), step):
-        w = min(step, len(outsides) - j0)
-        # byte j of row g: group g's signature holds bit j0 + j
-        rows = b"".join([_element_bytes(sig >> j0 & ((1 << w) - 1), w) for sig in sigs])
-        bels += [math.fsum(chain.from_iterable(compress(masses, rows[j::w]))) for j in range(w)]
-    return bels
+    return [
+        math.fsum(chain.from_iterable([g for sig, g in groups.items() if sig >> j & 1]))
+        for j in range(len(outsides))
+    ]
 
 
 def bel_from_mass(m: MassFunction, b: FocalSet | Sequence[FocalSet]) -> float | list[float]:
@@ -428,8 +401,7 @@ def bel_from_mass(m: MassFunction, b: FocalSet | Sequence[FocalSet]) -> float | 
     answered as a list in the same order.  On frames of at most 64
     elements, a sequence of at least ``_PASS_QUERIES_PER_BYTE * (bytes + 1)``
     queries, where ``bytes`` is the frame's size in bytes, is scored in one
-    pass over the table (:func:`_masses_within`) when the table's entries
-    times the queries reach ``_PASS_MIN_WORK``; otherwise each query gets
+    pass over the table (:func:`_masses_within`); otherwise each query gets
     one scan.  Both routes return the same correctly rounded sums.  Raises
     ``FrameMismatchError`` when a query is over another frame.
     """
@@ -439,11 +411,7 @@ def bel_from_mass(m: MassFunction, b: FocalSet | Sequence[FocalSet]) -> float | 
     full = m.frame.full_bits
     outsides = [full ^ q.bits for q in queries]
     nbytes = (m.frame.size + 7) // 8
-    if (
-        nbytes <= 8
-        and len(outsides) >= _PASS_QUERIES_PER_BYTE * (nbytes + 1)
-        and len(m.by_bits) * len(outsides) >= _PASS_MIN_WORK
-    ):
+    if nbytes <= 8 and len(outsides) >= _PASS_QUERIES_PER_BYTE * (nbytes + 1):
         bels = _masses_within(m.by_bits, outsides, nbytes)
     else:
         bels = [_mass_within(m.by_bits, o) for o in outsides]

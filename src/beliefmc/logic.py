@@ -19,13 +19,14 @@ The trial kernel runs on the set problems' block driver
 (``mc._run_blocks``), which draws one uniform per source per attempt, a
 block of attempts at a time, and hands over one bitmask over the block's
 attempts per non-empty term.  Literals follow the atoms in sorted name
-order, so literal order is bit order.  Each literal gets the mask of the
-attempts whose merged term holds it: an attempt is rejected when it holds
-a literal and its negation, and an accepted attempt hits a clause when it
-holds one of the clause's literals.  With a budget, a walk over the terms
-in source order counts each attempt's literal operations up to its first
-clash in bit-sliced counters, and each clause's test up to its first hit,
-so the step counts are exact.  Trials are split into per-worker substreams
+order, so literal order is bit order.  A walk over the terms in source
+order gives each literal the mask of the attempts whose merged term holds
+it: an attempt is rejected when a term it draws holds the negation of a
+literal it already holds, and an accepted attempt hits a clause when it
+holds one of the clause's literals.  With a budget, the same walk counts
+each attempt's literal operations up to its first clash in bit-sliced
+counters, and each clause's test up to its first hit, so the step counts
+are exact.  Trials are split into per-worker substreams
 and run by the set problems' worker runner, ``mc._run_workers``.
 
 Problems over few atoms translate exactly to set problems over the frame of
@@ -37,9 +38,9 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import cached_property
 from itertools import accumulate, compress
-from operator import add, gt, or_, sub, xor
+from operator import add, gt, sub, xor
 from typing import Iterator, Sequence
 
 from .errors import FrameTooLargeError, InvalidProblemError
@@ -50,13 +51,14 @@ from .evidence import (
     MASS_TOL,
     SourceModel,
     _cumulative,
-    _element_bytes,
 )
 from .mc import (
     TrialEngineConfig,
     _below,
     _block_bytes,
+    _byte_lanes,
     _cuts,
+    _element_bytes,
     _run_blocks,
     _run_workers,
     sd_bound,
@@ -262,20 +264,17 @@ class _LogicPlan:
     is bit order and ``l ^ 1`` is the negation of ``l``.  Each non-empty
     term of a source outcome gets a slot, source by source; ``cuts`` and
     ``outs`` are the block front end's (:func:`mc._cuts`) over those slots.
-    ``terms[j]`` lists slot ``j``'s literals in order and ``holders[l]`` the
-    slots whose terms hold literal ``l``; ``clashes`` lists the positive
-    literals whose atom some terms assert and others deny.  ``clauses[q]``
-    lists query ``q``'s literals in order, or is ``None`` for a tautology.
-    ``width`` is the bit length of the most literal operations one attempt
-    can spend.
+    ``terms[j]`` lists slot ``j``'s literals in order, ``literal_count``
+    is twice the atom count, and ``clauses[q]`` lists query ``q``'s
+    literals in order, or is ``None`` for a tautology.  ``width`` is the
+    bit length of the most literal operations one attempt can spend.
     """
 
     source_count: int
     cuts: tuple[tuple[int, int, int, bytes], ...]
     outs: tuple[tuple[int, int], ...]
     terms: tuple[tuple[int, ...], ...]
-    holders: tuple[tuple[int, ...], ...]
-    clashes: tuple[int, ...]
+    literal_count: int
     clauses: tuple[tuple[int, ...] | None, ...]
     width: int
 
@@ -291,18 +290,12 @@ def _logic_plan(sources: Sequence[LogicSource], queries: Sequence[ClauseQuery]) 
 
     picks = [[k for k, (_, t) in enumerate(s.outcomes) if t.literals] for s in sources]
     cuts, outs = _cuts([_cumulative([p for p, _ in s.outcomes]) for s in sources], picks)
-    terms = tuple(literals(t.literals) for s in sources for _, t in s.outcomes if t.literals)
-    holders: list[list[int]] = [[] for _ in range(2 * len(atoms))]
-    for j, term in enumerate(terms):
-        for l in term:
-            holders[l].append(j)
     return _LogicPlan(
         source_count=len(sources),
         cuts=cuts,
         outs=outs,
-        terms=terms,
-        holders=tuple(map(tuple, holders)),
-        clashes=tuple(l for l in range(0, 2 * len(atoms), 2) if holders[l] and holders[l + 1]),
+        terms=tuple(literals(t.literals) for s in sources for _, t in s.outcomes if t.literals),
+        literal_count=2 * len(atoms),
         clauses=tuple(None if q.is_tautology else literals(q.literals) for q in queries),
         width=sum(max(len(t.literals) for _, t in s.outcomes) for s in sources).bit_length(),
     )
@@ -310,17 +303,12 @@ def _logic_plan(sources: Sequence[LogicSource], queries: Sequence[ClauseQuery]) 
 
 def _lane_values(slices: Sequence[int], size: int) -> Sequence[int]:
     """Per attempt ``a < size``, the count whose bit ``b`` is bit ``a`` of
-    ``slices[b]``: eight slices at a time become one byte per attempt."""
-    groups = []
-    for g in range(0, max(len(slices), 1), 8):
-        lanes = 0
-        for b, bits in enumerate(slices[g:g + 8]):
-            if bits:
-                lanes += int.from_bytes(_element_bytes(bits, size), "little") << b
-        groups.append(lanes.to_bytes(size, "little"))
-    if len(groups) == 1:
-        return groups[0]
-    return [sum(v << 8 * g for g, v in enumerate(vs)) for vs in zip(*groups)]
+    ``slices[b]``: eight slices at a time become one byte per attempt
+    (:func:`mc._byte_lanes`), and wider counts join their bytes."""
+    lanes = _byte_lanes(slices, size)
+    if len(lanes) <= 1:
+        return lanes[0] if lanes else bytes(size)
+    return [sum(v << 8 * g for g, v in enumerate(vs)) for vs in zip(*lanes)]
 
 
 def _kernel_logic(
@@ -336,22 +324,22 @@ def _kernel_logic(
     ``trials`` are accepted; returns ``(successes per clause, timeouts per
     clause, restarts)``.
 
-    Every mask holds one bit per attempt of a block.  ``held[l]`` holds the
-    attempts that draw a term with literal ``l``; an attempt is rejected
-    when it holds some literal and its negation, and an accepted attempt
-    hits a clause when it holds one of its literals (every accepted attempt
-    hits a tautology).  Without a budget that is all, since source order
-    does not matter.
+    Every mask holds one bit per attempt of a block.  The kernel walks the
+    term slots in source order with ``alive``, the attempts that have not
+    clashed yet; ``held[l]`` gathers the attempts that draw a term with
+    literal ``l``, and an attempt is rejected when a term it draws holds
+    the negation of a literal it already holds.  An accepted attempt hits
+    a clause when it holds one of its literals (every accepted attempt hits
+    a tautology).
 
     Step accounting, in literal operations, as one attempt merging its
     terms in source order: a merged term costs its literal count; a
     contradicting term costs its literals up to and including the first
     clash, in literal order, and the attempt's later terms are not merged;
     a clause test costs its literals up to and including the first hit, or
-    all of them.  With a budget, the kernel walks the term slots in source
-    order with the mask of attempts that have not clashed yet, and adds one
-    to a bit-sliced counter (bit ``b`` of every attempt's count in slice
-    ``b``) for each literal an attempt tests.  A trial's merge cost, its
+    all of them.  With a budget, the walk also adds one to a bit-sliced
+    counter (bit ``b`` of every attempt's count in slice ``b``) for each
+    literal an attempt tests.  A trial's merge cost, its
     rejected attempts included, is shared by its clauses, and each clause
     adds only its own test, so the budget applies per (trial, clause): one
     trial can time out on one clause and score on another.  The count is a
@@ -370,22 +358,10 @@ def _kernel_logic(
         below = _below(plan.cuts, raw, size, m)
         every = below[1]
         drawn = list(map(xor, map(below.__getitem__, his), map(below.__getitem__, los)))
-        if not metered:
-            held = [reduce(or_, map(drawn.__getitem__, h), 0) for h in plan.holders]
-            accepted = every ^ reduce(or_, [held[l] & held[l + 1] for l in plan.clashes], 0)
-
-            def tally(cut: int) -> None:
-                keep = accepted & ((1 << cut) - 1)
-                for qi, clause in enumerate(clauses):
-                    hit = keep if clause is None else keep & reduce(or_, map(held.__getitem__, clause))
-                    successes[qi] += hit.bit_count()
-
-            return accepted, tally
-
-        # metered: walk the slots in source order; ``held`` only grows from
-        # slots of earlier sources, and attempts that clash are dropped
-        # from ``alive``, so what a dead attempt holds is never read
-        held = [0] * len(plan.holders)
+        # ``held`` only grows from slots of earlier sources, and attempts
+        # that clash are dropped from ``alive``, so what a dead attempt
+        # holds is never read
+        held = [0] * plan.literal_count
         ops = [0] * plan.width
         alive = every
         for s, term in zip(drawn, plan.terms):
@@ -393,13 +369,14 @@ def _kernel_logic(
             for l in term:
                 if not run:
                     break
-                x = run  # add one to every attempt of run
-                b = 0
-                while x:
-                    c = ops[b]
-                    ops[b] = c ^ x
-                    x &= c
-                    b += 1
+                if metered:
+                    x = run  # add one to every attempt of run
+                    b = 0
+                    while x:
+                        c = ops[b]
+                        ops[b] = c ^ x
+                        x &= c
+                        b += 1
                 clash = run & held[l ^ 1]
                 if clash:
                     run ^= clash
@@ -408,11 +385,11 @@ def _kernel_logic(
                 held[l] |= s
         accepted = alive
         hits = []
-        tests = []
+        costs = []  # per clause, its test cost per attempt in bit slices
         for clause in clauses:
             if clause is None:
                 hits.append(accepted)
-                tests.append(bytes(size))
+                costs.append([])
                 continue
             rest = accepted  # attempts no literal hit yet
             cost = [0] * len(clause).bit_length()
@@ -427,19 +404,25 @@ def _kernel_logic(
                 if len(clause) >> b & 1:
                     cost[b] |= rest
             hits.append(accepted ^ rest)
-            tests.append(_lane_values(cost, size))
-        merge = _lane_values(ops, size)
+            costs.append(cost)
 
         def tally(cut: int) -> None:
+            if not metered:
+                keep = (1 << cut) - 1
+                for qi, hit in enumerate(hits):
+                    successes[qi] += (hit & keep).bit_count()
+                return
             # each accepted attempt ends a trial, whose merge cost runs from
             # the attempt after the previous trial's, carried across blocks
             nonlocal carry
+            merge = _lane_values(ops, size)
             ends = list(accumulate(merge[:cut]))  # merge cost up to each attempt
             at = list(compress(range(cut), _element_bytes(accepted & ((1 << cut) - 1), cut)))
             closed = list(map(ends.__getitem__, at))
             spent = list(map(sub, closed, [-carry, *closed[:-1]]))
             carry = ends[-1] - closed[-1] if closed else carry + ends[-1]
-            for qi, (test, hit) in enumerate(zip(tests, hits)):
+            for qi, (cost, hit) in enumerate(zip(costs, hits)):
+                test = _lane_values(cost, size)
                 over = bytes(map(budget.__lt__, map(add, spent, map(test.__getitem__, at))))
                 timeouts[qi] += over.count(1)
                 scored = map(_element_bytes(hit, size).__getitem__, at)

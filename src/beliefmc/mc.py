@@ -52,7 +52,7 @@ from operator import and_, or_
 from typing import Sequence
 
 from .errors import ExcessiveConflictError, FrameMismatchError
-from .evidence import EvidenceProblem, FocalSet, _element_bytes, require_valid
+from .evidence import EvidenceProblem, FocalSet, require_valid
 
 DEFAULT_RESTART_CAP = 10_000
 
@@ -219,6 +219,28 @@ class _SetPlan:
     outside: tuple[tuple[int, ...], ...]
 
 
+#: Maps the ``"0"``/``"1"`` digits of a binary string to bytes 0 and 1.
+_DIGITS = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def _element_bytes(bits: int, n: int) -> bytes:
+    """Byte ``e`` is bit ``e`` of ``bits``, for ``e < n``."""
+    return format(bits, f"0{n}b").encode()[::-1].translate(_DIGITS)
+
+
+def _byte_lanes(masks: Sequence[int], n: int) -> list[bytes]:
+    """One byte lane per 8 masks: bit ``b`` of byte ``e`` of lane ``c`` is
+    bit ``e`` of ``masks[8 * c + b]``, for ``e < n``."""
+    lanes = []
+    for c0 in range(0, len(masks), 8):
+        lane = 0
+        for b, bits in enumerate(masks[c0:c0 + 8]):
+            if bits:
+                lane |= int.from_bytes(_element_bytes(bits, n), "little") << b
+        lanes.append(lane.to_bytes(n, "little"))
+    return lanes
+
+
 def _set_plan(problem: EvidenceProblem, queries: Sequence[FocalSet]) -> _SetPlan:
     """Build the :class:`_SetPlan` once per call; worker shares share it."""
     n = problem.frame.size
@@ -230,12 +252,7 @@ def _set_plan(problem: EvidenceProblem, queries: Sequence[FocalSet]) -> _SetPlan
     # per slot: the elements its outcome lacks
     lacks = [full & ~s.target_bits[k] for s, ks in zip(problem.sources, picks) for k in ks]
     # one byte lane per 8 slots: byte e holds the slots that lack element e
-    lanes = []
-    for c0 in range(0, len(lacks), 8):
-        lane = 0
-        for b, lack in enumerate(lacks[c0:c0 + 8]):
-            lane |= int.from_bytes(_element_bytes(lack, n), "little") << b
-        lanes.append(lane.to_bytes(n, "little"))
+    lanes = _byte_lanes(lacks, n)
     index: dict[tuple[int, ...], int] = {}
     sigs = zip(*lanes) if lanes else [()] * n
     group_of = [index.setdefault(sig, len(index)) for sig in sigs]

@@ -211,9 +211,8 @@ class TestBelPl:
                 assert bel_from_mass(m, b) <= bel_from_mass(m, wider) + 1e-12
 
     def test_query_sequence_matches_one_query_at_a_time(self, monkeypatch):
-        # Frames of 1-40 elements with sequences of 0-20 queries, and the
-        # examples, put both sides of the route choice to work: one pass, or
-        # one scan per query.
+        # Frames of 1-40 elements put sequences of 0-20 queries on both
+        # sides of the route choice: one pass, or one scan per query.
         routes = set()
         passes = []
         one_pass = evidence._masses_within
@@ -246,13 +245,11 @@ class TestBelPl:
 
         @given(cases())
         @settings(max_examples=150, deadline=None)
-        @example(spread(1, 4))  # scans: a one-entry table
-        @example(spread(8, 400))  # one pass, one byte
+        @example(spread(1, 4))  # one pass, one byte
         @example(spread(40, 1))  # one scan
-        @example(spread(64, 18))  # scans: too few entry-queries
-        @example(spread(64, 400))  # one pass, keys filling a machine word
+        @example(spread(64, 18))  # one pass, keys filling a machine word
         @example(spread(65, 40))  # scans, keys wider than a machine word
-        @example(spread(3, 700))  # one pass, signatures wider than a machine word
+        @example(spread(3, 70))  # one pass, signatures wider than a machine word
         def check(case):
             m, qs = case
             seen = len(passes)
@@ -264,29 +261,6 @@ class TestBelPl:
 
         check()
         assert routes == {"pass", "scan"}
-
-    def test_narrow_frame_with_hundreds_of_queries_scores_alike(self, monkeypatch):
-        # Nearly every entry of a one-byte frame has its own signature, and
-        # the group-by-query matrix is built 1, 7 or all 300 queries at a time
-        frame = Frame(tuple(f"e{i}" for i in range(8)))
-        rng = random.Random(8)
-        keys = rng.sample(range(1, 256), 200)
-        weights = [rng.random() for _ in keys]
-        m = MassFunction(frame, {k: w / math.fsum(weights) for k, w in zip(keys, weights)})
-        queries = [FocalSet(frame, rng.getrandbits(8)) for _ in range(300)]
-        scans = [bel_from_mass(m, q) for q in queries]
-        passes = []
-        one_pass = evidence._masses_within
-
-        def spy(*args):
-            passes.append(args)
-            return one_pass(*args)
-
-        monkeypatch.setattr(evidence, "_masses_within", spy)
-        for matrix_bytes in (1, 7 * len(keys), evidence._PASS_MATRIX_BYTES):
-            monkeypatch.setattr(evidence, "_PASS_MATRIX_BYTES", matrix_bytes)
-            assert bel_from_mass(m, queries) == scans, matrix_bytes
-        assert len(passes) == 3
 
     def test_query_sequence_rejects_a_foreign_query(self):
         frame = Frame(("x1", "x2", "x3"))
