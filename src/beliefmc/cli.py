@@ -42,7 +42,6 @@ from .logic import (
 from .mc import (
     QueryBatch,
     TrialEngineConfig,
-    conflict_estimate,
     estimate,
     plan_trials,
 )
@@ -207,11 +206,10 @@ def cmd_conflict(args) -> int:
     cfg = _engine_config(args)
     if isinstance(problem, LogicProblem):
         restarts = logic_estimate(problem.sources, (), cfg).restarts
-        kappa = restarts / (restarts + cfg.trials)
-        loops = (restarts + cfg.trials) / cfg.trials
     else:
-        kappa, loops = conflict_estimate(problem, cfg)
-        restarts = round((loops - 1.0) * cfg.trials)
+        restarts = estimate(problem, (problem.frame.universe(),), cfg)[0].restarts
+    kappa = restarts / (restarts + cfg.trials)
+    loops = (restarts + cfg.trials) / cfg.trials
     if args.csv:
         _write_csv(
             [("mc", f"{kappa:.6f}", f"{loops:.4f}", str(cfg.trials), str(restarts))],

@@ -26,8 +26,9 @@ literal it already holds, and an accepted attempt hits a clause when it
 holds one of the clause's literals.  With a budget, the same walk counts
 each attempt's literal operations up to its first clash in bit-sliced
 counters, and each clause's test up to its first hit, so the step counts
-are exact.  Trials are split into per-worker substreams
-and run by the set problems' worker runner, ``mc._run_workers``.
+are exact.  Trials are split into per-worker substreams, which the set
+problems' worker runner, ``mc._run_workers``, runs one after another in
+the calling thread.
 
 Problems over few atoms translate exactly to set problems over the frame of
 truth assignments, which connects this estimator to the exact combiners.
@@ -55,7 +56,6 @@ from .evidence import (
 from .mc import (
     TrialEngineConfig,
     _below,
-    _block_bytes,
     _byte_lanes,
     _cuts,
     _element_bytes,
@@ -317,12 +317,10 @@ def _kernel_logic(
     rng: random.Random,
     cap: int,
     budget: int | None,
-    block_bytes: int,
 ) -> tuple[list[int], list[int], int]:
-    """The logic-trial kernel: run attempts on ``rng`` in blocks of at most
-    ``block_bytes`` generator bytes (:func:`mc._run_blocks`) until
-    ``trials`` are accepted; returns ``(successes per clause, timeouts per
-    clause, restarts)``.
+    """The logic-trial kernel: run attempts on ``rng`` in blocks
+    (:func:`mc._run_blocks`) until ``trials`` are accepted; returns
+    ``(successes per clause, timeouts per clause, restarts)``.
 
     Every mask holds one bit per attempt of a block.  The kernel walks the
     term slots in source order with ``alive``, the attempts that have not
@@ -430,7 +428,7 @@ def _kernel_logic(
 
         return accepted, tally
 
-    restarts = _run_blocks(m, score, trials, rng, cap, block_bytes)
+    restarts = _run_blocks(m, score, trials, rng, cap)
     return successes, timeouts, restarts
 
 
@@ -460,10 +458,9 @@ def logic_estimate(
     if step_budget is not None and step_budget < 0:
         raise ValueError(f"step budget must be >= 0, got {step_budget}")
     plan = _logic_plan(sources, queries)
-    block_bytes = _block_bytes(cfg)
 
     def job(share, rng):
-        return _kernel_logic(plan, share, rng, cfg.restart_cap, step_budget, block_bytes)
+        return _kernel_logic(plan, share, rng, cfg.restart_cap, step_budget)
 
     parts = _run_workers(cfg, job)
     restarts = sum(p[2] for p in parts)

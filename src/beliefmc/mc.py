@@ -28,13 +28,10 @@ kernels map each to the outcome that bisecting the source's cumulative
 table picks, and the generator ends where those calls would leave it.
 
 ``worker_count`` splits the trials into per-worker substreams derived from
-the seed, and the shares run on one thread per share, capped at the core
-count.  The kernels are pure Python and hold the interpreter lock, so the
-threads take turns rather than run in parallel: the worker count changes
-how the stream is split, not how fast it runs.  One thread per worker keeps
-an N-worker call's timing comparable with other N-thread work, which
-``perfbench`` relies on when it corrects request times by a calibration
-loop run at the request's worker count.
+the seed, and the shares run one after another in the calling thread.  The
+kernels are pure Python and hold the interpreter lock, so threads would
+only take turns: the worker count changes how the stream is split, not how
+fast it runs.
 """
 
 from __future__ import annotations
@@ -42,9 +39,7 @@ from __future__ import annotations
 import hashlib
 import math
 import mmap
-import os
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import reduce
 from itertools import compress
@@ -288,22 +283,18 @@ def _set_plan(problem: EvidenceProblem, queries: Sequence[FocalSet]) -> _SetPlan
     )
 
 
-#: Generator bytes that the blocks of one call hold at once, 8 per source per
-#: attempt, shared equally by the worker threads that run at once.  A block
-#: spreads its fixed steps (one per cumulative cut, outcome slot and term)
-#: over more attempts the larger it is, and a thread holds one block's
-#: buffer while it runs.  ``perfbench`` (2 cores, Python 3.11.7) against 64
-#: KiB blocks and the per-draw logic kernel, 8 s runs at seeds 5 and 6 with
-#: a new buffer per block: budgets of 128, 192, 256 and 384 KiB read
-#: logic-budget ``estimate_s.p50`` 0.0589 s -> 0.0400, 0.0349, 0.0327 and
-#: 0.0310 s with ``peak_rss_mb`` +1.0%, +1.4%, +2.2% and +3.3%, set-single
-#: ``round_s`` 0.0724 s -> 0.0586, 0.0574, 0.0558 and 0.0567 s (RSS +0.5%
-#: to +2.5%), and set-batch-exact ``estimate_s.p50`` 0.0076 s -> 0.0063,
-#: 0.0060, 0.0062 and 0.0060 s (RSS +0.5% to +2.1%).  Over 36 s runs the
-#: logic-budget RSS grew further, +3.0% to +4.8% at 192 KiB and +2.9% at
-#: 128 KiB, because each worker thread's malloc arena kept its freed blocks
-#: (+0.7% with one arena).  With one anonymous map per share, 192 KiB read
-#: +2.5%, and 128 KiB read +1.6% over 10 alternating pairs.
+#: Generator bytes a block holds, 8 per source per attempt.  A block spreads
+#: its fixed steps (one per cumulative cut, outcome slot and term) over more
+#: attempts the larger it is, and a share holds one block's buffer while it
+#: runs.  ``perfbench`` (2 cores, Python 3.11.7) against 64 KiB blocks and
+#: the per-draw logic kernel, 8 s runs at seeds 5 and 6 with a new buffer
+#: per block: budgets of 128, 192, 256 and 384 KiB read logic-budget
+#: ``estimate_s.p50`` 0.0589 s -> 0.0400, 0.0349, 0.0327 and 0.0310 s with
+#: ``peak_rss_mb`` +1.0%, +1.4%, +2.2% and +3.3%, set-single ``round_s``
+#: 0.0724 s -> 0.0586, 0.0574, 0.0558 and 0.0567 s (RSS +0.5% to +2.5%),
+#: and set-batch-exact ``estimate_s.p50`` 0.0076 s -> 0.0063, 0.0060,
+#: 0.0062 and 0.0060 s (RSS +0.5% to +2.1%).  In those runs the two shares
+#: of a 2-worker request ran on two threads with half the budget each.
 _BLOCK_BYTES = 128 * 1024
 
 #: A block is drawn into its buffer by ``getrandbits`` calls of at most this
@@ -370,9 +361,7 @@ def _block(plan: _SetPlan, raw: bytes, size: int) -> tuple[int, list[int]]:
     ]
 
 
-def _run_blocks(
-    m: int, score, trials: int, rng: random.Random, cap: int, block_bytes: int
-) -> int:
+def _run_blocks(m: int, score, trials: int, rng: random.Random, cap: int) -> int:
     """Run attempts of ``m`` sources on ``rng`` in blocks until ``trials``
     are accepted; returns the restarts.
 
@@ -385,21 +374,23 @@ def _run_blocks(
     block is the one source ``i`` draws in attempt ``a`` under one
     ``random()`` call per source per attempt.
 
-    A block holds at most ``block_bytes`` generator bytes.  The first holds
-    no more attempts than trials are left; once some are accepted, a block
-    holds the attempts the trials left need at the acceptance rate so far,
-    plus two standard deviations, so a share's tail mostly takes one block.
+    A block holds at most :data:`_BLOCK_BYTES` generator bytes.  The first
+    holds no more attempts than trials are left; once some are accepted, a
+    block holds the attempts the trials left need at the acceptance rate so
+    far, plus two standard deviations, so a share's tail mostly takes one
+    block.
     When a block accepts the last trial left before its end, or the restart
     cap trips inside it, the generator is set back to the state saved
     before the block and draws again up to the attempt that accepted that
     trial or tripped the cap, so it ends where the per-draw loop would
     leave it.
     """
-    per_block = max(1, block_bytes // (8 * m))
+    per_block = max(1, _BLOCK_BYTES // (8 * m))
     done = restarts = run = 0  # run: rejections since the last acceptance
     # One buffer serves every block of the share.  An anonymous map hands its
-    # pages back to the system when closed, where a freed buffer would stay
-    # in the worker thread's malloc arena.
+    # pages back to the system when closed, whatever malloc's thresholds;
+    # with the shares in one thread, a bytearray read the same logic-budget
+    # ``peak_rss_mb`` (25.24-25.40 MB either way, three 20 s runs each).
     with mmap.mmap(-1, 8 * m * per_block) as raw:
         while done < trials:
             left = trials - done
@@ -450,11 +441,11 @@ def _run_blocks(
 
 
 def _kernel_set(
-    plan: _SetPlan, trials: int, rng: random.Random, cap: int, block_bytes: int
+    plan: _SetPlan, trials: int, rng: random.Random, cap: int
 ) -> tuple[list[int], int]:
-    """The set-trial kernel: run attempts on ``rng`` in blocks of at most
-    ``block_bytes`` generator bytes (:func:`_run_blocks`) until ``trials``
-    are accepted; returns ``(successes per query, restarts)``."""
+    """The set-trial kernel: run attempts on ``rng`` in blocks
+    (:func:`_run_blocks`) until ``trials`` are accepted; returns
+    ``(successes per query, restarts)``."""
     successes = [0] * len(plan.outside)
 
     def score(raw: bytes, size: int):
@@ -467,32 +458,16 @@ def _kernel_set(
 
         return accepted, tally
 
-    restarts = _run_blocks(plan.source_count, score, trials, rng, cap, block_bytes)
+    restarts = _run_blocks(plan.source_count, score, trials, rng, cap)
     return successes, restarts
-
-
-def _threads(cfg: TrialEngineConfig) -> int:
-    """How many worker threads run at once: one per share, no more than
-    cores."""
-    return min(len(_split_trials(cfg.trials, cfg.worker_count)), os.cpu_count() or 1)
-
-
-def _block_bytes(cfg: TrialEngineConfig) -> int:
-    """A worker thread's share of :data:`_BLOCK_BYTES`."""
-    return _BLOCK_BYTES // _threads(cfg)
 
 
 def _run_workers(cfg: TrialEngineConfig, job) -> list:
     """Run ``job(share, rng)`` for each worker's share of the trials, one
-    thread per share but no more threads than cores, and return the raw
-    results in worker order.  Each share has its own substream, so the
-    thread count never changes a result."""
+    after another in the calling thread, and return the raw results in
+    worker order.  Each share has its own substream."""
     shares = _split_trials(cfg.trials, cfg.worker_count)
-    args = [(share, worker_rng(cfg.seed, w)) for w, share in enumerate(shares)]
-    if len(args) == 1:
-        return [job(*args[0])]
-    with ThreadPoolExecutor(max_workers=_threads(cfg)) as pool:
-        return list(pool.map(lambda a: job(*a), args))
+    return [job(share, worker_rng(cfg.seed, w)) for w, share in enumerate(shares)]
 
 
 def _build_estimate(
@@ -534,10 +509,9 @@ def estimate(
         if q.frame != problem.frame:
             raise FrameMismatchError("query set from a different frame")
     plan = _set_plan(problem, batch.queries)
-    block_bytes = _block_bytes(cfg)
 
     def job(share, rng):
-        return _kernel_set(plan, share, rng, cfg.restart_cap, block_bytes)
+        return _kernel_set(plan, share, rng, cfg.restart_cap)
 
     parts = _run_workers(cfg, job)
     restarts = sum(r for _, r in parts)
@@ -552,16 +526,8 @@ def conflict_estimate(
 
     Returns ``(kappa_hat, draws_per_trial)`` where ``kappa_hat`` is the
     rejected-draw frequency and ``draws_per_trial = 1 / (1 - kappa_hat)``
-    is what each trial cost on average, restarts included.
+    is what each trial cost on average, restarts included: the restarts of
+    :func:`estimate` on the frame's universe query.
     """
-    require_valid(problem)
-    plan = _set_plan(problem, ())
-    block_bytes = _block_bytes(cfg)
-
-    def job(share, rng):
-        return _kernel_set(plan, share, rng, cfg.restart_cap, block_bytes)
-
-    parts = _run_workers(cfg, job)
-    restarts = sum(r for _, r in parts)
-    kappa = restarts / (restarts + cfg.trials)
-    return kappa, (restarts + cfg.trials) / cfg.trials
+    r = estimate(problem, (problem.frame.universe(),), cfg)[0]
+    return r.conflict_estimate, (r.restarts + r.trials) / r.trials

@@ -262,7 +262,7 @@ class TestDrawStream:
             for budget in (None, 0, 12):
                 rng = random.Random(3)
                 _, _, restarts = _kernel_logic(
-                    plan, 500, rng, DEFAULT_RESTART_CAP, budget, mc._BLOCK_BYTES
+                    plan, 500, rng, DEFAULT_RESTART_CAP, budget
                 )
                 assert restarts > 0
                 assert rng.getstate() == _advanced(3, m * (500 + restarts))
@@ -320,7 +320,7 @@ class TestClauseBatch:
         for budget in (None, 0, 12):
             rng = random.Random(3)
             successes, timeouts, restarts = _kernel_logic(
-                plan, 500, rng, DEFAULT_RESTART_CAP, budget, mc._BLOCK_BYTES
+                plan, 500, rng, DEFAULT_RESTART_CAP, budget
             )
             assert len(successes) == len(timeouts) == 3
             assert restarts > 0
@@ -463,13 +463,13 @@ class TestBlockKernel:
         if chunk_bytes is not None:
             monkeypatch.setattr(mc, "_CHUNK_BYTES", chunk_bytes)
         for label, problem, clauses, budgets in self.CASES:
-            m = len(problem.sources)
+            monkeypatch.setattr(mc, "_BLOCK_BYTES", 8 * len(problem.sources) * 7)
             plans, masks = per_draw_logic_plans(problem.sources, *clauses)
             for cap in (3, 200):
                 for budget in budgets[:3]:
                     rngs = random.Random(cap), random.Random(cap)
                     block = run_outcome(lambda: _kernel_logic(
-                        _logic_plan(problem.sources, clauses), 300, rngs[0], cap, budget, 8 * m * 7
+                        _logic_plan(problem.sources, clauses), 300, rngs[0], cap, budget
                     ))
                     per_draw = run_outcome(
                         lambda: per_draw_kernel_logic(plans, masks, 300, rngs[1], cap, budget)

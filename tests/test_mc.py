@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 import os
 import random
+import threading
 from bisect import bisect_right
 from fractions import Fraction
 from pathlib import Path
@@ -25,6 +26,7 @@ from beliefmc import (
     conflict_estimate,
     estimate,
     exact_belief_enumeration,
+    logic_estimate,
     plan_trials,
     sd_bound,
     simple_support,
@@ -43,6 +45,8 @@ from conftest import (
     draw_plan,
     per_draw_kernel_set,
     per_draw_plans,
+    random_clause,
+    random_logic_problem,
     random_problem,
     run_outcome,
     random_ssf_problem,
@@ -375,7 +379,7 @@ class TestDrawStream:
             queries = [FocalSet(problem.frame, b) for b in (1, 3)]
             rng = random.Random(3)
             _, restarts = _kernel_set(
-                _set_plan(problem, queries), 500, rng, DEFAULT_RESTART_CAP, mc._BLOCK_BYTES
+                _set_plan(problem, queries), 500, rng, DEFAULT_RESTART_CAP
             )
             assert restarts > 0, label
             ref = random.Random(3)
@@ -532,22 +536,30 @@ class TestDeterminism:
         b = worker_rng(7, 1)
         assert [a.random() for _ in range(4)] != [b.random() for _ in range(4)]
 
-    def test_thread_pool_capped_at_core_count(self, two_ssf_problem, monkeypatch):
-        cores = os.cpu_count() or 1
-        sizes = []
-        real_pool = mc.ThreadPoolExecutor
+    def test_shares_run_in_the_calling_thread(self, two_ssf_problem, monkeypatch):
+        # more shares than cores, with no thread able to start: every
+        # estimator returns the counts of an unpatched run
+        cfg = TrialEngineConfig(trials=200, seed=4, worker_count=(os.cpu_count() or 1) + 2)
+        queries = [two_ssf_problem.frame.singleton("x1")]
+        logic = random_logic_problem(3)
+        clauses = [random_clause(5, logic.atoms)]
 
-        def recording_pool(max_workers):
-            sizes.append(max_workers)
-            return real_pool(max_workers=max_workers)
+        def runs():
+            sets = estimate(two_ssf_problem, queries, cfg)[0]
+            bounded = logic_estimate(logic.sources, clauses, cfg, step_budget=4)
+            return (
+                (sets.successes, sets.restarts),
+                conflict_estimate(two_ssf_problem, cfg),
+                [(e.successes, e.timeouts, e.restarts) for e in bounded.estimates],
+            )
 
-        monkeypatch.setattr(mc, "ThreadPoolExecutor", recording_pool)
-        cfg = TrialEngineConfig(trials=200, seed=4, worker_count=cores + 2)
-        r = estimate(
-            two_ssf_problem, QueryBatch((two_ssf_problem.frame.universe(),)), cfg
-        )[0]
-        assert r.trials == 200
-        assert sizes and all(n <= cores for n in sizes)
+        unpatched = runs()
+
+        def refuse(thread):
+            raise RuntimeError("no thread may start")
+
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        assert runs() == unpatched
 
     def test_more_workers_than_trials(self, two_ssf_problem):
         cfg = TrialEngineConfig(trials=3, seed=0, worker_count=8)
@@ -680,16 +692,17 @@ class TestBlockKernel:
 
                     assert run_outcome(block) == run_outcome(per_draw), (problem, cap, workers)
 
-    def test_leaves_generator_where_per_draw_kernel_does(self):
+    def test_leaves_generator_where_per_draw_kernel_does(self, monkeypatch):
         # the same final generator state, after a full run and after a
         # tripped cap, with blocks of 64 uniforms
+        monkeypatch.setattr(mc, "_BLOCK_BYTES", 8 * 64)
         for problem in self.PROBLEMS:
             full = problem.frame.full_bits
             queries = [FocalSet(problem.frame, b) for b in (full, full ^ 1)]
             for cap in (3, 200):
                 rngs = random.Random(cap), random.Random(cap)
                 block = run_outcome(
-                    lambda: _kernel_set(_set_plan(problem, queries), 300, rngs[0], cap, 8 * 64)
+                    lambda: _kernel_set(_set_plan(problem, queries), 300, rngs[0], cap)
                 )
                 per_draw = run_outcome(lambda: per_draw_kernel_set(
                     per_draw_plans(problem), full, [~q.bits for q in queries],
@@ -702,7 +715,7 @@ class TestBlockKernel:
     def test_small_chunks_leave_generator_alike(self, monkeypatch, chunk_bytes):
         # blocks drawn and redrawn in chunks of 1 or 3 uniforms
         monkeypatch.setattr(mc, "_CHUNK_BYTES", chunk_bytes)
-        self.test_leaves_generator_where_per_draw_kernel_does()
+        self.test_leaves_generator_where_per_draw_kernel_does(monkeypatch)
 
 
 class TestRestartLaw:
