@@ -262,3 +262,87 @@ class TestTuneFocusDensity:
         monkeypatch.setattr(pio, "generate_problem", counting)
         pio.tune_focus_density(5, 8, target_conflict=0.4, seed=2, probes=12)
         assert calls == 12
+
+
+# (text, (line, column, message)) for every ParseError branch of
+# parse_problem.  No message echoes whitespace from its input, so the
+# variants below keep every expected triple.
+PARSE_ERRORS = [
+    ("", (1, 1, "expected a 'frame:' or 'atoms:' header")),
+    ("# only a comment\n\n", (1, 1, "expected a 'frame:' or 'atoms:' header")),
+    ("0.5 {a}\n", (1, 1, "expected a 'frame:' or 'atoms:' header")),
+    ("  source:\n 1.0 *\n", (1, 3, "'source:' before a 'frame:' or 'atoms:' header")),
+    ("frame: a\n  frame: b\n", (2, 3, "unexpected second 'frame:' header")),
+    ("frame: a\nsource:\n 1.0 *\natoms: p\n", (4, 1, "unexpected second 'atoms:' header")),
+    (" frame: a {b}\n", (1, 2, "bad name '{b}' in 'frame:' header")),
+    ("atoms: p !q\n", (1, 1, "bad name '!q' in 'atoms:' header")),
+    ("frame:\nsource:\n 1.0 *\n", (1, 1, "frame needs at least one element")),
+    ("frame: a b a\n", (1, 1, "duplicate element label: 'a'")),
+    ("frame: a\n source: x\n", (2, 2, "unexpected text after 'source:'")),
+    ("frame: a\n  0.5 {a}\n", (2, 3, "outcome line outside a source block")),
+    ("frame: a\nsource:\n oops {a}\n", (3, 2, "bad probability 'oops'")),
+    ("frame: a\nsource:\n  1.0\n", (3, 3, "outcome needs a target after the probability")),
+    ("frame: a\nsource:\n 1.0 a\n", (3, 6, "expected a set like {x1 x2} or *, got 'a'")),
+    ("atoms: p\nsource:\n 1.0 {p}\n", (3, 6, "expected a term like [p !q], got '{p}'")),
+    ("frame: a\nsource:\n 1.0   {a\n", (3, 8, "expected '}' closing the set")),
+    ("atoms: p\nsource:\n 1.0 [p\n", (3, 6, "expected ']' closing the term")),
+    ("frame: a b\nsource:\n  0.5 {a c d}\n  0.5 *\n", (3, 7, "unknown element 'c'")),
+    ("frame: a b\nsource:\n 0.5 {b}\n 0.5 {a zz}\n", (4, 6, "unknown element 'zz'")),
+    ("atoms: p q\nsource:\n 1.0 [p !!q]\n", (3, 6, "bad literal: '!!q'")),
+    # Line structure is checked on the whole file before any frame or
+    # target, so a later structural error wins over an earlier target one.
+    ("frame: a\nsource:\n 1.0 {b}\nsource: x\n", (4, 1, "unexpected text after 'source:'")),
+    ("frame: a a\nsource:\n 1.0 {b}\n nan? *\n", (4, 2, "bad probability 'nan?'")),
+    ("frame: a a\nsource:\n 1.0 {b}\n", (1, 1, "duplicate element label: 'a'")),
+]
+
+
+def _with_comments(text: str) -> str:
+    return "".join(line + " # note\n" for line in text.splitlines())
+
+
+PARSE_VARIANTS = {
+    "plain": lambda text: text,
+    "comments": _with_comments,
+    "tabs": lambda text: text.replace(" ", "\t"),
+    "crlf": lambda text: text.replace("\n", "\r\n"),
+}
+
+
+class TestParseErrorPositions:
+    @pytest.mark.parametrize("variant", sorted(PARSE_VARIANTS))
+    @pytest.mark.parametrize("text, want", PARSE_ERRORS)
+    def test_parse_problem(self, text, want, variant):
+        with pytest.raises(ParseError) as exc:
+            parse_problem(PARSE_VARIANTS[variant](text))
+        line, column, message = want
+        assert (exc.value.line, exc.value.column) == (line, column)
+        assert str(exc.value) == f"line {line}, column {column}: {message}"
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("x1", "expected a set like {x1 x2} or *, got 'x1'"),
+            ("{x1", "expected '}' closing the set"),
+            ("{x1 zz x9}", "unknown element 'zz'"),
+        ],
+    )
+    def test_parse_query(self, text, message):
+        frame = Frame(("x1", "x2"))
+        with pytest.raises(ParseError) as exc:
+            parse_query(frame, text)
+        assert str(exc.value) == f"line 1, column 1: {message}"
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("p", "expected a term like [p !q], got 'p'"),
+            ("[p", "expected ']' closing the term"),
+            ("[p !!q]", "bad literal: '!!q'"),
+            ("[]", "clause query needs at least one literal"),
+        ],
+    )
+    def test_parse_clause(self, text, message):
+        with pytest.raises(ParseError) as exc:
+            parse_clause(text)
+        assert str(exc.value) == f"line 1, column 1: {message}"
