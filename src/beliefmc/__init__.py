@@ -53,7 +53,6 @@ from .logic import (
 )
 from .mc import (
     Estimate,
-    QueryBatch,
     TrialEngineConfig,
     conflict_estimate,
     derive_stream_seed,
@@ -94,7 +93,6 @@ __all__ = [
     "LogicSource",
     "MassFunction",
     "ParseError",
-    "QueryBatch",
     "ResourceLimitError",
     "SourceModel",
     "TermSet",

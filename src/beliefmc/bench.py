@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from .errors import ExcessiveConflictError, ResourceLimitError, TotalConflictError
 from .evidence import bel_from_mass
 from .exact import DEFAULT_MAX_ENTRIES, combine_all
-from .mc import QueryBatch, TrialEngineConfig, derive_stream_seed, estimate
+from .mc import TrialEngineConfig, derive_stream_seed, estimate
 from .problem_io import GeneratedProblem, generate_problem
 
 #: Weight-scale search interval for the conflict tuner's second stage.
@@ -208,7 +208,7 @@ def run_bench(
                 seed=derive_stream_seed(seed, f"bench-mc-{m}x{n}"),
                 worker_count=worker_count,
             )
-            batch = QueryBatch((query,))
+            batch = [query]
             try:
                 est = estimate(problem, batch, cfg)[0]  # warmup, untimed
                 mc_times = []

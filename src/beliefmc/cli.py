@@ -39,12 +39,7 @@ from .logic import (
     translate_to_set_problem,
     validate_logic_problem,
 )
-from .mc import (
-    QueryBatch,
-    TrialEngineConfig,
-    estimate,
-    plan_trials,
-)
+from .mc import TrialEngineConfig, estimate, plan_trials
 from .problem_io import (
     generate_problem,
     parse_clause,
@@ -119,7 +114,7 @@ def cmd_estimate(args) -> int:
         return 2
     query_texts = args.query or ["*"]
     queries = [parse_query(problem.frame, q) for q in query_texts]
-    results = estimate(problem, QueryBatch(tuple(queries)), cfg)
+    results = estimate(problem, queries, cfg)
     if args.csv:
         _write_csv(
             (

@@ -303,6 +303,11 @@ class EvidenceProblem:
     frame: Frame
     sources: tuple[SourceModel, ...]
 
+    #: Set on the instance when :func:`validate_problem` reports nothing
+    #: (see :func:`require_valid`); not a field, so it takes no part in
+    #: equality or hashing.
+    _valid = False
+
     def __post_init__(self) -> None:
         object.__setattr__(self, "sources", tuple(self.sources))
 
@@ -330,10 +335,22 @@ def validate_problem(problem: EvidenceProblem) -> list[str]:
         total = math.fsum(p for p, _ in source.outcomes)
         if abs(total - 1.0) > MASS_TOL:
             report.append(f"source {i}: probabilities sum to {total:g}")
+    if not report:
+        object.__setattr__(problem, "_valid", True)
     return report
 
 
 def require_valid(problem: EvidenceProblem) -> None:
+    """Raise :class:`InvalidProblemError` listing what
+    :func:`validate_problem` reports, if anything.
+
+    A problem is immutable, so a clean report holds for its lifetime:
+    ``validate_problem`` marks the problem it passes, and the entry points
+    (``estimate`` and the exact fold) call this function only for a
+    problem not marked yet.  A problem from ``parse_problem`` is checked
+    once, while it is parsed; a hand-built one, or one parsed with
+    ``validate=False``, on first use.
+    """
     report = validate_problem(problem)
     if report:
         raise InvalidProblemError(report)

@@ -152,9 +152,11 @@ def _fold(
     so it adds to the survival and to nothing else, and its mass is carried
     as one scalar.  The fold stops once the table is empty.  ``outside=0``
     prunes nothing.  ``max_outcomes`` caps the joint outcome count before
-    any work.
+    any work.  A problem that ``validate_problem`` has not passed yet is
+    checked first (:func:`~beliefmc.evidence.require_valid`).
     """
-    require_valid(problem)
+    if not problem._valid:
+        require_valid(problem)
     joint = math.prod(len(s.outcomes) for s in problem.sources)
     if max_outcomes is not None and joint > max_outcomes:
         raise ResourceLimitError(f"{label}: joint outcome space exceeds {max_outcomes}")

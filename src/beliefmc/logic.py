@@ -165,6 +165,10 @@ class LogicSource:
 
     outcomes: tuple[tuple[float, TermSet], ...]
 
+    #: Set on the instance when :func:`validate_logic_sources` passes it
+    #: (its checks look at one source at a time); not a field.
+    _valid = False
+
     def __post_init__(self) -> None:
         object.__setattr__(
             self, "outcomes", tuple((float(p), t) for p, t in self.outcomes)
@@ -177,6 +181,10 @@ class LogicProblem:
 
     atoms: tuple[str, ...]
     sources: tuple[LogicSource, ...]
+
+    #: Set on the instance when :func:`validate_logic_problem` reports
+    #: nothing; not a field.
+    _valid = False
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "atoms", tuple(self.atoms))
@@ -218,7 +226,12 @@ def is_contradictory(term: TermSet) -> bool:
 
 
 def validate_logic_sources(sources: Sequence[LogicSource]) -> list[str]:
-    """Structural checks shared by every logic entry point."""
+    """Structural checks shared by every logic entry point.
+
+    Each check looks at one source, so a clean report marks every source
+    as validated, and :func:`logic_estimate` does not check marked sources
+    again.
+    """
     report: list[str] = []
     if not sources:
         report.append("problem has no sources")
@@ -234,11 +247,18 @@ def validate_logic_sources(sources: Sequence[LogicSource]) -> list[str]:
         total = math.fsum(p for p, _ in source.outcomes)
         if abs(total - 1.0) > MASS_TOL:
             report.append(f"source {i}: probabilities sum to {total:g}")
+    if not report:
+        for source in sources:
+            object.__setattr__(source, "_valid", True)
     return report
 
 
 def validate_logic_problem(problem: LogicProblem) -> list[str]:
-    """Source checks plus the declared-atom discipline."""
+    """Source checks plus the declared-atom discipline.
+
+    A clean report marks the problem as validated, so
+    :func:`translate_to_set_problem` does not check it again.
+    """
     report: list[str] = []
     seen: set[str] = set()
     for atom in problem.atoms:
@@ -252,6 +272,8 @@ def validate_logic_problem(problem: LogicProblem) -> list[str]:
         for k, (_, t) in enumerate(source.outcomes):
             for atom in sorted(t.atoms() - seen):
                 report.append(f"source {i} outcome {k}: unknown atom {atom!r}")
+    if not report:
+        object.__setattr__(problem, "_valid", True)
     return report
 
 
@@ -448,13 +470,15 @@ def logic_estimate(
     spend on one clause; over-budget (trial, clause) pairs count toward
     that clause's ``timeouts`` and widen its bounds.  Trials are split
     across per-worker substreams and run by the same worker runner as the
-    set-problem estimator.
+    set-problem estimator.  Sources that ``validate_logic_sources`` has not
+    passed yet are checked first.
     """
     single = isinstance(query, ClauseQuery)
     queries = (query,) if single else tuple(query)
-    report = validate_logic_sources(sources)
-    if report:
-        raise InvalidProblemError(report)
+    if not (sources and all(s._valid for s in sources)):
+        report = validate_logic_sources(sources)
+        if report:
+            raise InvalidProblemError(report)
     if step_budget is not None and step_budget < 0:
         raise ValueError(f"step budget must be >= 0, got {step_budget}")
     plan = _logic_plan(sources, queries)
@@ -557,10 +581,15 @@ def translate_to_set_problem(problem: LogicProblem) -> EvidenceProblem:
     Each term maps to the set of assignments satisfying it, so combined
     belief in any clause's satisfying set equals the logic-side belief.
     Guarded by :data:`MAX_TRANSLATE_ATOMS` since the frame doubles per atom.
+    A problem that ``validate_logic_problem`` has not passed yet is checked
+    first.  The result is valid by construction (a consistent term over
+    declared atoms holds in some assignment), so it is returned marked as
+    validated and the exact fold does not check it again.
     """
-    report = validate_logic_problem(problem)
-    if report:
-        raise InvalidProblemError(report)
+    if not problem._valid:
+        report = validate_logic_problem(problem)
+        if report:
+            raise InvalidProblemError(report)
     space = AssignmentSpace(problem.atoms)
     sources = tuple(
         SourceModel(
@@ -569,4 +598,6 @@ def translate_to_set_problem(problem: LogicProblem) -> EvidenceProblem:
         )
         for source in problem.sources
     )
-    return EvidenceProblem(space.frame, sources)
+    translated = EvidenceProblem(space.frame, sources)
+    object.__setattr__(translated, "_valid", True)
+    return translated

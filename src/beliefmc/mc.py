@@ -38,7 +38,6 @@ from __future__ import annotations
 
 import hashlib
 import math
-import mmap
 import random
 from dataclasses import dataclass
 from functools import reduce
@@ -81,22 +80,6 @@ class Estimate:
     plugin_sd: float
     conflict_estimate: float
     interval: tuple[float, float]
-
-
-@dataclass(frozen=True)
-class QueryBatch:
-    """Query sets to score against the same trial stream."""
-
-    queries: tuple[FocalSet, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "queries", tuple(self.queries))
-        if not self.queries:
-            raise ValueError("query batch is empty")
-        frame = self.queries[0].frame
-        for q in self.queries[1:]:
-            if q.frame != frame:
-                raise FrameMismatchError("queries belong to different frames")
 
 
 def plan_trials(accuracy: float) -> int:
@@ -387,56 +370,52 @@ def _run_blocks(m: int, score, trials: int, rng: random.Random, cap: int) -> int
     """
     per_block = max(1, _BLOCK_BYTES // (8 * m))
     done = restarts = run = 0  # run: rejections since the last acceptance
-    # One buffer serves every block of the share.  An anonymous map hands its
-    # pages back to the system when closed, whatever malloc's thresholds;
-    # with the shares in one thread, a bytearray read the same logic-budget
-    # ``peak_rss_mb`` (25.24-25.40 MB either way, three 20 s runs each).
-    with mmap.mmap(-1, 8 * m * per_block) as raw:
-        while done < trials:
-            left = trials - done
-            if done:
-                p = done / (done + restarts)
-                need = (left + 2.0 * math.sqrt(left * (1.0 - p))) / p
-                size = min(per_block, math.ceil(need))
-            else:
-                size = min(per_block, left) if not restarts else per_block
-            state = rng.getstate()
-            _draw(rng, m * size, raw)
-            accepted, tally = score(raw, size)
-            cut = size
-            if accepted.bit_count() >= left:
-                # the attempt that accepts the last trial left ends the share
-                lo = left
-                while lo < cut:
-                    mid = (lo + cut) // 2
-                    if (accepted & ((1 << mid) - 1)).bit_count() >= left:
-                        cut = mid
-                    else:
-                        lo = mid + 1
-            # the cap trips at the (cap + 1)-th rejection in a row, counting
-            # the rejections carried over from earlier blocks
-            first = (accepted & -accepted).bit_length() - 1 if accepted else size
-            trip = -1
-            if run + first > cap:
-                trip = cap - run
-            elif cap + 2 <= size:
-                at = format(accepted, f"0{size}b")[::-1].find("1" + "0" * (cap + 1))
-                if at >= 0:
-                    trip = at + cap + 1
-            if 0 <= trip < cut:
-                kept = (accepted & ((1 << trip) - 1)).bit_count()
-                rng.setstate(state)
-                _draw(rng, m * (trip + 1))
-                raise _cap_error(restarts + trip + 1 - kept, done + kept, cap)
-            if cut < size:
-                rng.setstate(state)
-                _draw(rng, m * cut)
-                accepted &= (1 << cut) - 1
-            tally(cut)
-            count = accepted.bit_count()
-            done += count
-            restarts += cut - count
-            run = cut - accepted.bit_length() if accepted else run + cut
+    raw = bytearray(8 * m * per_block)  # one buffer serves every block of the share
+    while done < trials:
+        left = trials - done
+        if done:
+            p = done / (done + restarts)
+            need = (left + 2.0 * math.sqrt(left * (1.0 - p))) / p
+            size = min(per_block, math.ceil(need))
+        else:
+            size = min(per_block, left) if not restarts else per_block
+        state = rng.getstate()
+        _draw(rng, m * size, raw)
+        accepted, tally = score(raw, size)
+        cut = size
+        if accepted.bit_count() >= left:
+            # the attempt that accepts the last trial left ends the share
+            lo = left
+            while lo < cut:
+                mid = (lo + cut) // 2
+                if (accepted & ((1 << mid) - 1)).bit_count() >= left:
+                    cut = mid
+                else:
+                    lo = mid + 1
+        # the cap trips at the (cap + 1)-th rejection in a row, counting
+        # the rejections carried over from earlier blocks
+        first = (accepted & -accepted).bit_length() - 1 if accepted else size
+        trip = -1
+        if run + first > cap:
+            trip = cap - run
+        elif cap + 2 <= size:
+            at = format(accepted, f"0{size}b")[::-1].find("1" + "0" * (cap + 1))
+            if at >= 0:
+                trip = at + cap + 1
+        if 0 <= trip < cut:
+            kept = (accepted & ((1 << trip) - 1)).bit_count()
+            rng.setstate(state)
+            _draw(rng, m * (trip + 1))
+            raise _cap_error(restarts + trip + 1 - kept, done + kept, cap)
+        if cut < size:
+            rng.setstate(state)
+            _draw(rng, m * cut)
+            accepted &= (1 << cut) - 1
+        tally(cut)
+        count = accepted.bit_count()
+        done += count
+        restarts += cut - count
+        run = cut - accepted.bit_length() if accepted else run + cut
     return restarts
 
 
@@ -491,31 +470,37 @@ def _build_estimate(
 
 def estimate(
     problem: EvidenceProblem,
-    batch: QueryBatch | Sequence[FocalSet],
+    queries: Sequence[FocalSet],
     cfg: TrialEngineConfig,
 ) -> list[Estimate]:
-    """Estimate the combined belief of every query in ``batch``.
+    """Estimate the combined belief of every query in ``queries``, a
+    non-empty sequence of sets over the problem's frame, in order.
 
     All queries share one trial stream: the intersection from each accepted
     trial is scored against every query, so a batch costs barely more than a
     single query.  With ``worker_count > 1`` the trials are split across
     per-worker substreams derived from the seed and merged additively, which
-    makes results a pure function of ``(seed, worker_count)``.
+    makes results a pure function of ``(seed, worker_count)``.  A problem
+    that ``validate_problem`` has not passed yet is checked first
+    (:func:`~beliefmc.evidence.require_valid`).  Raises ``ValueError`` for
+    no queries and ``FrameMismatchError`` for a query over another frame.
     """
-    require_valid(problem)
-    if not isinstance(batch, QueryBatch):
-        batch = QueryBatch(tuple(batch))
-    for q in batch.queries:
+    if not problem._valid:
+        require_valid(problem)
+    queries = tuple(queries)
+    if not queries:
+        raise ValueError("query batch is empty")
+    for q in queries:
         if q.frame != problem.frame:
             raise FrameMismatchError("query set from a different frame")
-    plan = _set_plan(problem, batch.queries)
+    plan = _set_plan(problem, queries)
 
     def job(share, rng):
         return _kernel_set(plan, share, rng, cfg.restart_cap)
 
     parts = _run_workers(cfg, job)
     restarts = sum(r for _, r in parts)
-    totals = [sum(p[0][qi] for p in parts) for qi in range(len(batch.queries))]
+    totals = [sum(p[0][qi] for p in parts) for qi in range(len(queries))]
     return [_build_estimate(s, cfg.trials, restarts) for s in totals]
 
 

@@ -24,6 +24,9 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import partial, reduce
+from itertools import repeat
+from operator import lshift, or_
 
 from .errors import InvalidProblemError, ParseError
 from .evidence import (
@@ -31,8 +34,8 @@ from .evidence import (
     FocalSet,
     Frame,
     SourceModel,
+    require_valid,
     simple_support,
-    validate_problem,
 )
 from .logic import (
     ClauseQuery,
@@ -52,146 +55,159 @@ def _renderable(token: str) -> bool:
     return bool(token) and not any(c.isspace() or c in _SPECIALS for c in token)
 
 
-def _strip_comment(line: str) -> str:
-    cut = line.find("#")
-    return line if cut < 0 else line[:cut]
+def _col(raw: str, first: str) -> int:
+    """The 1-based column of a line's first token."""
+    return raw.index(first) + 1
 
 
-class _Lines:
-    def __init__(self, text: str):
-        self.rows = text.splitlines()
-
-    def __iter__(self):
-        for idx, raw in enumerate(self.rows, start=1):
-            body = _strip_comment(raw)
-            if body.strip():
-                yield idx, raw, body
-
-
-def _parse_set_expr(frame: Frame, expr: str, line: int, col: int) -> FocalSet:
+def _set_target(frame: Frame, expr: str) -> FocalSet:
+    """The subset ``expr`` names (``{x1 x2}``, ``{}`` or ``*``); raises
+    ``ValueError`` with the parse error's message."""
     expr = expr.strip()
     if expr == "*":
         return frame.universe()
     if not expr.startswith("{"):
-        raise ParseError(line, col, f"expected a set like {{x1 x2}} or *, got {expr!r}")
+        raise ValueError(f"expected a set like {{x1 x2}} or *, got {expr!r}")
     if not expr.endswith("}"):
-        raise ParseError(line, col, "expected '}' closing the set")
-    bits = 0
-    for label in expr[1:-1].split():
-        if label not in frame:
-            raise ParseError(line, col, f"unknown element {label!r}")
-        bits |= 1 << frame.index(label)
+        raise ValueError("expected '}' closing the set")
+    labels = expr[1:-1].split()
+    try:
+        bits = reduce(or_, map(lshift, repeat(1), map(frame._index.__getitem__, labels)), 0)
+    except KeyError:
+        unknown = next(label for label in labels if label not in frame)
+        raise ValueError(f"unknown element {unknown!r}") from None
     return FocalSet(frame, bits)
 
 
-def _parse_term_expr(expr: str, line: int, col: int) -> tuple[Literal, ...]:
+def _term_literals(expr: str) -> tuple[Literal, ...]:
+    """The literals of the conjunction ``expr`` (``[p !q]``, ``[]``); raises
+    ``ValueError`` with the parse error's message."""
     expr = expr.strip()
     if not expr.startswith("["):
-        raise ParseError(line, col, f"expected a term like [p !q], got {expr!r}")
+        raise ValueError(f"expected a term like [p !q], got {expr!r}")
     if not expr.endswith("]"):
-        raise ParseError(line, col, "expected ']' closing the term")
-    out = []
-    for tok in expr[1:-1].split():
-        try:
-            out.append(Literal.parse(tok))
-        except ValueError as e:
-            raise ParseError(line, col, str(e)) from None
-    return tuple(out)
+        raise ValueError("expected ']' closing the term")
+    return tuple(map(Literal.parse, expr[1:-1].split()))
+
+
+def _term_target(expr: str) -> TermSet:
+    return TermSet(_term_literals(expr))
 
 
 def parse_problem(text: str, *, validate: bool = True) -> EvidenceProblem | LogicProblem:
     """Parse a problem file.
 
     Syntax trouble raises :class:`ParseError` with a 1-based line and
-    column.  With ``validate`` (the default), structural violations raise
-    :class:`InvalidProblemError`; pass ``validate=False`` to get the parsed
-    problem and run the checks yourself.
+    column.  Line structure (headers, ``source:`` lines, probabilities,
+    missing targets) is checked on the whole file first, then the frame
+    and the targets, so the first structural error wins over an earlier
+    bad target.  With ``validate`` (the default), structural violations
+    raise :class:`InvalidProblemError`, and the problem returned is marked
+    as validated, so the entry points that take it do not check it again;
+    with ``validate=False`` nothing is checked here, and the first entry
+    point that takes the problem checks it.
+
+    The file is read in one pass over its lines.  A target's text is parsed
+    once per call, however many outcome lines repeat it, and an error's
+    column is worked out only when the error is raised.
     """
-    header: tuple[str, list[str], int, int] | None = None
-    raw_sources: list[list[tuple[float, str, int, int]]] = []
-    last_line = 0
-    for lineno, raw, body in _Lines(text):
-        last_line = lineno
-        tokens = body.split()
-        first = tokens[0]
-        col = raw.index(first) + 1
-        if first in ("frame:", "atoms:"):
+    header: str | None = None  # "frame:" or "atoms:"
+    frame: Frame | None = None
+    blocks: list[list[tuple[float, FocalSet | TermSet]]] = []
+    block: list[tuple[float, FocalSet | TermSet]] | None = None
+    targets: dict[str, FocalSet | TermSet] = {}  # target text -> parsed target
+    pending: ParseError | None = None  # the first frame or target error
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        cut = raw.find("#")
+        parts = (raw if cut < 0 else raw[:cut]).split(None, 1)
+        if not parts:
+            continue
+        first = parts[0]
+        if first == "frame:" or first == "atoms:":
             if header is not None:
-                raise ParseError(lineno, col, f"unexpected second {first!r} header")
-            if raw_sources:
-                raise ParseError(lineno, col, f"{first!r} header after a source block")
-            for tok in tokens[1:]:
-                if not _renderable(tok):
-                    raise ParseError(lineno, col, f"bad name {tok!r} in {first!r} header")
-            header = (first, tokens[1:], lineno, col)
+                raise ParseError(lineno, _col(raw, first), f"unexpected second {first!r} header")
+            names = parts[1].split() if len(parts) > 1 else []
+            if not _SPECIALS.isdisjoint(parts[-1]):
+                name = next(name for name in names if not _renderable(name))
+                raise ParseError(lineno, _col(raw, first), f"bad name {name!r} in {first!r} header")
+            header = first
+            if first == "frame:":
+                try:
+                    frame = Frame(tuple(names))
+                except ValueError as e:
+                    pending = ParseError(lineno, _col(raw, first), str(e))
+                parse = partial(_set_target, frame)
+            else:
+                atoms = tuple(names)
+                parse = _term_target
         elif first == "source:":
             if header is None:
-                raise ParseError(lineno, col, "'source:' before a 'frame:' or 'atoms:' header")
-            if len(tokens) > 1:
-                raise ParseError(lineno, col, "unexpected text after 'source:'")
-            raw_sources.append([])
+                raise ParseError(
+                    lineno, _col(raw, first), "'source:' before a 'frame:' or 'atoms:' header"
+                )
+            if len(parts) > 1:
+                raise ParseError(lineno, _col(raw, first), "unexpected text after 'source:'")
+            block = []
+            blocks.append(block)
         else:
             if header is None:
-                raise ParseError(lineno, col, "expected a 'frame:' or 'atoms:' header")
-            if not raw_sources:
-                raise ParseError(lineno, col, "outcome line outside a source block")
+                raise ParseError(lineno, _col(raw, first), "expected a 'frame:' or 'atoms:' header")
+            if block is None:
+                raise ParseError(lineno, _col(raw, first), "outcome line outside a source block")
             try:
                 prob = float(first)
             except ValueError:
-                raise ParseError(lineno, col, f"bad probability {first!r}") from None
-            expr = body[body.index(first) + len(first):].strip()
-            expr_col = raw.index(expr[0], col) + 1 if expr else col
-            if not expr:
-                raise ParseError(lineno, col, "outcome needs a target after the probability")
-            raw_sources[-1].append((prob, expr, lineno, expr_col))
+                raise ParseError(lineno, _col(raw, first), f"bad probability {first!r}") from None
+            if len(parts) == 1:
+                raise ParseError(
+                    lineno, _col(raw, first), "outcome needs a target after the probability"
+                )
+            if pending is not None:
+                continue
+            expr = parts[1].rstrip()
+            target = targets.get(expr)
+            if target is None:
+                try:
+                    target = targets[expr] = parse(expr)
+                except ValueError as e:
+                    # the column of the target's first character, searched
+                    # for from the second character of the probability
+                    column = raw.index(expr[0], _col(raw, first)) + 1
+                    pending = ParseError(lineno, column, str(e))
+                    continue
+            block.append((prob, target))
 
     if header is None:
-        raise ParseError(last_line + 1, 1, "expected a 'frame:' or 'atoms:' header")
-
-    kind, head_tokens, head_line, head_col = header
-    problem: EvidenceProblem | LogicProblem
-    if kind == "frame:":
-        try:
-            frame = Frame(tuple(head_tokens))
-        except ValueError as e:
-            raise ParseError(head_line, head_col, str(e)) from None
-        sources = tuple(
-            SourceModel(
-                frame,
-                tuple(
-                    (p, _parse_set_expr(frame, expr, ln, cl))
-                    for p, expr, ln, cl in block
-                ),
-            )
-            for block in raw_sources
-        )
-        problem = EvidenceProblem(frame, sources)
-        report = validate_problem(problem)
-    else:
-        sources = tuple(
-            LogicSource(
-                tuple(
-                    (p, TermSet(_parse_term_expr(expr, ln, cl)))
-                    for p, expr, ln, cl in block
-                )
-            )
-            for block in raw_sources
-        )
-        problem = LogicProblem(tuple(head_tokens), sources)
-        report = validate_logic_problem(problem)
-    if validate and report:
-        raise InvalidProblemError(report)
-    return problem
+        raise ParseError(1, 1, "expected a 'frame:' or 'atoms:' header")
+    if pending is not None:
+        raise pending
+    if header == "frame:":
+        problem = EvidenceProblem(frame, tuple(SourceModel(frame, tuple(b)) for b in blocks))
+        if validate:
+            require_valid(problem)
+        return problem
+    logic = LogicProblem(atoms, tuple(LogicSource(tuple(b)) for b in blocks))
+    if validate:
+        report = validate_logic_problem(logic)
+        if report:
+            raise InvalidProblemError(report)
+    return logic
 
 
 def parse_query(frame: Frame, text: str) -> FocalSet:
     """Parse a query set expression (``{x1 x2}``, ``{}`` or ``*``)."""
-    return _parse_set_expr(frame, text, 1, 1)
+    try:
+        return _set_target(frame, text)
+    except ValueError as e:
+        raise ParseError(1, 1, str(e)) from None
 
 
 def parse_clause(text: str) -> ClauseQuery:
     """Parse a clause query expression (``[p !q]``)."""
-    literals = _parse_term_expr(text, 1, 1)
+    try:
+        literals = _term_literals(text)
+    except ValueError as e:
+        raise ParseError(1, 1, str(e)) from None
     if not literals:
         raise ParseError(1, 1, "clause query needs at least one literal")
     return ClauseQuery(literals)

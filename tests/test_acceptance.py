@@ -21,7 +21,6 @@ from beliefmc import (
     FocalSet,
     Frame,
     MassFunction,
-    QueryBatch,
     ResourceLimitError,
     TrialEngineConfig,
     combine_all,

@@ -19,7 +19,6 @@ from beliefmc import (
     FrameMismatchError,
     Frame,
     InvalidProblemError,
-    QueryBatch,
     SourceModel,
     TrialEngineConfig,
     bel_from_mass,
@@ -392,14 +391,14 @@ class TestEstimate:
     def test_universe_and_empty_queries_are_exact(self, two_ssf_problem):
         frame = two_ssf_problem.frame
         cfg = TrialEngineConfig(trials=500, seed=0)
-        res = estimate(two_ssf_problem, QueryBatch((frame.universe(), FocalSet(frame, 0))), cfg)
+        res = estimate(two_ssf_problem, [frame.universe(), FocalSet(frame, 0)], cfg)
         assert res[0].value == 1.0
         assert res[1].value == 0.0
 
     def test_worked_example_single_query(self, two_ssf_problem):
         b = two_ssf_problem.frame.singleton("x1")
         cfg = TrialEngineConfig(trials=100_000, seed=1)
-        r = estimate(two_ssf_problem, QueryBatch((b,)), cfg)[0]
+        r = estimate(two_ssf_problem, [b], cfg)[0]
         exact = float(Fraction(3, 7))
         assert abs(r.value - exact) <= 3.0 * r.sd_bound
         assert r.trials == 100_000
@@ -410,9 +409,9 @@ class TestEstimate:
         frame = two_ssf_problem.frame
         b1, b2 = frame.singleton("x1"), frame.singleton("x2")
         cfg = TrialEngineConfig(trials=30_000, seed=5)
-        single1 = estimate(two_ssf_problem, QueryBatch((b1,)), cfg)[0]
-        single2 = estimate(two_ssf_problem, QueryBatch((b2,)), cfg)[0]
-        batch = estimate(two_ssf_problem, QueryBatch((b1, b2)), cfg)
+        single1 = estimate(two_ssf_problem, [b1], cfg)[0]
+        single2 = estimate(two_ssf_problem, [b2], cfg)[0]
+        batch = estimate(two_ssf_problem, [b1, b2], cfg)
         assert batch[0].successes == single1.successes
         assert batch[1].successes == single2.successes
         assert batch[0].restarts == single1.restarts
@@ -429,7 +428,7 @@ class TestEstimate:
         b = subset(frame, ["x2", "x3", "x4"])
         exact, _ = exact_belief_enumeration(problem, b)
         cfg = TrialEngineConfig(trials=50_000, seed=9)
-        r = estimate(problem, QueryBatch((b,)), cfg)[0]
+        r = estimate(problem, [b], cfg)[0]
         assert abs(r.value - exact) <= 3.0 * r.sd_bound
 
     def test_invalid_problem_rejected(self):
@@ -438,7 +437,7 @@ class TestEstimate:
         with pytest.raises(InvalidProblemError):
             estimate(
                 EvidenceProblem(frame, (bad,)),
-                QueryBatch((frame.universe(),)),
+                [frame.universe()],
                 TrialEngineConfig(trials=10),
             )
 
@@ -447,17 +446,22 @@ class TestEstimate:
         with pytest.raises(FrameMismatchError):
             estimate(
                 two_ssf_problem,
-                QueryBatch((other.universe(),)),
+                [other.universe()],
                 TrialEngineConfig(trials=10),
             )
 
-    def test_empty_batch_rejected(self):
-        with pytest.raises(ValueError):
-            QueryBatch(())
+    def test_empty_batch_rejected(self, two_ssf_problem):
+        with pytest.raises(ValueError, match="^query batch is empty$"):
+            estimate(two_ssf_problem, [], TrialEngineConfig(trials=10))
 
     def test_mixed_frame_batch_rejected(self):
-        with pytest.raises(FrameMismatchError):
-            QueryBatch((Frame(("a",)).universe(), Frame(("b",)).universe()))
+        frame = Frame(("a",))
+        problem = EvidenceProblem(frame, (simple_support(frame, frame.universe(), 1.0),))
+        with pytest.raises(FrameMismatchError, match="^query set from a different frame$"):
+            estimate(
+                problem, [frame.universe(), Frame(("b",)).universe()],
+                TrialEngineConfig(trials=10),
+            )
 
     def test_block_budget_leaves_results_bit_identical(self, monkeypatch):
         # The block size changes how many attempts one getrandbits call
@@ -504,18 +508,18 @@ class TestDeterminism:
         for workers in (1, 4):
             cfg = TrialEngineConfig(trials=20_000, seed=123, worker_count=workers)
             runs = [
-                estimate(two_ssf_problem, QueryBatch((b,)), cfg)[0] for _ in range(3)
+                estimate(two_ssf_problem, [b], cfg)[0] for _ in range(3)
             ]
             assert len({(r.successes, r.restarts) for r in runs}) == 1
 
     def test_worker_counts_give_different_streams(self, two_ssf_problem):
         b = two_ssf_problem.frame.singleton("x1")
         r1 = estimate(
-            two_ssf_problem, QueryBatch((b,)),
+            two_ssf_problem, [b],
             TrialEngineConfig(trials=20_000, seed=123, worker_count=1),
         )[0]
         r4 = estimate(
-            two_ssf_problem, QueryBatch((b,)),
+            two_ssf_problem, [b],
             TrialEngineConfig(trials=20_000, seed=123, worker_count=4),
         )[0]
         # both valid estimates; streams differ but stay within noise of exact
@@ -564,7 +568,7 @@ class TestDeterminism:
     def test_more_workers_than_trials(self, two_ssf_problem):
         cfg = TrialEngineConfig(trials=3, seed=0, worker_count=8)
         r = estimate(
-            two_ssf_problem, QueryBatch((two_ssf_problem.frame.universe(),)), cfg
+            two_ssf_problem, [two_ssf_problem.frame.universe()], cfg
         )[0]
         assert r.value == 1.0 and r.trials == 3
 
