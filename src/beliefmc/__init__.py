@@ -54,7 +54,6 @@ from .logic import (
 from .mc import (
     Estimate,
     TrialEngineConfig,
-    conflict_estimate,
     derive_stream_seed,
     estimate,
     plan_trials,
@@ -100,7 +99,6 @@ __all__ = [
     "TrialEngineConfig",
     "bel_from_mass",
     "combine_all",
-    "conflict_estimate",
     "conflict_exact",
     "derive_stream_seed",
     "estimate",

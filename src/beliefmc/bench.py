@@ -4,9 +4,10 @@ Each cell generates a random simple-support problem tuned toward a target
 conflict level, estimates one fixed query with the trial engine, and runs
 the exact mass-space fold under a wall-clock cap.  The summary fits a
 power law to the estimator's wall time against problem size ``m * n``; the
-exponent should stay at or below 1 (an attempt costs one draw and one
-big-integer AND per source, and the frame size only widens the AND), while
-the exact fold blows past any cap once the focal tables stop fitting.
+exponent should stay at or below 1 (an attempt costs one draw per source,
+and the set kernel scores a block of attempts by bitwise OR and AND over
+groups of frame elements, so the frame size only adds groups), while the
+exact fold blows past any cap once the focal tables stop fitting.
 """
 
 from __future__ import annotations
@@ -17,12 +18,19 @@ from dataclasses import dataclass
 
 from .errors import ExcessiveConflictError, ResourceLimitError, TotalConflictError
 from .evidence import bel_from_mass
-from .exact import DEFAULT_MAX_ENTRIES, combine_all
+from .exact import combine_all
 from .mc import TrialEngineConfig, derive_stream_seed, estimate
 from .problem_io import GeneratedProblem, generate_problem
 
 #: Weight-scale search interval for the conflict tuner's second stage.
 _SCALE_RANGE = (0.05, 1.0)
+
+#: The tuner's source weight range, trials per probe, and probe counts of
+#: its density stage and its weight-scale stage.
+_WEIGHT_RANGE = (0.4, 0.9)
+_PROBE_TRIALS = 4000
+_DENSITY_PROBES = 14
+_SCALE_PROBES = 12
 
 
 @dataclass(frozen=True)
@@ -110,11 +118,7 @@ def tune_cell(
     element_count: int,
     *,
     target_conflict: float = 0.5,
-    weight_range: tuple[float, float] = (0.4, 0.9),
     seed: int = 0,
-    probe_trials: int = 4000,
-    density_probes: int = 14,
-    scale_probes: int = 12,
 ) -> GeneratedProblem:
     """Tune one cell's problem toward the target conflict.
 
@@ -127,15 +131,15 @@ def tune_cell(
     lo, hi = 0.005, 0.995
     best: GeneratedProblem | None = None
     dense_side: float | None = None
-    for _ in range(density_probes):
+    for _ in range(_DENSITY_PROBES):
         mid = (lo + hi) / 2.0
         g = generate_problem(
             source_count,
             element_count,
-            weight_range=weight_range,
+            weight_range=_WEIGHT_RANGE,
             focus_density=mid,
             seed=seed,
-            probe_trials=probe_trials,
+            probe_trials=_PROBE_TRIALS,
         )
         if best is None or abs(g.conflict_estimate - target_conflict) < abs(
             best.conflict_estimate - target_conflict
@@ -149,9 +153,9 @@ def tune_cell(
     if dense_side is None:
         assert best is not None
         return best
-    w_lo, w_hi = weight_range
+    w_lo, w_hi = _WEIGHT_RANGE
     s_lo, s_hi = _SCALE_RANGE
-    for _ in range(scale_probes):
+    for _ in range(_SCALE_PROBES):
         scale = (s_lo + s_hi) / 2.0
         g = generate_problem(
             source_count,
@@ -159,7 +163,7 @@ def tune_cell(
             weight_range=(w_lo * scale, w_hi * scale),
             focus_density=dense_side,
             seed=seed,
-            probe_trials=probe_trials,
+            probe_trials=_PROBE_TRIALS,
         )
         if abs(g.conflict_estimate - target_conflict) < abs(
             best.conflict_estimate - target_conflict
@@ -182,7 +186,6 @@ def run_bench(
     exact_cap_s: float = 10.0,
     repetitions: int = 3,
     worker_count: int = 1,
-    max_entries: int = DEFAULT_MAX_ENTRIES,
 ) -> BenchReport:
     """Run the full grid and fit the estimator's time exponent.
 
@@ -233,18 +236,14 @@ def run_bench(
             note = ""
             try:
                 t0 = time.perf_counter()
-                combo = combine_all(
-                    problem, max_entries=max_entries, deadline_s=exact_cap_s
-                )
+                combo = combine_all(problem, deadline_s=exact_cap_s)
                 value = bel_from_mass(combo.combined, query)
                 first = (time.perf_counter() - t0) * 1e3
                 exact_times = [first]
                 if first < 1000.0:
                     for _ in range(repetitions - 1):
                         t0 = time.perf_counter()
-                        combo = combine_all(
-                            problem, max_entries=max_entries, deadline_s=exact_cap_s
-                        )
+                        combo = combine_all(problem, deadline_s=exact_cap_s)
                         value = bel_from_mass(combo.combined, query)
                         exact_times.append((time.perf_counter() - t0) * 1e3)
                 exact_wall = min(exact_times)

@@ -39,7 +39,7 @@ from .logic import (
     translate_to_set_problem,
     validate_logic_problem,
 )
-from .mc import TrialEngineConfig, estimate, plan_trials
+from .mc import DEFAULT_RESTART_CAP, TrialEngineConfig, estimate, plan_trials
 from .problem_io import (
     generate_problem,
     parse_clause,
@@ -191,7 +191,7 @@ def cmd_conflict(args) -> int:
     if args.exact:
         if isinstance(problem, LogicProblem):
             problem = translate_to_set_problem(problem)
-        kappa = conflict_exact(problem)
+        kappa = conflict_exact(problem, deadline_s=args.time_cap)
         if args.csv:
             _write_csv([("exact", f"{kappa:.7f}", "", "", "")],
                        ("mode", "kappa", "draws_per_trial", "trials", "restarts"))
@@ -329,8 +329,8 @@ def _add_engine_flags(p: argparse.ArgumentParser, *, accuracy: bool = True) -> N
     p.add_argument("--seed", type=int, default=0, help="base seed (default 0)")
     p.add_argument("--workers", type=int, default=1, help="worker substreams (default 1)")
     p.add_argument(
-        "--restart-cap", type=int, default=10_000,
-        help="max restarts per trial before giving up (default 10000)",
+        "--restart-cap", type=int, default=DEFAULT_RESTART_CAP,
+        help=f"max restarts per trial before giving up (default {DEFAULT_RESTART_CAP})",
     )
 
 
@@ -371,6 +371,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("conflict", help="conflict mass, estimated or exact")
     p.add_argument("--problem", required=True)
     p.add_argument("--exact", action="store_true", help="enumerate instead of sampling")
+    p.add_argument(
+        "--time-cap", type=float, default=None, help="wall-clock cap in seconds (with --exact)"
+    )
     _add_engine_flags(p, accuracy=False)
     p.add_argument("--logic", action="store_true", help="require a logic problem file")
     p.add_argument("--csv", action="store_true")

@@ -6,9 +6,10 @@ first, through a product loop (:func:`_combine_bits`) that makes one pass
 over the big table per outcome of the small one.  Before each step it drops
 the entries that hold an element outside the scored set that no later
 source can remove (the projection step of local propagation), and it stops
-when nothing is left.  The table can grow toward ``2**n`` entries, so the
-fold takes an entry cap and an optional wall-clock deadline.  The public
-functions are three views of it:
+when nothing is left.  The fold never visits joint outcomes, so its work is
+bounded by what its table holds: an entry cap and an optional wall-clock
+deadline, the same for every view.  The public functions are three views
+of it:
 
 * :func:`combine_all` prunes nothing and returns the combined mass function;
 * :func:`exact_belief_enumeration` prunes against a query's complement and
@@ -18,8 +19,8 @@ functions are three views of it:
 
 All three read the conflict as one minus the fold's survival, and both
 belief views raise ``TotalConflictError`` when that survival is at most
-:data:`CONFLICT_TOL`.  The two enumeration views also cap the joint outcome
-count (``max_outcomes``) and the table at :data:`DEFAULT_MAX_ENTRIES`.
+:data:`CONFLICT_TOL`.  The two enumeration views hold the table to
+:data:`DEFAULT_MAX_ENTRIES` entries.
 """
 
 from __future__ import annotations
@@ -50,9 +51,6 @@ CONFLICT_TOL = 1e-12
 
 #: Default cap on intermediate mass-table size during a fold.
 DEFAULT_MAX_ENTRIES = 1 << 20
-
-#: Default cap on the joint outcome count for direct enumeration.
-DEFAULT_MAX_OUTCOMES = 10**7
 
 # How many products to run between deadline checks inside a fold step.
 _DEADLINE_STRIDE = 1 << 15
@@ -86,7 +84,8 @@ def _combine_bits(
     builds the table at C speed.  Empty intersections collect under key 0,
     popped as the conflict at the end.  Passes run in chunks that end at
     every ``_DEADLINE_STRIDE``-th product: the entry cap is consulted after
-    every chunk, the deadline at each of those stride boundaries.
+    every chunk, the deadline before the first product and before each
+    chunk that starts a stride, so every call checks it at least once.
     """
     small, big = (d1, d2) if len(d1) <= len(d2) else (d2, d1)
     cover = reduce(or_, big, 0)
@@ -99,6 +98,8 @@ def _combine_bits(
         rows = zip(big, map(v1.__mul__, big.values()) if fresh else big.values())
         left = len(big)
         while left:
+            if not done and deadline is not None and time.monotonic() >= deadline:
+                raise ResourceLimitError(f"{step}: wall-clock cap exceeded")
             n = min(left, _DEADLINE_STRIDE - done)
             chunk = islice(rows, n)
             if fresh:
@@ -108,15 +109,11 @@ def _combine_bits(
                     inter = b1 & b2
                     out[inter] = get(inter, 0.0) + v1 * v2
             left -= n
-            done += n
+            done = (done + n) % _DEADLINE_STRIDE
             if max_entries is not None and len(out) - (0 in out) > max_entries:
                 raise ResourceLimitError(
                     f"{step}: intermediate table exceeded {max_entries} entries"
                 )
-            if done == _DEADLINE_STRIDE:
-                done = 0
-                if deadline is not None and time.monotonic() > deadline:
-                    raise ResourceLimitError(f"{step}: wall-clock cap exceeded")
     return out, out.pop(0, 0.0)
 
 
@@ -126,8 +123,7 @@ def _fold(
     label: str,
     *,
     max_entries: int,
-    deadline: float | None = None,
-    max_outcomes: int | None = None,
+    deadline_s: float | None = None,
 ) -> tuple[dict[int, float], float, float]:
     """Fold every source's table into one ``{non-empty intersection bits:
     mass}`` table; return ``(table, total, survival)``.
@@ -151,15 +147,22 @@ def _fold(
     non-empty and outside the scored set (the complement of ``outside``),
     so it adds to the survival and to nothing else, and its mass is carried
     as one scalar.  The fold stops once the table is empty.  ``outside=0``
-    prunes nothing.  ``max_outcomes`` caps the joint outcome count before
-    any work.  A problem that ``validate_problem`` has not passed yet is
-    checked first (:func:`~beliefmc.evidence.require_valid`).
+    prunes nothing.
+
+    ``max_entries`` caps every table the fold holds, and ``deadline_s``
+    bounds the whole fold in wall-clock seconds, checked at least once per
+    step.  Raises ``ValueError`` when ``max_entries`` is below 1 or
+    ``deadline_s`` is negative or NaN.  A problem that ``validate_problem``
+    has not passed yet is checked next
+    (:func:`~beliefmc.evidence.require_valid`).
     """
+    if max_entries < 1:
+        raise ValueError(f"max entries must be >= 1, got {max_entries}")
+    if deadline_s is not None and not deadline_s >= 0.0:
+        raise ValueError(f"time cap must be >= 0, got {deadline_s}")
+    deadline = None if deadline_s is None else time.monotonic() + deadline_s
     if not problem._valid:
         require_valid(problem)
-    joint = math.prod(len(s.outcomes) for s in problem.sources)
-    if max_outcomes is not None and joint > max_outcomes:
-        raise ResourceLimitError(f"{label}: joint outcome space exceeds {max_outcomes}")
     sources = sorted(problem.sources, key=lambda s: len(set(s.target_bits)))
     # held[i]: the elements every outcome of source i and of each later
     # source holds, in fold order; it only grows with i.
@@ -202,20 +205,14 @@ def combine_all(
     ``MassFunction`` constructor drops them; the constructor's checks are
     not run again on a table the fold built.  ``conflict`` in the result is
     the overall conflict of the joint problem.
-    ``deadline_s`` bounds the whole fold in wall-clock seconds, and
-    ``max_entries`` every table it holds.  Raises ``ValueError`` when
-    ``max_entries`` is below 1 or ``deadline_s`` is negative or NaN, and
+    ``max_entries`` and ``deadline_s`` are the fold's caps (see
+    :func:`_fold`, which also raises their ``ValueError``).  Raises
     ``TotalConflictError`` when the survival is at most
     :data:`CONFLICT_TOL`.  Cap errors name ``combine step i``, counted in
-    fold order (see :func:`_fold`).
+    fold order.
     """
-    if max_entries < 1:
-        raise ValueError(f"max entries must be >= 1, got {max_entries}")
-    if deadline_s is not None and not deadline_s >= 0.0:
-        raise ValueError(f"time cap must be >= 0, got {deadline_s}")
-    deadline = None if deadline_s is None else time.monotonic() + deadline_s
     acc, total, survival = _fold(
-        problem, 0, "combine", max_entries=max_entries, deadline=deadline
+        problem, 0, "combine", max_entries=max_entries, deadline_s=deadline_s
     )
     if survival <= CONFLICT_TOL:
         raise TotalConflictError("combine: total conflict, combination undefined")
@@ -228,21 +225,22 @@ def exact_belief_enumeration(
     problem: EvidenceProblem,
     b: FocalSet,
     *,
-    max_outcomes: int = DEFAULT_MAX_OUTCOMES,
+    deadline_s: float | None = None,
 ) -> tuple[float, float]:
     """Exact combined belief in ``b`` plus the conflict mass, by the fold
     pruned against ``b``'s complement.
 
-    Raises ``ResourceLimitError`` when the joint outcome count exceeds
-    ``max_outcomes`` or the table exceeds :data:`DEFAULT_MAX_ENTRIES`
-    entries, and ``TotalConflictError`` when the survival is at most
+    Raises ``ResourceLimitError`` when the table exceeds
+    :data:`DEFAULT_MAX_ENTRIES` entries or the fold outlasts ``deadline_s``
+    seconds, ``ValueError`` for a negative or NaN ``deadline_s``, and
+    ``TotalConflictError`` when the survival is at most
     :data:`CONFLICT_TOL`."""
     if b.frame != problem.frame:
         raise FrameMismatchError("query set from a different frame")
     outside = problem.frame.full_bits ^ b.bits
     acc, total, survival = _fold(
         problem, outside, "exact enumeration",
-        max_entries=DEFAULT_MAX_ENTRIES, max_outcomes=max_outcomes,
+        max_entries=DEFAULT_MAX_ENTRIES, deadline_s=deadline_s,
     )
     if survival <= CONFLICT_TOL:
         raise TotalConflictError("exact enumeration: total conflict, combination undefined")
@@ -250,12 +248,13 @@ def exact_belief_enumeration(
 
 
 def conflict_exact(
-    problem: EvidenceProblem, *, max_outcomes: int = DEFAULT_MAX_OUTCOMES
+    problem: EvidenceProblem, *, deadline_s: float | None = None
 ) -> float:
     """Exact conflict mass: probability that a joint draw is contradictory,
-    by the fold pruned against the whole frame."""
+    by the fold pruned against the whole frame, under the same caps as
+    :func:`exact_belief_enumeration`."""
     _, _, survival = _fold(
         problem, problem.frame.full_bits, "exact enumeration",
-        max_entries=DEFAULT_MAX_ENTRIES, max_outcomes=max_outcomes,
+        max_entries=DEFAULT_MAX_ENTRIES, deadline_s=deadline_s,
     )
     return 1.0 - survival

@@ -502,17 +502,3 @@ def estimate(
     restarts = sum(r for _, r in parts)
     totals = [sum(p[0][qi] for p in parts) for qi in range(len(queries))]
     return [_build_estimate(s, cfg.trials, restarts) for s in totals]
-
-
-def conflict_estimate(
-    problem: EvidenceProblem, cfg: TrialEngineConfig
-) -> tuple[float, float]:
-    """Estimate the conflict mass and the expected draws per accepted trial.
-
-    Returns ``(kappa_hat, draws_per_trial)`` where ``kappa_hat`` is the
-    rejected-draw frequency and ``draws_per_trial = 1 / (1 - kappa_hat)``
-    is what each trial cost on average, restarts included: the restarts of
-    :func:`estimate` on the frame's universe query.
-    """
-    r = estimate(problem, (problem.frame.universe(),), cfg)[0]
-    return r.conflict_estimate, (r.restarts + r.trials) / r.trials

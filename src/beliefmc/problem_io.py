@@ -45,7 +45,7 @@ from .logic import (
     TermSet,
     validate_logic_problem,
 )
-from .mc import TrialEngineConfig, conflict_estimate, derive_stream_seed
+from .mc import TrialEngineConfig, derive_stream_seed, estimate
 from .errors import ExcessiveConflictError
 
 _SPECIALS = set("{}[]#*!")
@@ -171,8 +171,8 @@ def parse_problem(text: str, *, validate: bool = True) -> EvidenceProblem | Logi
                     target = targets[expr] = parse(expr)
                 except ValueError as e:
                     # the column of the target's first character, searched
-                    # for from the second character of the probability
-                    column = raw.index(expr[0], _col(raw, first)) + 1
+                    # for from the end of the probability
+                    column = raw.index(expr[0], raw.index(first) + len(first)) + 1
                     pending = ParseError(lineno, column, str(e))
                     continue
             block.append((prob, target))
@@ -298,7 +298,7 @@ def generate_problem(
         restart_cap=1000,
     )
     try:
-        kappa, _ = conflict_estimate(problem, probe_cfg)
+        kappa = estimate(problem, (frame.universe(),), probe_cfg)[0].conflict_estimate
     except ExcessiveConflictError as e:
         kappa = e.conflict_estimate
     return GeneratedProblem(problem, kappa, focus_density, (lo, hi), seed)

@@ -24,7 +24,6 @@ from beliefmc import (
     ResourceLimitError,
     TrialEngineConfig,
     combine_all,
-    conflict_estimate,
     derive_stream_seed,
     estimate,
     exact_belief_enumeration,
@@ -154,9 +153,10 @@ def test_variance_across_seeds_respects_bound(two_ssf_problem):
 def test_draws_per_trial_match_tuned_conflict():
     """At conflict tuned to ~0.5, draws per trial land in [1.9, 2.1] at N=1e5."""
     g = tune_cell(12, 24, target_conflict=0.5, seed=5)
-    kappa, draws = conflict_estimate(
-        g.problem, TrialEngineConfig(trials=100_000, seed=17)
-    )
+    r = estimate(
+        g.problem, [g.problem.frame.universe()], TrialEngineConfig(trials=100_000, seed=17)
+    )[0]
+    kappa, draws = r.conflict_estimate, (r.restarts + r.trials) / r.trials
     assert 1.9 <= draws <= 2.1, f"draws/trial {draws:.3f} (kappa_hat {kappa:.4f})"
     print(f"PASS restart law: kappa_hat={kappa:.4f} -> draws/trial={draws:.3f}")
 
@@ -275,7 +275,8 @@ def test_estimator_scales_linearly_while_exact_blows_caps():
     fold_s = time.perf_counter() - t0
     assert fold_s < 60.5
     with pytest.raises(ResourceLimitError):
-        exact_belief_enumeration(dense, query)  # 4^25 joint outcomes
+        # 4^25 joint outcomes; the pruned fold's table outgrows the entry cap
+        exact_belief_enumeration(dense, query)
 
     t0 = time.perf_counter()
     r = estimate(dense, [query], TrialEngineConfig(trials=1000, seed=0))[0]

@@ -60,6 +60,13 @@ WIDE_FOLD = "frame: " + " ".join(f"x{i}" for i in range(1, 9)) + "\n" + "".join(
     for drops in ((1, 2, 3, 4), (5, 6, 7, 8), (1, 3, 5, 7))
 )
 
+# 300 simple supports on ten elements, source i certifying all but element
+# i mod 10: a fold of 300 steps, each of at most 2**10 entries times two.
+LONG_FOLD = "frame: " + " ".join(f"x{i}" for i in range(10)) + "\n" + "".join(
+    f"source:\n  0.05 {{{' '.join(f'x{j}' for j in range(10) if j != i % 10)}}}\n  0.95 *\n"
+    for i in range(300)
+)
+
 
 @pytest.fixture()
 def set_file(tmp_path):
@@ -250,12 +257,27 @@ class TestExact:
         assert "error:" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "cap", [("--max-entries", "0"), ("--max-entries", "-1"),
-                ("--time-cap", "nan"), ("--time-cap", "-1")],
+        "command, cap",
+        [
+            (("exact",), ("--max-entries", "0")),
+            (("exact",), ("--max-entries", "-1")),
+            *(
+                (command, cap)
+                for command in (("exact",), ("conflict", "--exact"))
+                for cap in (("--time-cap", "nan"), ("--time-cap", "-1"))
+            ),
+        ],
     )
-    def test_invalid_cap_exit_code(self, set_file, capsys, cap):
-        assert main(["exact", "--problem", set_file, *cap]) == 2
+    def test_invalid_cap_exit_code(self, set_file, capsys, command, cap):
+        assert main([*command, "--problem", set_file, *cap]) == 2
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", [("exact",), ("conflict", "--exact")])
+    def test_zero_time_cap_exit_code(self, tmp_path, capsys, command):
+        path = tmp_path / "long.bel"
+        path.write_text(LONG_FOLD)
+        assert main([*command, "--problem", str(path), "--time-cap", "0"]) == 4
+        assert "step 0: wall-clock cap exceeded" in capsys.readouterr().err
 
     def test_total_conflict_exit_code(self, tmp_path, capsys):
         path = tmp_path / "tc.bel"
@@ -268,7 +290,9 @@ def bench_fixture(name: str) -> dict:
     return next(fx for fx in manifest["fixtures"] if fx["name"] == name)
 
 
-@pytest.mark.parametrize("name", ["b14x20", "b16x26", "b18x32", "l10a40", "l10a50"])
+@pytest.mark.parametrize(
+    "name", ["b14x20", "b16x26", "b18x32", "l10a40", "l10a50", "l12a50", "l12a60"]
+)
 def test_exact_answers_match_benchmark_references(name, capsys):
     fx = bench_fixture(name)
     mode = ["--logic"] if "atoms" in fx else []
@@ -282,11 +306,21 @@ def test_exact_answers_match_benchmark_references(name, capsys):
     for row, want in zip(rows, ref["exact"]):
         assert float(row["belief"]) == pytest.approx(want, abs=PRINTED_TOL), row["query"]
         assert float(row["conflict"]) == pytest.approx(ref["conflict"], abs=PRINTED_TOL)
-    if "conflict_enum" in ref:
-        assert main(["conflict", "--exact", "--problem", path, "--csv"]) == 0
-        (row,) = rows_of(capsys.readouterr().out)
-        assert row["mode"] == "exact"
-        assert float(row["kappa"]) == pytest.approx(ref["conflict_enum"], abs=PRINTED_TOL)
+    assert main(["conflict", "--exact", "--problem", path, "--csv"]) == 0
+    (row,) = rows_of(capsys.readouterr().out)
+    assert row["mode"] == "exact"
+    want = ref.get("conflict_enum", ref["conflict"])
+    assert float(row["kappa"]) == pytest.approx(want, abs=PRINTED_TOL)
+
+
+def test_exact_conflict_beyond_joint_outcome_counts(capsys):
+    # s40x40 has 2**40 joint outcomes; the pruned fold answers it
+    fx = bench_fixture("s40x40")
+    path = str(BENCH_DATA / fx["file"])
+    assert main(["conflict", "--exact", "--problem", path, "--csv"]) == 0
+    (row,) = rows_of(capsys.readouterr().out)
+    # the fixture's kappa is the tuner's 2000-trial estimate
+    assert float(row["kappa"]) == pytest.approx(fx["kappa"], abs=0.03)
 
 
 #: ``estimate --logic --budget B --accuracy 0.03 --csv`` rows of the

@@ -9,6 +9,7 @@ import random
 import time
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -75,6 +76,17 @@ def complement_supports(n: int) -> EvidenceProblem:
             for i in range(n)
         ),
     )
+
+
+#: The three views of the fold, each scoring the universe where it takes a
+#: query; every view takes ``deadline_s``.
+VIEWS = {
+    "combine_all": combine_all,
+    "exact_belief_enumeration": lambda problem, **caps: exact_belief_enumeration(
+        problem, problem.frame.universe(), **caps
+    ),
+    "conflict_exact": conflict_exact,
+}
 
 
 def staged_problem(seed: int) -> EvidenceProblem:
@@ -343,25 +355,55 @@ class TestCombineAll:
 
     def test_expired_deadline_trips(self):
         # step i multiplies 2**i entries by 2 outcomes: 2**17 - 4 products
-        # in all, more than _DEADLINE_STRIDE, so the deadline is consulted
+        # in all, more than _DEADLINE_STRIDE; a 0 s cap trips at step 0
         problem = complement_supports(16)
         assert sum(2 ** (i + 1) for i in range(1, 16)) > exact._DEADLINE_STRIDE
         with pytest.raises(ResourceLimitError, match=r"combine step \d+: wall-clock cap"):
             combine_all(problem, deadline_s=0.0)
 
+    @pytest.mark.parametrize("view", sorted(VIEWS))
+    def test_zero_deadline_trips_a_fold_of_short_steps(self, view):
+        # 3000 steps of at most 2**10 entries times 2 outcomes, each far
+        # under _DEADLINE_STRIDE products: the deadline is checked at the
+        # start of every step, so a 0 s cap trips at step 0
+        frame = Frame(tuple(f"e{i}" for i in range(10)))
+        problem = EvidenceProblem(
+            frame,
+            tuple(
+                simple_support(frame, FocalSet(frame, frame.full_bits ^ (1 << (i % 10))), 0.01)
+                for i in range(3000)
+            ),
+        )
+        assert 2 * 2**10 < exact._DEADLINE_STRIDE
+        with pytest.raises(ResourceLimitError, match="step 0: wall-clock cap exceeded"):
+            VIEWS[view](problem, deadline_s=0.0)
+
+    def test_deadline_checked_inside_a_step(self, monkeypatch):
+        # With a stride of 4, step 0's 10 products (the vacuous table times
+        # one 10-outcome source) check the deadline before products 1, 5
+        # and 9; a clock that passes the deadline after the first check
+        # trips the second, inside the step.
+        frame = Frame(("a", "b", "c", "d"))
+        source = SourceModel(frame, tuple((0.1, FocalSet(frame, b)) for b in range(1, 11)))
+        clock = iter([0.0, 0.0, 2.0])
+        monkeypatch.setattr(exact, "_DEADLINE_STRIDE", 4)
+        monkeypatch.setattr(exact, "time", SimpleNamespace(monotonic=clock.__next__))
+        with pytest.raises(ResourceLimitError, match="combine step 0: wall-clock cap"):
+            combine_all(EvidenceProblem(frame, (source,)), deadline_s=1.0)
+        assert next(clock, None) is None
+
     @pytest.mark.parametrize(
-        "caps",
+        "view, caps",
         [
-            {"max_entries": 0},
-            {"max_entries": -1},
-            {"deadline_s": math.nan},
-            {"deadline_s": -1.0},
+            ("combine_all", {"max_entries": 0}),
+            ("combine_all", {"max_entries": -1}),
+            *((view, {"deadline_s": d}) for view in sorted(VIEWS) for d in (math.nan, -1.0)),
         ],
     )
-    def test_invalid_caps_rejected(self, two_ssf_problem, caps):
+    def test_invalid_caps_rejected(self, two_ssf_problem, view, caps):
         # a NaN or negative deadline would never trip on a fold this short
         with pytest.raises(ValueError):
-            combine_all(two_ssf_problem, **caps)
+            VIEWS[view](two_ssf_problem, **caps)
 
     def test_entry_cap_inside_a_pass_names_the_step(self, monkeypatch):
         # At step 7 the covering outcome copies the 128-entry table and the
@@ -474,13 +516,6 @@ class TestEnumeration:
                     bel_from_mass(combined, b), abs=1e-9
                 ), f"seed {seed}"
 
-    def test_outcome_cap(self):
-        frame = Frame(("x1", "x2"))
-        source = simple_support(frame, frame.singleton("x1"), 0.5)
-        problem = EvidenceProblem(frame, (source,) * 30)
-        with pytest.raises(ResourceLimitError):
-            exact_belief_enumeration(problem, frame.universe(), max_outcomes=1000)
-
     def test_total_conflict(self):
         frame = Frame(("x1", "x2"))
         problem = EvidenceProblem(
@@ -494,9 +529,9 @@ class TestEnumeration:
             exact_belief_enumeration(problem, frame.universe())
 
     def test_identical_sources_merge_into_two_entries(self):
-        # 2**21 joint outcomes, under the outcome cap; the sweep merges them
-        # into {focus, universe} at every step, so it takes microseconds
-        # where visiting each joint outcome takes seconds.
+        # 2**21 joint outcomes; the sweep merges them into {focus,
+        # universe} at every step, so it takes microseconds where visiting
+        # each joint outcome takes seconds.
         frame = Frame(("x1", "x2", "x3"))
         focus = subset(frame, ["x1", "x2"])
         s = 0.3

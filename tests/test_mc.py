@@ -22,7 +22,6 @@ from beliefmc import (
     SourceModel,
     TrialEngineConfig,
     bel_from_mass,
-    conflict_estimate,
     estimate,
     exact_belief_enumeration,
     logic_estimate,
@@ -281,6 +280,13 @@ def _stream_problems() -> dict[str, EvidenceProblem]:
     }
 
 
+def _conflict(problem: EvidenceProblem, cfg: TrialEngineConfig) -> tuple[float, float]:
+    """``(kappa_hat, draws_per_trial)`` from the restarts of ``estimate`` on
+    the universe query."""
+    r = estimate(problem, [problem.frame.universe()], cfg)[0]
+    return r.conflict_estimate, (r.restarts + r.trials) / r.trials
+
+
 def _stream_runs() -> dict:
     """Draw-stream fingerprints at 1 and 2 workers: ``(successes, restarts)``
     of each query alone, ``(successes..., restarts)`` of all queries in one
@@ -298,7 +304,7 @@ def _stream_runs() -> dict:
             out[(label, "batch", workers)] = (
                 *(r.successes for r in res), res[0].restarts
             )
-            out[(label, "conflict", workers)] = conflict_estimate(problem, cfg)
+            out[(label, "conflict", workers)] = _conflict(problem, cfg)
     return out
 
 
@@ -489,7 +495,7 @@ class TestEstimate:
             for cap in (25, 200):
                 cfg = TrialEngineConfig(trials=300, seed=2, restart_cap=cap)
                 try:
-                    out.append(conflict_estimate(conflicting, cfg))
+                    out.append(_conflict(conflicting, cfg))
                 except ExcessiveConflictError as e:
                     out.append((str(e), e.conflict_estimate))
             return out
@@ -553,7 +559,7 @@ class TestDeterminism:
             bounded = logic_estimate(logic.sources, clauses, cfg, step_budget=4)
             return (
                 (sets.successes, sets.restarts),
-                conflict_estimate(two_ssf_problem, cfg),
+                _conflict(two_ssf_problem, cfg),
                 [(e.successes, e.timeouts, e.restarts) for e in bounded.estimates],
             )
 
@@ -576,7 +582,7 @@ class TestDeterminism:
 class TestConflictEstimate:
     def test_worked_example(self, two_ssf_problem):
         cfg = TrialEngineConfig(trials=100_000, seed=2)
-        kappa, loops = conflict_estimate(two_ssf_problem, cfg)
+        kappa, loops = _conflict(two_ssf_problem, cfg)
         assert kappa == pytest.approx(0.3, abs=0.01)
         assert loops == pytest.approx(1.0 / (1.0 - kappa), abs=1e-12)
 
@@ -585,7 +591,7 @@ class TestConflictEstimate:
         problem = EvidenceProblem(
             frame, (simple_support(frame, frame.singleton("x1"), 0.7),)
         )
-        kappa, loops = conflict_estimate(problem, TrialEngineConfig(trials=1000, seed=0))
+        kappa, loops = _conflict(problem, TrialEngineConfig(trials=1000, seed=0))
         assert kappa == 0.0 and loops == 1.0
 
     def test_half_conflict_costs_two_draws(self):
@@ -600,7 +606,7 @@ class TestConflictEstimate:
             ),
         )
         cfg = TrialEngineConfig(trials=100_000, seed=4)
-        kappa, loops = conflict_estimate(problem, cfg)
+        kappa, loops = _conflict(problem, cfg)
         assert kappa == pytest.approx(0.5, abs=0.01)
         assert loops == pytest.approx(2.0, rel=0.05)
 

@@ -294,6 +294,8 @@ PARSE_ERRORS = [
     ("frame: a\nsource:\n 1.0 {b}\nsource: x\n", (4, 1, "unexpected text after 'source:'")),
     ("frame: a a\nsource:\n 1.0 {b}\n nan? *\n", (4, 2, "bad probability 'nan?'")),
     ("frame: a a\nsource:\n 1.0 {b}\n", (1, 1, "duplicate element label: 'a'")),
+    # the target's first character also occurs inside the probability
+    ("frame: e\nsource:\n 1e0 e\n", (3, 6, "expected a set like {x1 x2} or *, got 'e'")),
 ]
 
 
