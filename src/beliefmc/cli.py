@@ -198,6 +198,9 @@ def cmd_conflict(args) -> int:
         else:
             print(f"kappa = {kappa:.7f} (exact)")
         return 0
+    if args.time_cap is not None:
+        print("error: --time-cap applies only with --exact", file=sys.stderr)
+        return 2
     cfg = _engine_config(args)
     if isinstance(problem, LogicProblem):
         restarts = logic_estimate(problem.sources, (), cfg).restarts

@@ -7,9 +7,8 @@ over the big table per outcome of the small one.  Before each step it drops
 the entries that hold an element outside the scored set that no later
 source can remove (the projection step of local propagation), and it stops
 when nothing is left.  The fold never visits joint outcomes, so its work is
-bounded by what its table holds: an entry cap and an optional wall-clock
-deadline, the same for every view.  The public functions are three views
-of it:
+bounded by what its table holds: an entry cap, and a wall-clock deadline
+where a view takes one.  The public functions are three views of it:
 
 * :func:`combine_all` prunes nothing and returns the combined mass function;
 * :func:`exact_belief_enumeration` prunes against a query's complement and
@@ -222,25 +221,19 @@ def combine_all(
 
 
 def exact_belief_enumeration(
-    problem: EvidenceProblem,
-    b: FocalSet,
-    *,
-    deadline_s: float | None = None,
+    problem: EvidenceProblem, b: FocalSet
 ) -> tuple[float, float]:
     """Exact combined belief in ``b`` plus the conflict mass, by the fold
     pruned against ``b``'s complement.
 
     Raises ``ResourceLimitError`` when the table exceeds
-    :data:`DEFAULT_MAX_ENTRIES` entries or the fold outlasts ``deadline_s``
-    seconds, ``ValueError`` for a negative or NaN ``deadline_s``, and
-    ``TotalConflictError`` when the survival is at most
-    :data:`CONFLICT_TOL`."""
+    :data:`DEFAULT_MAX_ENTRIES` entries, and ``TotalConflictError`` when
+    the survival is at most :data:`CONFLICT_TOL`."""
     if b.frame != problem.frame:
         raise FrameMismatchError("query set from a different frame")
     outside = problem.frame.full_bits ^ b.bits
     acc, total, survival = _fold(
-        problem, outside, "exact enumeration",
-        max_entries=DEFAULT_MAX_ENTRIES, deadline_s=deadline_s,
+        problem, outside, "exact enumeration", max_entries=DEFAULT_MAX_ENTRIES
     )
     if survival <= CONFLICT_TOL:
         raise TotalConflictError("exact enumeration: total conflict, combination undefined")
@@ -251,8 +244,11 @@ def conflict_exact(
     problem: EvidenceProblem, *, deadline_s: float | None = None
 ) -> float:
     """Exact conflict mass: probability that a joint draw is contradictory,
-    by the fold pruned against the whole frame, under the same caps as
-    :func:`exact_belief_enumeration`."""
+    by the fold pruned against the whole frame.
+
+    Raises ``ResourceLimitError`` when the table exceeds
+    :data:`DEFAULT_MAX_ENTRIES` entries or the fold outlasts ``deadline_s``
+    seconds, and ``ValueError`` for a negative or NaN ``deadline_s``."""
     _, _, survival = _fold(
         problem, problem.frame.full_bits, "exact enumeration",
         max_entries=DEFAULT_MAX_ENTRIES, deadline_s=deadline_s,

@@ -29,6 +29,7 @@ from beliefmc import (
     TermSet,
     TrialEngineConfig,
     combine_all,
+    estimate,
     is_contradictory,
     logic_estimate,
     simple_support,
@@ -256,6 +257,13 @@ def run_outcome(run) -> tuple:
         return run()
     except ExcessiveConflictError as e:
         return ("error", str(e), e.conflict_estimate)
+
+
+def conflict_and_draws(problem: EvidenceProblem, cfg: TrialEngineConfig) -> tuple[float, float]:
+    """``(kappa_hat, draws_per_trial)`` from the restarts of ``estimate`` on
+    the universe query."""
+    r = estimate(problem, [problem.frame.universe()], cfg)[0]
+    return r.conflict_estimate, (r.restarts + r.trials) / r.trials
 
 
 # ---------------------------------------------------------------- oracles

@@ -37,6 +37,7 @@ from beliefmc import (
 from beliefmc.bench import run_bench, tune_cell
 from conftest import (
     combine_masses,
+    conflict_and_draws,
     random_clause,
     random_logic_problem,
     random_problem,
@@ -153,10 +154,7 @@ def test_variance_across_seeds_respects_bound(two_ssf_problem):
 def test_draws_per_trial_match_tuned_conflict():
     """At conflict tuned to ~0.5, draws per trial land in [1.9, 2.1] at N=1e5."""
     g = tune_cell(12, 24, target_conflict=0.5, seed=5)
-    r = estimate(
-        g.problem, [g.problem.frame.universe()], TrialEngineConfig(trials=100_000, seed=17)
-    )[0]
-    kappa, draws = r.conflict_estimate, (r.restarts + r.trials) / r.trials
+    kappa, draws = conflict_and_draws(g.problem, TrialEngineConfig(trials=100_000, seed=17))
     assert 1.9 <= draws <= 2.1, f"draws/trial {draws:.3f} (kappa_hat {kappa:.4f})"
     print(f"PASS restart law: kappa_hat={kappa:.4f} -> draws/trial={draws:.3f}")
 

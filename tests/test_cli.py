@@ -266,6 +266,8 @@ class TestExact:
                 for command in (("exact",), ("conflict", "--exact"))
                 for cap in (("--time-cap", "nan"), ("--time-cap", "-1"))
             ),
+            # the cap is read only with --exact, so any value without it is refused
+            *((("conflict",), ("--time-cap", t)) for t in ("nan", "-1", "1")),
         ],
     )
     def test_invalid_cap_exit_code(self, set_file, capsys, command, cap):
@@ -319,8 +321,9 @@ def test_exact_conflict_beyond_joint_outcome_counts(capsys):
     path = str(BENCH_DATA / fx["file"])
     assert main(["conflict", "--exact", "--problem", path, "--csv"]) == 0
     (row,) = rows_of(capsys.readouterr().out)
-    # the fixture's kappa is the tuner's 2000-trial estimate
-    assert float(row["kappa"]) == pytest.approx(fx["kappa"], abs=0.03)
+    # the fixture's kappa (0.4963) is the tuner's 2000-trial probe estimate,
+    # not this exact value
+    assert float(row["kappa"]) == pytest.approx(0.4929792, abs=PRINTED_TOL)
 
 
 #: ``estimate --logic --budget B --accuracy 0.03 --csv`` rows of the

@@ -78,15 +78,8 @@ def complement_supports(n: int) -> EvidenceProblem:
     )
 
 
-#: The three views of the fold, each scoring the universe where it takes a
-#: query; every view takes ``deadline_s``.
-VIEWS = {
-    "combine_all": combine_all,
-    "exact_belief_enumeration": lambda problem, **caps: exact_belief_enumeration(
-        problem, problem.frame.universe(), **caps
-    ),
-    "conflict_exact": conflict_exact,
-}
+#: The views of the fold that take ``deadline_s``.
+DEADLINE_VIEWS = {"combine_all": combine_all, "conflict_exact": conflict_exact}
 
 
 def staged_problem(seed: int) -> EvidenceProblem:
@@ -361,7 +354,7 @@ class TestCombineAll:
         with pytest.raises(ResourceLimitError, match=r"combine step \d+: wall-clock cap"):
             combine_all(problem, deadline_s=0.0)
 
-    @pytest.mark.parametrize("view", sorted(VIEWS))
+    @pytest.mark.parametrize("view", sorted(DEADLINE_VIEWS))
     def test_zero_deadline_trips_a_fold_of_short_steps(self, view):
         # 3000 steps of at most 2**10 entries times 2 outcomes, each far
         # under _DEADLINE_STRIDE products: the deadline is checked at the
@@ -376,7 +369,7 @@ class TestCombineAll:
         )
         assert 2 * 2**10 < exact._DEADLINE_STRIDE
         with pytest.raises(ResourceLimitError, match="step 0: wall-clock cap exceeded"):
-            VIEWS[view](problem, deadline_s=0.0)
+            DEADLINE_VIEWS[view](problem, deadline_s=0.0)
 
     def test_deadline_checked_inside_a_step(self, monkeypatch):
         # With a stride of 4, step 0's 10 products (the vacuous table times
@@ -397,13 +390,17 @@ class TestCombineAll:
         [
             ("combine_all", {"max_entries": 0}),
             ("combine_all", {"max_entries": -1}),
-            *((view, {"deadline_s": d}) for view in sorted(VIEWS) for d in (math.nan, -1.0)),
+            *(
+                (view, {"deadline_s": d})
+                for view in sorted(DEADLINE_VIEWS)
+                for d in (math.nan, -1.0)
+            ),
         ],
     )
     def test_invalid_caps_rejected(self, two_ssf_problem, view, caps):
         # a NaN or negative deadline would never trip on a fold this short
         with pytest.raises(ValueError):
-            VIEWS[view](two_ssf_problem, **caps)
+            DEADLINE_VIEWS[view](two_ssf_problem, **caps)
 
     def test_entry_cap_inside_a_pass_names_the_step(self, monkeypatch):
         # At step 7 the covering outcome copies the 128-entry table and the

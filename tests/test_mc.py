@@ -40,6 +40,7 @@ from beliefmc.mc import (
 )
 from beliefmc.problem_io import parse_problem
 from conftest import (
+    conflict_and_draws,
     draw_plan,
     per_draw_kernel_set,
     per_draw_plans,
@@ -280,13 +281,6 @@ def _stream_problems() -> dict[str, EvidenceProblem]:
     }
 
 
-def _conflict(problem: EvidenceProblem, cfg: TrialEngineConfig) -> tuple[float, float]:
-    """``(kappa_hat, draws_per_trial)`` from the restarts of ``estimate`` on
-    the universe query."""
-    r = estimate(problem, [problem.frame.universe()], cfg)[0]
-    return r.conflict_estimate, (r.restarts + r.trials) / r.trials
-
-
 def _stream_runs() -> dict:
     """Draw-stream fingerprints at 1 and 2 workers: ``(successes, restarts)``
     of each query alone, ``(successes..., restarts)`` of all queries in one
@@ -304,7 +298,7 @@ def _stream_runs() -> dict:
             out[(label, "batch", workers)] = (
                 *(r.successes for r in res), res[0].restarts
             )
-            out[(label, "conflict", workers)] = _conflict(problem, cfg)
+            out[(label, "conflict", workers)] = conflict_and_draws(problem, cfg)
     return out
 
 
@@ -495,7 +489,7 @@ class TestEstimate:
             for cap in (25, 200):
                 cfg = TrialEngineConfig(trials=300, seed=2, restart_cap=cap)
                 try:
-                    out.append(_conflict(conflicting, cfg))
+                    out.append(conflict_and_draws(conflicting, cfg))
                 except ExcessiveConflictError as e:
                     out.append((str(e), e.conflict_estimate))
             return out
@@ -559,7 +553,7 @@ class TestDeterminism:
             bounded = logic_estimate(logic.sources, clauses, cfg, step_budget=4)
             return (
                 (sets.successes, sets.restarts),
-                _conflict(two_ssf_problem, cfg),
+                conflict_and_draws(two_ssf_problem, cfg),
                 [(e.successes, e.timeouts, e.restarts) for e in bounded.estimates],
             )
 
@@ -582,7 +576,7 @@ class TestDeterminism:
 class TestConflictEstimate:
     def test_worked_example(self, two_ssf_problem):
         cfg = TrialEngineConfig(trials=100_000, seed=2)
-        kappa, loops = _conflict(two_ssf_problem, cfg)
+        kappa, loops = conflict_and_draws(two_ssf_problem, cfg)
         assert kappa == pytest.approx(0.3, abs=0.01)
         assert loops == pytest.approx(1.0 / (1.0 - kappa), abs=1e-12)
 
@@ -591,7 +585,7 @@ class TestConflictEstimate:
         problem = EvidenceProblem(
             frame, (simple_support(frame, frame.singleton("x1"), 0.7),)
         )
-        kappa, loops = _conflict(problem, TrialEngineConfig(trials=1000, seed=0))
+        kappa, loops = conflict_and_draws(problem, TrialEngineConfig(trials=1000, seed=0))
         assert kappa == 0.0 and loops == 1.0
 
     def test_half_conflict_costs_two_draws(self):
@@ -606,7 +600,7 @@ class TestConflictEstimate:
             ),
         )
         cfg = TrialEngineConfig(trials=100_000, seed=4)
-        kappa, loops = _conflict(problem, cfg)
+        kappa, loops = conflict_and_draws(problem, cfg)
         assert kappa == pytest.approx(0.5, abs=0.01)
         assert loops == pytest.approx(2.0, rel=0.05)
 
@@ -742,7 +736,7 @@ class TestRestartLaw:
         out += [(f"ssf-{seed}", random_ssf_problem(seed)) for seed in range(4)]
         return out
 
-    def test_restarts_within_three_sd_of_exact_conflict(self):
+    def test_restarts_within_three_sd_of_exactconflict_and_draws(self):
         n = 20_000
         for name, problem in self._problems():
             kappa = conflict_exact(problem)
