@@ -197,6 +197,8 @@ def run_bench(
     """
     if repetitions < 1:
         raise ValueError(f"repetitions must be >= 1, got {repetitions}")
+    if not 0.0 <= target_conflict < 1.0:
+        raise ValueError(f"target conflict {target_conflict!r} outside [0, 1)")
     cells: list[BenchCell] = []
     for m in source_counts:
         for n in element_counts:

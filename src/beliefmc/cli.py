@@ -34,6 +34,7 @@ from .bench import CSV_COLUMNS, cell_row, run_bench
 from .evidence import EvidenceProblem, bel_from_mass, validate_problem
 from .exact import DEFAULT_MAX_ENTRIES, combine_all, conflict_exact
 from .logic import (
+    ClauseQuery,
     LogicProblem,
     logic_estimate,
     translate_to_set_problem,
@@ -56,6 +57,16 @@ def _read_problem(path: str, *, want_logic: bool):
     if want_logic and isinstance(problem, EvidenceProblem):
         raise InvalidProblemError(["--logic given but the file is a set problem"])
     return problem
+
+
+def _parse_clauses(problem: LogicProblem, texts: list[str]) -> list[ClauseQuery]:
+    """The clause queries ``texts``, each over the problem's declared atoms."""
+    clauses = [parse_clause(q) for q in texts]
+    for c in clauses:
+        for l in c.literals:
+            if l.atom not in problem.atoms:
+                raise ParseError(1, 1, f"unknown atom {l.atom!r}")
+    return clauses
 
 
 def _engine_config(args) -> TrialEngineConfig:
@@ -83,7 +94,7 @@ def cmd_estimate(args) -> int:
         if not args.query:
             print("error: logic estimation needs at least one --query clause", file=sys.stderr)
             return 2
-        queries = [parse_clause(q) for q in args.query]
+        queries = _parse_clauses(problem, args.query)
         results = logic_estimate(
             problem.sources, queries, cfg, step_budget=args.budget
         ).estimates
@@ -147,7 +158,7 @@ def cmd_estimate(args) -> int:
 def cmd_exact(args) -> int:
     problem = _read_problem(args.problem, want_logic=args.logic)
     if isinstance(problem, LogicProblem):
-        clauses = [parse_clause(q) for q in (args.query or [])]
+        clauses = _parse_clauses(problem, args.query or [])
         if not clauses:
             print("error: logic mode needs at least one --query clause", file=sys.stderr)
             return 2

@@ -162,21 +162,24 @@ class MassFunction:
     __slots__ = ("frame", "_masses")
 
     def __init__(self, frame: Frame, entries: Mapping[FocalSet, float] | Mapping[int, float]):
-        if not (
-            entries
-            and set(map(type, entries)) == {int}
-            and min(entries) > 0
-            and max(entries) <= frame.full_bits
-            and all(map((0.0).__lt__, entries.values()))
-        ):
-            # FocalSet keys, or a table that fails a check: one entry at a
-            # time, so the error names the first offending entry.
-            entries = self._merge(frame, entries)
-        total = math.fsum(entries.values())
+        # one entry at a time, so an error names the first offending entry
+        masses: dict[int, float] = {}
+        for key, value in entries.items():
+            bits = key.bits if isinstance(key, FocalSet) else int(key)
+            if isinstance(key, FocalSet) and key.frame != frame:
+                raise FrameMismatchError("focal set from a different frame")
+            if not 0 <= bits <= frame.full_bits:
+                raise ValueError(f"bits {bits:#x} outside the frame")
+            if bits == 0:
+                raise ValueError("mass on the empty set is not allowed")
+            if not value > 0.0:
+                raise ValueError(f"non-positive mass {value!r} on {FocalSet(frame, bits)}")
+            masses[bits] = masses.get(bits, 0.0) + value
+        total = math.fsum(masses.values())
         if abs(total - 1.0) > MASS_TOL:
             raise ValueError(f"masses sum to {total!r}, expected 1")
         self.frame = frame
-        self._masses = self._normalized(entries, total)
+        self._masses = self._normalized(masses, total)
 
     @classmethod
     def _from_table(cls, frame: Frame, table: dict[int, float], total: float) -> MassFunction:
@@ -203,22 +206,6 @@ class MassFunction:
             scale = math.fsum(kept.values())
             kept = {b: v / scale for b, v in kept.items()}
         return kept
-
-    @staticmethod
-    def _merge(frame: Frame, entries: Mapping) -> dict[int, float]:
-        masses: dict[int, float] = {}
-        for key, value in entries.items():
-            bits = key.bits if isinstance(key, FocalSet) else int(key)
-            if isinstance(key, FocalSet) and key.frame != frame:
-                raise FrameMismatchError("focal set from a different frame")
-            if not 0 <= bits <= frame.full_bits:
-                raise ValueError(f"bits {bits:#x} outside the frame")
-            if bits == 0:
-                raise ValueError("mass on the empty set is not allowed")
-            if not value > 0.0:
-                raise ValueError(f"non-positive mass {value!r} on {FocalSet(frame, bits)}")
-            masses[bits] = masses.get(bits, 0.0) + value
-        return masses
 
     @property
     def by_bits(self) -> Mapping[int, float]:

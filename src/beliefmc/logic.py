@@ -15,10 +15,10 @@ toward the clause's lower bound and 1 toward its upper bound.  The metering
 never changes what is sampled, so tightening the budget only moves scores
 between the bounds.
 
-The trial kernel runs on the set problems' block driver
-(``mc._run_blocks``), which draws one uniform per source per attempt, a
-block of attempts at a time, and hands over one bitmask over the block's
-attempts per non-empty term.  Literals follow the atoms in sorted name
+The trial kernel is a plan and a block scorer on the set problems' runner
+(``mc._run``).  Its block driver draws one uniform per source per attempt,
+a block of attempts at a time, and hands the scorer one bitmask over the
+block's attempts per non-empty term.  Literals follow the atoms in sorted name
 order, so literal order is bit order.  A walk over the terms in source
 order gives each literal the mask of the attempts whose merged term holds
 it: an attempt is rejected when a term it draws holds the negation of a
@@ -26,9 +26,9 @@ literal it already holds, and an accepted attempt hits a clause when it
 holds one of the clause's literals.  With a budget, the same walk counts
 each attempt's literal operations up to its first clash in bit-sliced
 counters, and each clause's test up to its first hit, so the step counts
-are exact.  Trials are split into per-worker substreams, which the set
-problems' worker runner, ``mc._run_workers``, runs one after another in
-the calling thread.
+are exact.  The runner splits the trials into per-worker substreams and
+runs them one after another in the calling thread, all through one scorer
+that adds into the call's counts.
 
 Problems over few atoms translate exactly to set problems over the frame of
 truth assignments, which connects this estimator to the exact combiners.
@@ -37,11 +37,10 @@ truth assignments, which connects this estimator to the exact combiners.
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate, compress
-from operator import add, gt, sub, xor
+from operator import add, gt, sub
 from typing import Iterator, Sequence
 
 from .errors import FrameTooLargeError, InvalidProblemError
@@ -53,16 +52,7 @@ from .evidence import (
     SourceModel,
     _cumulative,
 )
-from .mc import (
-    TrialEngineConfig,
-    _below,
-    _byte_lanes,
-    _cuts,
-    _element_bytes,
-    _run_blocks,
-    _run_workers,
-    sd_bound,
-)
+from .mc import TrialEngineConfig, _byte_lanes, _cuts, _element_bytes, _run, sd_bound
 
 #: Widest assignment frame the exact translation will build (2**16 elements).
 MAX_TRANSLATE_ATOMS = 16
@@ -333,16 +323,12 @@ def _lane_values(slices: Sequence[int], size: int) -> Sequence[int]:
     return [sum(v << 8 * g for g, v in enumerate(vs)) for vs in zip(*lanes)]
 
 
-def _kernel_logic(
-    plan: _LogicPlan,
-    trials: int,
-    rng: random.Random,
-    cap: int,
-    budget: int | None,
-) -> tuple[list[int], list[int], int]:
-    """The logic-trial kernel: run attempts on ``rng`` in blocks
-    (:func:`mc._run_blocks`) until ``trials`` are accepted; returns
-    ``(successes per clause, timeouts per clause, restarts)``.
+def _logic_score(
+    plan: _LogicPlan, budget: int | None, successes: list[int], timeouts: list[int]
+):
+    """The logic kernel's block scorer (:func:`mc._run_blocks`): adds each
+    clause's scored trials to ``successes`` and its timeouts to
+    ``timeouts``.
 
     Every mask holds one bit per attempt of a block.  The kernel walks the
     term slots in source order with ``alive``, the attempts that have not
@@ -364,20 +350,14 @@ def _kernel_logic(
     adds only its own test, so the budget applies per (trial, clause): one
     trial can time out on one clause and score on another.  The count is a
     pure function of the draws, so the budget never perturbs the stream.
+    The merge cost of a trial still open at a block's end carries into the
+    next block, and is 0 when a share ends (:func:`mc._run`).
     """
-    m = plan.source_count
     clauses = plan.clauses
-    successes = [0] * len(clauses)
-    timeouts = [0] * len(clauses)
     metered = budget is not None and bool(clauses)
-    his = [hi for hi, _ in plan.outs]
-    los = [lo for _, lo in plan.outs]
     carry = 0  # the current trial's operations in earlier blocks
 
-    def score(raw: bytes, size: int):
-        below = _below(plan.cuts, raw, size, m)
-        every = below[1]
-        drawn = list(map(xor, map(below.__getitem__, his), map(below.__getitem__, los)))
+    def score(drawn: list[int], every: int, size: int):
         # ``held`` only grows from slots of earlier sources, and attempts
         # that clash are dropped from ``alive``, so what a dead attempt
         # holds is never read
@@ -450,8 +430,7 @@ def _kernel_logic(
 
         return accepted, tally
 
-    restarts = _run_blocks(m, score, trials, rng, cap)
-    return successes, timeouts, restarts
+    return score
 
 
 def logic_estimate(
@@ -469,8 +448,8 @@ def logic_estimate(
     call.  ``step_budget`` caps the literal operations any one trial may
     spend on one clause; over-budget (trial, clause) pairs count toward
     that clause's ``timeouts`` and widen its bounds.  Trials are split
-    across per-worker substreams and run by the same worker runner as the
-    set-problem estimator.  Sources that ``validate_logic_sources`` has not
+    across per-worker substreams and run by the set-problem estimator's
+    runner (:func:`mc._run`).  Sources that ``validate_logic_sources`` has not
     passed yet are checked first.
     """
     single = isinstance(query, ClauseQuery)
@@ -482,34 +461,26 @@ def logic_estimate(
     if step_budget is not None and step_budget < 0:
         raise ValueError(f"step budget must be >= 0, got {step_budget}")
     plan = _logic_plan(sources, queries)
-
-    def job(share, rng):
-        return _kernel_logic(plan, share, rng, cfg.restart_cap, step_budget)
-
-    parts = _run_workers(cfg, job)
-    restarts = sum(p[2] for p in parts)
-    estimates = []
-    for i in range(len(queries)):
-        successes = sum(p[0][i] for p in parts)
-        timeouts = sum(p[1][i] for p in parts)
-        estimates.append(
-            BoundedEstimate(
-                lower=successes / cfg.trials,
-                upper=(successes + timeouts) / cfg.trials,
-                trials=cfg.trials,
-                successes=successes,
-                timeouts=timeouts,
-                restarts=restarts,
-                sd_bound=sd_bound(cfg.trials),
-            )
+    successes = [0] * len(queries)
+    timeouts = [0] * len(queries)
+    restarts = _run(cfg, plan, _logic_score(plan, step_budget, successes, timeouts))
+    estimates = tuple(
+        BoundedEstimate(
+            lower=s / cfg.trials,
+            upper=(s + t) / cfg.trials,
+            trials=cfg.trials,
+            successes=s,
+            timeouts=t,
+            restarts=restarts,
+            sd_bound=sd_bound(cfg.trials),
         )
-    batch = ClauseBatchEstimate(
-        trials=cfg.trials,
-        restarts=restarts,
-        timeouts=sum(e.timeouts for e in estimates),
-        estimates=tuple(estimates),
+        for s, t in zip(successes, timeouts)
     )
-    return batch.estimates[0] if single else batch
+    if single:
+        return estimates[0]
+    return ClauseBatchEstimate(
+        trials=cfg.trials, restarts=restarts, timeouts=sum(timeouts), estimates=estimates
+    )
 
 
 @dataclass(frozen=True)

@@ -6,19 +6,20 @@ the surviving intersection lies inside the query set.  The success frequency
 estimates the combined belief; the rejected-draw frequency estimates the
 conflict mass.
 
-One block driver (:func:`_run_blocks`) runs the attempts of both
-kernels, this module's set-trial kernel and the logic kernel of
-``logic.py``.  It draws a block's uniforms with ``getrandbits`` calls into
-one buffer, sizes the blocks, and trips the restart cap; its front end
-(:func:`_below`) lets the top byte of each uniform decide which cumulative
-entries it falls below (the rare equal byte is decided from the next byte
-or the whole 53 bits), so each source outcome becomes a bitmask over the
-block's attempts.  A kernel only scores a block.  The set kernel groups
-the frame's elements by the outcomes that lack them; a group leaves an
-attempt's intersection when one of those outcomes is drawn, so an attempt
-is rejected when every group leaves it and scores a query when every group
-outside the query leaves it.  Bitwise OR and AND over these masks do the
-work of every attempt at once.
+One runner (:func:`_run`) and its block driver (:func:`_run_blocks`) run
+the attempts of both kernels, this module's set-trial kernel and the logic
+kernel of ``logic.py``; a kernel is a plan and a block scorer.  The driver
+draws a block's uniforms with ``getrandbits`` calls into one buffer, sizes
+the blocks, and trips the restart cap; its front end (:func:`_below`) lets
+the top byte of each uniform decide which cumulative entries it falls
+below (the rare equal byte is decided from the next byte or the whole 53
+bits), so each source outcome becomes a bitmask over the block's attempts,
+and the scorer gets one such mask per outcome slot of its plan.  The set
+kernel groups the frame's elements by the outcomes that lack them; a group
+leaves an attempt's intersection when one of those outcomes is drawn, so
+an attempt is rejected when every group leaves it and scores a query when
+every group outside the query leaves it.  Bitwise OR and AND over these
+masks do the work of every attempt at once.
 
 The draw contract is that each attempt consumes exactly one uniform per
 source, in source order, with no early exit; results are therefore a pure
@@ -28,7 +29,8 @@ kernels map each to the outcome that bisecting the source's cumulative
 table picks, and the generator ends where those calls would leave it.
 
 ``worker_count`` splits the trials into per-worker substreams derived from
-the seed, and the shares run one after another in the calling thread.  The
+the seed, and the runner runs the shares one after another in the calling
+thread, all through one scorer that adds into the caller's counts.  The
 kernels are pure Python and hold the interpreter lock, so threads would
 only take turns: the worker count changes how the stream is split, not how
 fast it runs.
@@ -42,7 +44,7 @@ import random
 from dataclasses import dataclass
 from functools import reduce
 from itertools import compress
-from operator import and_, or_
+from operator import and_, or_, xor
 from typing import Sequence
 
 from .errors import ExcessiveConflictError, FrameMismatchError
@@ -115,9 +117,11 @@ def worker_rng(seed: int, worker: int) -> random.Random:
 
 
 def _split_trials(trials: int, workers: int) -> list[int]:
+    """Each worker's share of the trials, in worker order.  Workers beyond
+    the trial count would get none, so only the first ``trials`` get one."""
+    workers = min(workers, trials)
     base, extra = divmod(trials, workers)
-    shares = [base + (1 if w < extra else 0) for w in range(workers)]
-    return [s for s in shares if s > 0]
+    return [base + (w < extra) for w in range(workers)]
 
 
 def _cap_error(rejected: int, completed: int, cap: int) -> ExcessiveConflictError:
@@ -323,14 +327,11 @@ def _below(cuts, raw: bytes, size: int, m: int) -> list[int]:
     return below
 
 
-def _block(plan: _SetPlan, raw: bytes, size: int) -> tuple[int, list[int]]:
-    """Score the ``size`` attempts whose uniforms start ``raw``, 8 bytes
-    each, attempt by attempt and source by source: returns the mask of
-    accepted attempts (bit ``a`` for attempt ``a``) and, per query, the
-    mask of attempts whose intersection lies inside it."""
-    below = _below(plan.cuts, raw, size, plan.source_count)
-    every = below[1]
-    vals = [below[hi] ^ below[lo] for hi, lo in plan.outs]
+def _block(plan: _SetPlan, vals: list[int], every: int) -> tuple[int, list[int]]:
+    """Score a block from ``vals``, its slot masks (:func:`_run_blocks`),
+    and ``every``, the mask of all its attempts: returns the mask of
+    accepted attempts and, per query, the mask of attempts whose
+    intersection lies inside it.  Appends the OR-table entries to ``vals``."""
     vals.append(0)
     for a, b in plan.program:
         vals.append(vals[a] | vals[b])
@@ -344,18 +345,39 @@ def _block(plan: _SetPlan, raw: bytes, size: int) -> tuple[int, list[int]]:
     ]
 
 
-def _run_blocks(m: int, score, trials: int, rng: random.Random, cap: int) -> int:
-    """Run attempts of ``m`` sources on ``rng`` in blocks until ``trials``
-    are accepted; returns the restarts.
+def _set_score(plan: _SetPlan, successes: list[int]):
+    """The set kernel's block scorer (:func:`_run_blocks`): adds each
+    query's accepted hits to ``successes``."""
 
-    ``score(raw, size)`` scores the ``size`` attempts whose uniforms start
-    ``raw`` and returns the mask of accepted attempts with a ``tally(cut)``
-    that adds the results of the attempts below ``cut`` to the kernel's
-    counts.  CPython's ``random()`` builds its 53 bits from two consecutive
-    32-bit words, and ``getrandbits(64 * k)`` returns the words of ``k``
-    such calls, first word least significant, so uniform ``a * m + i`` of a
+    def score(slots: list[int], every: int, size: int):
+        accepted, hits = _block(plan, slots, every)
+
+        def tally(cut: int) -> None:
+            keep = (1 << cut) - 1
+            for qi, hit in enumerate(hits):
+                successes[qi] += (hit & keep).bit_count()
+
+        return accepted, tally
+
+    return score
+
+
+def _run_blocks(plan, score, trials: int, rng: random.Random, cap: int) -> int:
+    """Run attempts of the plan's ``source_count`` sources on ``rng`` in
+    blocks until ``trials`` are accepted; returns the restarts.
+
+    CPython's ``random()`` builds its 53 bits from two consecutive 32-bit
+    words, and ``getrandbits(64 * k)`` returns the words of ``k`` such
+    calls, first word least significant, so uniform ``a * m + i`` of a
     block is the one source ``i`` draws in attempt ``a`` under one
-    ``random()`` call per source per attempt.
+    ``random()`` call per source per attempt.  The front end turns a block
+    into masks with a bit per attempt (bit ``a`` for attempt ``a``): from
+    the plan's ``cuts`` and ``outs`` (:func:`_cuts`), :func:`_below` gives
+    the attempts below each cut once, and each outcome slot's mask is
+    ``below[hi] ^ below[lo]``.  ``score(slots, every, size)`` gets those
+    slot masks, the mask of all ``size`` attempts and ``size``, and returns
+    the mask of accepted attempts with a ``tally(cut)`` that adds the
+    results of the attempts below ``cut`` to the kernel's counts.
 
     A block holds at most :data:`_BLOCK_BYTES` generator bytes.  The first
     holds no more attempts than trials are left; once some are accepted, a
@@ -368,6 +390,10 @@ def _run_blocks(m: int, score, trials: int, rng: random.Random, cap: int) -> int
     trial or tripped the cap, so it ends where the per-draw loop would
     leave it.
     """
+    m = plan.source_count
+    cuts = plan.cuts
+    his = [hi for hi, _ in plan.outs]
+    los = [lo for _, lo in plan.outs]
     per_block = max(1, _BLOCK_BYTES // (8 * m))
     done = restarts = run = 0  # run: rejections since the last acceptance
     raw = bytearray(8 * m * per_block)  # one buffer serves every block of the share
@@ -381,7 +407,9 @@ def _run_blocks(m: int, score, trials: int, rng: random.Random, cap: int) -> int
             size = min(per_block, left) if not restarts else per_block
         state = rng.getstate()
         _draw(rng, m * size, raw)
-        accepted, tally = score(raw, size)
+        below = _below(cuts, raw, size, m)
+        get = below.__getitem__
+        accepted, tally = score(list(map(xor, map(get, his), map(get, los))), below[1], size)
         cut = size
         if accepted.bit_count() >= left:
             # the attempt that accepts the last trial left ends the share
@@ -419,34 +447,22 @@ def _run_blocks(m: int, score, trials: int, rng: random.Random, cap: int) -> int
     return restarts
 
 
-def _kernel_set(
-    plan: _SetPlan, trials: int, rng: random.Random, cap: int
-) -> tuple[list[int], int]:
-    """The set-trial kernel: run attempts on ``rng`` in blocks
-    (:func:`_run_blocks`) until ``trials`` are accepted; returns
-    ``(successes per query, restarts)``."""
-    successes = [0] * len(plan.outside)
+def _run(cfg: TrialEngineConfig, plan, score) -> int:
+    """Run each worker's share of the trials on its own substream, one
+    after another in the calling thread, through the one block scorer
+    ``score`` (:func:`_run_blocks`), whose counts add up across shares;
+    returns the restarts.
 
-    def score(raw: bytes, size: int):
-        accepted, hits = _block(plan, raw, size)
-
-        def tally(cut: int) -> None:
-            keep = (1 << cut) - 1
-            for qi, hit in enumerate(hits):
-                successes[qi] += (hit & keep).bit_count()
-
-        return accepted, tally
-
-    restarts = _run_blocks(plan.source_count, score, trials, rng, cap)
-    return successes, restarts
-
-
-def _run_workers(cfg: TrialEngineConfig, job) -> list:
-    """Run ``job(share, rng)`` for each worker's share of the trials, one
-    after another in the calling thread, and return the raw results in
-    worker order.  Each share has its own substream."""
+    One scorer may serve every share only because it holds no state at a
+    share boundary: a share ends on the attempt that accepts its last
+    trial, and a scorer's state spans blocks only within one trial (the
+    logic kernel's merge cost of an open trial).
+    """
     shares = _split_trials(cfg.trials, cfg.worker_count)
-    return [job(share, worker_rng(cfg.seed, w)) for w, share in enumerate(shares)]
+    return sum(
+        _run_blocks(plan, score, share, worker_rng(cfg.seed, w), cfg.restart_cap)
+        for w, share in enumerate(shares)
+    )
 
 
 def _build_estimate(
@@ -494,11 +510,6 @@ def estimate(
         if q.frame != problem.frame:
             raise FrameMismatchError("query set from a different frame")
     plan = _set_plan(problem, queries)
-
-    def job(share, rng):
-        return _kernel_set(plan, share, rng, cfg.restart_cap)
-
-    parts = _run_workers(cfg, job)
-    restarts = sum(r for _, r in parts)
-    totals = [sum(p[0][qi] for p in parts) for qi in range(len(queries))]
-    return [_build_estimate(s, cfg.trials, restarts) for s in totals]
+    successes = [0] * len(queries)
+    restarts = _run(cfg, plan, _set_score(plan, successes))
+    return [_build_estimate(s, cfg.trials, restarts) for s in successes]

@@ -304,6 +304,10 @@ def generate_problem(
     return GeneratedProblem(problem, kappa, focus_density, (lo, hi), seed)
 
 
+#: Probe generations :func:`tune_focus_density` runs.
+_DENSITY_PROBES = 20
+
+
 def tune_focus_density(
     source_count: int,
     element_count: int,
@@ -311,20 +315,19 @@ def tune_focus_density(
     target_conflict: float = 0.5,
     weight_range: tuple[float, float] = (0.4, 0.9),
     seed: int = 0,
-    probes: int = 20,
     probe_trials: int = 2000,
 ) -> GeneratedProblem:
     """Bisect the focus density toward a target conflict level.
 
     Conflict falls as foci get denser (they overlap more), so plain
-    bisection applies.  Runs at most ``probes`` probe generations and
+    bisection applies.  Runs :data:`_DENSITY_PROBES` probe generations and
     returns the draw whose measured conflict came closest to the target.
     """
     if not 0.0 <= target_conflict < 1.0:
         raise ValueError(f"target conflict {target_conflict!r} outside [0, 1)")
     lo, hi = 0.005, 0.995
     best: GeneratedProblem | None = None
-    for _ in range(probes):
+    for _ in range(_DENSITY_PROBES):
         mid = (lo + hi) / 2.0
         g = generate_problem(
             source_count,

@@ -195,6 +195,17 @@ class TestLogicEstimate:
             assert 0 < int(row["timeouts"]) < 3000
             assert int(row["successes"]) > 0
 
+    @pytest.mark.parametrize("command", ["estimate", "exact"])
+    @pytest.mark.parametrize("queries", [["[zz]"], ["[p]", "[!q zz]"]])
+    def test_undeclared_atom_in_query(self, logic_file, capsys, command, queries):
+        # both commands refuse a clause over an atom the header does not
+        # declare, as set queries refuse an unknown element
+        args = [a for q in queries for a in ("--query", q)]
+        assert main([command, "--logic", "--problem", logic_file, *args]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: line 1, column 1: unknown atom 'zz'\n"
+
     def test_human_output_shows_interval(self, logic_file, capsys):
         assert main([
             "estimate", "--problem", logic_file, "--query", "[q]",
@@ -550,6 +561,15 @@ class TestBench:
             "--exact-cap", "nan",
         ]) == 2
         assert "time cap" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("target", ["1.5", "-3", "1", "nan"])
+    def test_target_conflict_outside_unit_interval_rejected(self, capsys, monkeypatch, target):
+        # refused before any cell is tuned, as `generate` refuses it
+        import beliefmc.bench as bench
+
+        monkeypatch.setattr(bench, "tune_cell", None)
+        assert main(["bench", "--sizes", "3", "--target-conflict", target]) == 2
+        assert f"target conflict {float(target)!r} outside [0, 1)" in capsys.readouterr().err
 
     def test_zero_reps_rejected(self, capsys):
         assert main(["bench", "--sizes", "4", "--reps", "0"]) == 2

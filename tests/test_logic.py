@@ -33,7 +33,7 @@ from beliefmc import (
 )
 from beliefmc.cli import main
 from beliefmc import mc
-from beliefmc.logic import _kernel_logic, _logic_plan, lits
+from beliefmc.logic import _logic_plan, _logic_score, lits
 from beliefmc.mc import DEFAULT_RESTART_CAP
 from beliefmc.problem_io import parse_clause
 from conftest import (
@@ -261,9 +261,8 @@ class TestDrawStream:
             plan = _logic_plan(problem.sources, [parse_clause(text)])
             for budget in (None, 0, 12):
                 rng = random.Random(3)
-                _, _, restarts = _kernel_logic(
-                    plan, 500, rng, DEFAULT_RESTART_CAP, budget
-                )
+                score = _logic_score(plan, budget, [0], [0])
+                restarts = mc._run_blocks(plan, score, 500, rng, DEFAULT_RESTART_CAP)
                 assert restarts > 0
                 assert rng.getstate() == _advanced(3, m * (500 + restarts))
 
@@ -319,10 +318,11 @@ class TestClauseBatch:
         assert len(plan.clauses) == 3
         for budget in (None, 0, 12):
             rng = random.Random(3)
-            successes, timeouts, restarts = _kernel_logic(
-                plan, 500, rng, DEFAULT_RESTART_CAP, budget
-            )
-            assert len(successes) == len(timeouts) == 3
+            successes, timeouts = [0] * 3, [0] * 3
+            score = _logic_score(plan, budget, successes, timeouts)
+            restarts = mc._run_blocks(plan, score, 500, rng, DEFAULT_RESTART_CAP)
+            # every trial scores or times out on the tautology
+            assert successes[2] + timeouts[2] == 500
             assert restarts > 0
             assert rng.getstate() == _advanced(3, m * (500 + restarts))
 
@@ -468,14 +468,54 @@ class TestBlockKernel:
             for cap in (3, 200):
                 for budget in budgets[:3]:
                     rngs = random.Random(cap), random.Random(cap)
-                    block = run_outcome(lambda: _kernel_logic(
-                        _logic_plan(problem.sources, clauses), 300, rngs[0], cap, budget
-                    ))
+
+                    def share():
+                        plan = _logic_plan(problem.sources, clauses)
+                        successes, timeouts = [0] * len(clauses), [0] * len(clauses)
+                        score = _logic_score(plan, budget, successes, timeouts)
+                        restarts = mc._run_blocks(plan, score, 300, rngs[0], cap)
+                        return successes, timeouts, restarts
+
+                    block = run_outcome(share)
                     per_draw = run_outcome(
                         lambda: per_draw_kernel_logic(plans, masks, 300, rngs[1], cap, budget)
                     )
                     assert block == per_draw, (label, cap, budget)
                     assert rngs[0].getstate() == rngs[1].getstate(), (label, cap, budget)
+
+
+    @pytest.mark.parametrize("block_attempts", [None, 3])
+    def test_one_scorer_counts_as_a_fresh_scorer_per_share(self, monkeypatch, block_attempts):
+        # mc._run runs every share through one scorer; summing a fresh
+        # scorer per share gives the same metered counts, so no trial's
+        # merge cost crosses a share boundary (blocks of 3 attempts carry
+        # it across blocks inside a share)
+        clauses = [parse_clause(text) for text in STREAM_CLAUSES]
+        n = len(clauses)
+        for label, (problem, tight) in _stream_problems().items():
+            if block_attempts is not None:
+                monkeypatch.setattr(
+                    mc, "_BLOCK_BYTES", 8 * len(problem.sources) * block_attempts
+                )
+            plan = _logic_plan(problem.sources, clauses)
+            for workers in (1, 2, 3):
+                cfg = TrialEngineConfig(trials=300, seed=23, worker_count=workers)
+                for budget in (None, 0, *tight):
+                    batch = logic_estimate(problem.sources, clauses, cfg, budget)
+                    successes, timeouts, restarts = [0] * n, [0] * n, 0
+                    for w, share in enumerate(mc._split_trials(cfg.trials, workers)):
+                        s, t = [0] * n, [0] * n
+                        restarts += mc._run_blocks(
+                            plan, _logic_score(plan, budget, s, t), share,
+                            mc.worker_rng(cfg.seed, w), cfg.restart_cap,
+                        )
+                        successes = [a + b for a, b in zip(successes, s)]
+                        timeouts = [a + b for a, b in zip(timeouts, t)]
+                    assert (
+                        [e.successes for e in batch.estimates],
+                        [e.timeouts for e in batch.estimates],
+                        batch.restarts,
+                    ) == (successes, timeouts, restarts), (label, workers, budget)
 
 
 class TestLiteralsAndTerms:

@@ -6,6 +6,7 @@ import math
 import os
 import random
 import threading
+import tracemalloc
 from bisect import bisect_right
 from fractions import Fraction
 from pathlib import Path
@@ -32,7 +33,6 @@ from beliefmc import (
 from beliefmc import conflict_exact, mc
 from beliefmc.mc import (
     DEFAULT_RESTART_CAP,
-    _kernel_set,
     _set_plan,
     _word53,
     derive_stream_seed,
@@ -183,7 +183,9 @@ class TestSampleSource:
         # the attempts whose uniform falls below cum[k]
         queries = [FocalSet(frame, (2 << k) - 1) for k in range(len(cum))]
         plan = _set_plan(EvidenceProblem(frame, (source,)), queries)
-        accepted, hits = mc._block(plan, raw, len(xs))
+        below = mc._below(plan.cuts, raw, len(xs), 1)
+        slots = [below[hi] ^ below[lo] for hi, lo in plan.outs]
+        accepted, hits = mc._block(plan, slots, below[1])
         assert accepted == (1 << len(xs)) - 1
         for k, hit in enumerate(hits):
             for a, x in enumerate(xs):
@@ -377,8 +379,9 @@ class TestDrawStream:
         for label, problem in _stream_problems().items():
             queries = [FocalSet(problem.frame, b) for b in (1, 3)]
             rng = random.Random(3)
-            _, restarts = _kernel_set(
-                _set_plan(problem, queries), 500, rng, DEFAULT_RESTART_CAP
+            plan = _set_plan(problem, queries)
+            restarts = mc._run_blocks(
+                plan, mc._set_score(plan, [0, 0]), 500, rng, DEFAULT_RESTART_CAP
             )
             assert restarts > 0, label
             ref = random.Random(3)
@@ -572,6 +575,22 @@ class TestDeterminism:
         )[0]
         assert r.value == 1.0 and r.trials == 3
 
+    def test_workers_past_the_trial_count_cost_nothing(self, two_ssf_problem):
+        # only the first `trials` workers get a share, and no entry is
+        # built for the rest
+        queries = [two_ssf_problem.frame.singleton("x1")]
+        few = estimate(two_ssf_problem, queries, TrialEngineConfig(trials=10, worker_count=10))
+        tracemalloc.start()
+        try:
+            many = estimate(
+                two_ssf_problem, queries, TrialEngineConfig(trials=10, worker_count=10**6)
+            )
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert many == few
+        assert peak < 2**20
+
 
 class TestConflictEstimate:
     def test_worked_example(self, two_ssf_problem):
@@ -705,9 +724,15 @@ class TestBlockKernel:
             queries = [FocalSet(problem.frame, b) for b in (full, full ^ 1)]
             for cap in (3, 200):
                 rngs = random.Random(cap), random.Random(cap)
-                block = run_outcome(
-                    lambda: _kernel_set(_set_plan(problem, queries), 300, rngs[0], cap)
-                )
+
+                def share():
+                    plan = _set_plan(problem, queries)
+                    successes = [0] * len(queries)
+                    score = mc._set_score(plan, successes)
+                    restarts = mc._run_blocks(plan, score, 300, rngs[0], cap)
+                    return successes, restarts
+
+                block = run_outcome(share)
                 per_draw = run_outcome(lambda: per_draw_kernel_set(
                     per_draw_plans(problem), full, [~q.bits for q in queries],
                     300, rngs[1], cap,

@@ -260,7 +260,8 @@ class TestTuneFocusDensity:
             return real(*args, **kwargs)
 
         monkeypatch.setattr(pio, "generate_problem", counting)
-        pio.tune_focus_density(5, 8, target_conflict=0.4, seed=2, probes=12)
+        monkeypatch.setattr(pio, "_DENSITY_PROBES", 12)
+        pio.tune_focus_density(5, 8, target_conflict=0.4, seed=2)
         assert calls == 12
 
 
