@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .errors import ExcessiveConflictError, ResourceLimitError, TotalConflictError
 from .evidence import bel_from_mass
@@ -199,6 +199,11 @@ def run_bench(
         raise ValueError(f"repetitions must be >= 1, got {repetitions}")
     if not 0.0 <= target_conflict < 1.0:
         raise ValueError(f"target conflict {target_conflict!r} outside [0, 1)")
+    # refuse bad arguments before tuning any cell, with the texts the fold
+    # and the config would give
+    if not exact_cap_s >= 0.0:
+        raise ValueError(f"time cap must be >= 0, got {exact_cap_s}")
+    mc_cfg = TrialEngineConfig(trials=trials, worker_count=worker_count)
     cells: list[BenchCell] = []
     for m in source_counts:
         for n in element_counts:
@@ -208,11 +213,7 @@ def run_bench(
             # Fixed query: everything but the last frame element.
             frame = problem.frame
             query = frame.from_bits(frame.full_bits ^ (1 << (frame.size - 1)))
-            cfg = TrialEngineConfig(
-                trials=trials,
-                seed=derive_stream_seed(seed, f"bench-mc-{m}x{n}"),
-                worker_count=worker_count,
-            )
+            cfg = replace(mc_cfg, seed=derive_stream_seed(seed, f"bench-mc-{m}x{n}"))
             batch = [query]
             try:
                 est = estimate(problem, batch, cfg)[0]  # warmup, untimed

@@ -52,7 +52,7 @@ from .evidence import (
     SourceModel,
     _cumulative,
 )
-from .mc import TrialEngineConfig, _byte_lanes, _cuts, _element_bytes, _run, sd_bound
+from .mc import TrialEngineConfig, _add_hits, _byte_lanes, _cuts, _element_bytes, _run, sd_bound
 
 #: Widest assignment frame the exact translation will build (2**16 elements).
 MAX_TRANSLATE_ATOMS = 16
@@ -408,9 +408,7 @@ def _logic_score(
 
         def tally(cut: int) -> None:
             if not metered:
-                keep = (1 << cut) - 1
-                for qi, hit in enumerate(hits):
-                    successes[qi] += (hit & keep).bit_count()
+                _add_hits(successes, hits, cut)
                 return
             # each accepted attempt ends a trial, whose merge cost runs from
             # the attempt after the previous trial's, carried across blocks

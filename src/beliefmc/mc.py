@@ -24,9 +24,10 @@ masks do the work of every attempt at once.
 The draw contract is that each attempt consumes exactly one uniform per
 source, in source order, with no early exit; results are therefore a pure
 function of ``(seed, worker_count)``.  The driver reads the same uniforms
-in the same order as one ``random()`` call per source per attempt, the
+in the same order as one ``random()`` call per source per attempt, and the
 kernels map each to the outcome that bisecting the source's cumulative
-table picks, and the generator ends where those calls would leave it.
+table picks.  Each share's generator is private to its share, so a block
+is drawn once, and attempts after a share's last one are never counted.
 
 ``worker_count`` splits the trials into per-worker substreams derived from
 the seed, and the runner runs the shares one after another in the calling
@@ -290,15 +291,12 @@ _BLOCK_BYTES = 128 * 1024
 _CHUNK_BYTES = 4 * 1024
 
 
-def _draw(rng: random.Random, uniforms: int, raw=None) -> None:
+def _draw(rng: random.Random, uniforms: int, raw: bytearray) -> None:
     """Write the words of the next ``uniforms`` ``random()`` calls, 8 bytes
-    each, to the start of ``raw``, or only move the generator past them when
-    ``raw`` is None."""
+    each, to the start of ``raw``."""
     for at in range(0, 8 * uniforms, _CHUNK_BYTES):
         n = min(_CHUNK_BYTES, 8 * uniforms - at)
-        words = rng.getrandbits(8 * n)
-        if raw is not None:
-            raw[at:at + n] = words.to_bytes(n, "little")
+        raw[at:at + n] = rng.getrandbits(8 * n).to_bytes(n, "little")
 
 
 def _below(cuts, raw: bytes, size: int, m: int) -> list[int]:
@@ -345,19 +343,21 @@ def _block(plan: _SetPlan, vals: list[int], every: int) -> tuple[int, list[int]]
     ]
 
 
+def _add_hits(successes: list[int], hits: Sequence[int], cut: int) -> None:
+    """Add to ``successes[q]`` the attempts below ``cut`` in ``hits[q]``, the
+    mask of a block's attempts that score query ``q``."""
+    keep = (1 << cut) - 1
+    for qi, hit in enumerate(hits):
+        successes[qi] += (hit & keep).bit_count()
+
+
 def _set_score(plan: _SetPlan, successes: list[int]):
     """The set kernel's block scorer (:func:`_run_blocks`): adds each
     query's accepted hits to ``successes``."""
 
     def score(slots: list[int], every: int, size: int):
         accepted, hits = _block(plan, slots, every)
-
-        def tally(cut: int) -> None:
-            keep = (1 << cut) - 1
-            for qi, hit in enumerate(hits):
-                successes[qi] += (hit & keep).bit_count()
-
-        return accepted, tally
+        return accepted, lambda cut: _add_hits(successes, hits, cut)
 
     return score
 
@@ -379,16 +379,12 @@ def _run_blocks(plan, score, trials: int, rng: random.Random, cap: int) -> int:
     the mask of accepted attempts with a ``tally(cut)`` that adds the
     results of the attempts below ``cut`` to the kernel's counts.
 
-    A block holds at most :data:`_BLOCK_BYTES` generator bytes.  The first
-    holds no more attempts than trials are left; once some are accepted, a
-    block holds the attempts the trials left need at the acceptance rate so
-    far, plus two standard deviations, so a share's tail mostly takes one
-    block.
-    When a block accepts the last trial left before its end, or the restart
-    cap trips inside it, the generator is set back to the state saved
-    before the block and draws again up to the attempt that accepted that
-    trial or tripped the cap, so it ends where the per-draw loop would
-    leave it.
+    A block holds at most :data:`_BLOCK_BYTES` generator bytes, and
+    otherwise the attempts the trials left need at the acceptance rate so
+    far (1 before any attempt), plus two standard deviations, so a share's
+    tail mostly takes one block.  A block is drawn once: the attempts after
+    the one that accepts the last trial left, or trips the restart cap, are
+    drawn but never counted, and ``rng`` is left wherever the block ends.
     """
     m = plan.source_count
     cuts = plan.cuts
@@ -399,13 +395,9 @@ def _run_blocks(plan, score, trials: int, rng: random.Random, cap: int) -> int:
     raw = bytearray(8 * m * per_block)  # one buffer serves every block of the share
     while done < trials:
         left = trials - done
-        if done:
-            p = done / (done + restarts)
-            need = (left + 2.0 * math.sqrt(left * (1.0 - p))) / p
-            size = min(per_block, math.ceil(need))
-        else:
-            size = min(per_block, left) if not restarts else per_block
-        state = rng.getstate()
+        p = done / (done + restarts) if restarts else 1.0  # acceptance rate so far
+        need = (left + 2.0 * math.sqrt(left * (1.0 - p))) / p if p else per_block
+        size = min(per_block, math.ceil(need))
         _draw(rng, m * size, raw)
         below = _below(cuts, raw, size, m)
         get = below.__getitem__
@@ -432,13 +424,8 @@ def _run_blocks(plan, score, trials: int, rng: random.Random, cap: int) -> int:
                 trip = at + cap + 1
         if 0 <= trip < cut:
             kept = (accepted & ((1 << trip) - 1)).bit_count()
-            rng.setstate(state)
-            _draw(rng, m * (trip + 1))
             raise _cap_error(restarts + trip + 1 - kept, done + kept, cap)
-        if cut < size:
-            rng.setstate(state)
-            _draw(rng, m * cut)
-            accepted &= (1 << cut) - 1
+        accepted &= (1 << cut) - 1
         tally(cut)
         count = accepted.bit_count()
         done += count

@@ -555,12 +555,19 @@ class TestBench:
     def test_bad_sizes(self, capsys):
         assert main(["bench", "--sizes", "3,zap"]) == 2
 
-    def test_invalid_exact_cap_rejected(self, capsys):
-        assert main([
-            "bench", "--sizes", "3", "--trials", "50", "--reps", "1",
-            "--exact-cap", "nan",
-        ]) == 2
-        assert "time cap" in capsys.readouterr().err
+    @pytest.mark.parametrize("arg, value, message", [
+        ("--exact-cap", "nan", "time cap must be >= 0, got nan"),
+        ("--exact-cap", "-1", "time cap must be >= 0, got -1.0"),
+        ("--trials", "0", "trials must be >= 1, got 0"),
+        ("--workers", "0", "worker_count must be >= 1, got 0"),
+    ])
+    def test_invalid_exact_cap_rejected(self, capsys, monkeypatch, arg, value, message):
+        # refused before any cell is tuned, with the texts the later checks give
+        import beliefmc.bench as bench
+
+        monkeypatch.setattr(bench, "tune_cell", None)
+        assert main(["bench", "--sizes", "3", "--trials", "50", "--reps", "1", arg, value]) == 2
+        assert message in capsys.readouterr().err
 
     @pytest.mark.parametrize("target", ["1.5", "-3", "1", "nan"])
     def test_target_conflict_outside_unit_interval_rejected(self, capsys, monkeypatch, target):

@@ -239,32 +239,38 @@ PINNED_STREAMS = {
 }
 
 
-def _advanced(seed: int, calls: int) -> tuple:
-    """The state of ``random.Random(seed)`` after ``calls`` ``random()``
-    calls."""
-    rng = random.Random(seed)
-    for _ in range(calls):
-        rng.random()
-    return rng.getstate()
-
-
 class TestDrawStream:
     def test_pinned_streams(self):
         assert _stream_runs() == PINNED_STREAMS
 
-    def test_one_draw_per_source_per_attempt(self):
-        # the kernel leaves the generator exactly where one random() call
-        # per source per attempt would
+    def test_one_draw_per_source_per_attempt(self, monkeypatch):
+        # every trial count from 1 to 60 over blocks of 7 attempts: each run
+        # counts the attempts of one random() call per source per attempt up
+        # to the one that accepts its last trial or trips the cap, so a
+        # block's cut is right wherever it falls
         problem, _ = _stream_problems()["random"]
-        m = len(problem.sources)
+        monkeypatch.setattr(mc, "_BLOCK_BYTES", 8 * len(problem.sources) * 7)
+        outcomes = []
         for text in ("[a1]", "[a1 !a1]"):
-            plan = _logic_plan(problem.sources, [parse_clause(text)])
-            for budget in (None, 0, 12):
-                rng = random.Random(3)
-                score = _logic_score(plan, budget, [0], [0])
-                restarts = mc._run_blocks(plan, score, 500, rng, DEFAULT_RESTART_CAP)
-                assert restarts > 0
-                assert rng.getstate() == _advanced(3, m * (500 + restarts))
+            clauses = [parse_clause(text)]
+            plan = _logic_plan(problem.sources, clauses)
+            plans, masks = per_draw_logic_plans(problem.sources, *clauses)
+            for cap in (3, DEFAULT_RESTART_CAP):
+                for budget in (None, 0, 12):
+                    for trials in range(1, 61):
+                        def block():
+                            successes, timeouts = [0], [0]
+                            score = _logic_score(plan, budget, successes, timeouts)
+                            restarts = mc._run_blocks(plan, score, trials, random.Random(3), cap)
+                            return successes, timeouts, restarts
+
+                        outcome = run_outcome(block)
+                        assert outcome == run_outcome(lambda: per_draw_kernel_logic(
+                            plans, masks, trials, random.Random(3), cap, budget
+                        )), (text, cap, budget, trials)
+                        outcomes.append(outcome)
+        assert any(o[0] == "error" for o in outcomes)
+        assert any(o[0] != "error" and o[2] > 0 for o in outcomes)
 
 
 class TestClauseBatch:
@@ -312,19 +318,20 @@ class TestClauseBatch:
 
     def test_one_draw_per_source_per_attempt_with_three_clauses(self):
         problem, _ = _stream_problems()["random"]
-        m = len(problem.sources)
         queries = [parse_clause(text) for text in ("[a1]", "[!a2 c]", "[a1 !a1]")]
         plan = _logic_plan(problem.sources, queries)
         assert len(plan.clauses) == 3
+        plans, masks = per_draw_logic_plans(problem.sources, *queries)
         for budget in (None, 0, 12):
-            rng = random.Random(3)
             successes, timeouts = [0] * 3, [0] * 3
             score = _logic_score(plan, budget, successes, timeouts)
-            restarts = mc._run_blocks(plan, score, 500, rng, DEFAULT_RESTART_CAP)
+            restarts = mc._run_blocks(plan, score, 500, random.Random(3), DEFAULT_RESTART_CAP)
             # every trial scores or times out on the tautology
             assert successes[2] + timeouts[2] == 500
             assert restarts > 0
-            assert rng.getstate() == _advanced(3, m * (500 + restarts))
+            assert (successes, timeouts, restarts) == per_draw_kernel_logic(
+                plans, masks, 500, random.Random(3), DEFAULT_RESTART_CAP, budget
+            )
 
     def test_restart_cap_error_matches_single_clause(self):
         sources = (
@@ -456,10 +463,9 @@ class TestBlockKernel:
                     assert bare == alone, (label, workers, cap)
 
     @pytest.mark.parametrize("chunk_bytes", [8, 24, None])
-    def test_leaves_generator_where_per_draw_kernel_does(self, monkeypatch, chunk_bytes):
-        # the same final generator state, after a full run and after a
-        # tripped cap, with blocks of 7 attempts drawn and redrawn in chunks
-        # of 1 or 3 uniforms or of the default size
+    def test_small_blocks_match_per_draw_kernel(self, monkeypatch, chunk_bytes):
+        # a full run and a tripped cap, with blocks of 7 attempts drawn in
+        # chunks of 1 or 3 uniforms or of the default size
         if chunk_bytes is not None:
             monkeypatch.setattr(mc, "_CHUNK_BYTES", chunk_bytes)
         for label, problem, clauses, budgets in self.CASES:
@@ -467,21 +473,18 @@ class TestBlockKernel:
             plans, masks = per_draw_logic_plans(problem.sources, *clauses)
             for cap in (3, 200):
                 for budget in budgets[:3]:
-                    rngs = random.Random(cap), random.Random(cap)
-
                     def share():
                         plan = _logic_plan(problem.sources, clauses)
                         successes, timeouts = [0] * len(clauses), [0] * len(clauses)
                         score = _logic_score(plan, budget, successes, timeouts)
-                        restarts = mc._run_blocks(plan, score, 300, rngs[0], cap)
+                        restarts = mc._run_blocks(plan, score, 300, random.Random(cap), cap)
                         return successes, timeouts, restarts
 
                     block = run_outcome(share)
-                    per_draw = run_outcome(
-                        lambda: per_draw_kernel_logic(plans, masks, 300, rngs[1], cap, budget)
-                    )
+                    per_draw = run_outcome(lambda: per_draw_kernel_logic(
+                        plans, masks, 300, random.Random(cap), cap, budget
+                    ))
                     assert block == per_draw, (label, cap, budget)
-                    assert rngs[0].getstate() == rngs[1].getstate(), (label, cap, budget)
 
 
     @pytest.mark.parametrize("block_attempts", [None, 3])

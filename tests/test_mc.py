@@ -373,21 +373,32 @@ class TestDrawStream:
     def test_pinned_streams(self):
         assert _stream_runs() == PINNED_STREAMS
 
-    def test_one_draw_per_source_per_attempt(self):
-        # the kernel leaves the generator exactly where one random() call
-        # per source per attempt would
+    def test_one_draw_per_source_per_attempt(self, monkeypatch):
+        # every trial count from 1 to 60 over blocks of 7 attempts: each run
+        # counts the attempts of one random() call per source per attempt up
+        # to the one that accepts its last trial or trips the cap, so a
+        # block's cut is right wherever it falls
+        outcomes = []
         for label, problem in _stream_problems().items():
+            monkeypatch.setattr(mc, "_BLOCK_BYTES", 8 * len(problem.sources) * 7)
+            full = problem.frame.full_bits
             queries = [FocalSet(problem.frame, b) for b in (1, 3)]
-            rng = random.Random(3)
             plan = _set_plan(problem, queries)
-            restarts = mc._run_blocks(
-                plan, mc._set_score(plan, [0, 0]), 500, rng, DEFAULT_RESTART_CAP
-            )
-            assert restarts > 0, label
-            ref = random.Random(3)
-            for _ in range(len(problem.sources) * (500 + restarts)):
-                ref.random()
-            assert rng.getstate() == ref.getstate(), label
+            plans = per_draw_plans(problem)
+            for cap in (3, DEFAULT_RESTART_CAP):
+                for trials in range(1, 61):
+                    def block():
+                        successes = [0, 0]
+                        score = mc._set_score(plan, successes)
+                        return successes, mc._run_blocks(plan, score, trials, random.Random(3), cap)
+
+                    outcome = run_outcome(block)
+                    assert outcome == run_outcome(lambda: per_draw_kernel_set(
+                        plans, full, [~q.bits for q in queries], trials, random.Random(3), cap
+                    )), (label, cap, trials)
+                    outcomes.append(outcome)
+            assert any(o[0] != "error" and o[1] > 0 for o in outcomes), label
+        assert any(o[0] == "error" for o in outcomes)
 
 
 class TestEstimate:
@@ -715,36 +726,32 @@ class TestBlockKernel:
 
                     assert run_outcome(block) == run_outcome(per_draw), (problem, cap, workers)
 
-    def test_leaves_generator_where_per_draw_kernel_does(self, monkeypatch):
-        # the same final generator state, after a full run and after a
-        # tripped cap, with blocks of 64 uniforms
+    def test_small_blocks_match_per_draw_kernel(self, monkeypatch):
+        # a full run and a tripped cap, with blocks of 64 uniforms
         monkeypatch.setattr(mc, "_BLOCK_BYTES", 8 * 64)
         for problem in self.PROBLEMS:
             full = problem.frame.full_bits
             queries = [FocalSet(problem.frame, b) for b in (full, full ^ 1)]
             for cap in (3, 200):
-                rngs = random.Random(cap), random.Random(cap)
-
                 def share():
                     plan = _set_plan(problem, queries)
                     successes = [0] * len(queries)
                     score = mc._set_score(plan, successes)
-                    restarts = mc._run_blocks(plan, score, 300, rngs[0], cap)
+                    restarts = mc._run_blocks(plan, score, 300, random.Random(cap), cap)
                     return successes, restarts
 
                 block = run_outcome(share)
                 per_draw = run_outcome(lambda: per_draw_kernel_set(
                     per_draw_plans(problem), full, [~q.bits for q in queries],
-                    300, rngs[1], cap,
+                    300, random.Random(cap), cap,
                 ))
                 assert block == per_draw, (problem, cap)
-                assert rngs[0].getstate() == rngs[1].getstate(), (problem, cap)
 
     @pytest.mark.parametrize("chunk_bytes", [8, 24])
-    def test_small_chunks_leave_generator_alike(self, monkeypatch, chunk_bytes):
-        # blocks drawn and redrawn in chunks of 1 or 3 uniforms
+    def test_small_chunks_match_per_draw_kernel(self, monkeypatch, chunk_bytes):
+        # blocks drawn in chunks of 1 or 3 uniforms
         monkeypatch.setattr(mc, "_CHUNK_BYTES", chunk_bytes)
-        self.test_leaves_generator_where_per_draw_kernel_does(monkeypatch)
+        self.test_small_blocks_match_per_draw_kernel(monkeypatch)
 
 
 class TestRestartLaw:

@@ -1,4 +1,4 @@
-"""The demo scripts run end to end on the public API."""
+"""The demo scripts and the benchmark self-check run end to end on the checkout."""
 
 from __future__ import annotations
 
@@ -73,3 +73,12 @@ def test_tracer_finds_one_definition_of_every_traced_name(monkeypatch):
     finally:
         tracer.uninstall()
     assert beliefmc.mc.estimate is original
+
+
+def test_benchmark_self_check_passes():
+    # every workload runs briefly in both trace modes: the layer names the
+    # tracer wraps still exist, every metric reads with its unit, and a
+    # perturbed reference counts as a failure (writes under perfbench/out/)
+    proc = _run_on_src([str(ROOT / "perfbench" / "run.py"), "--self-check"])
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout.splitlines()[-1] == "self-check ok"
