@@ -272,22 +272,22 @@ def _set_plan(problem: EvidenceProblem, queries: Sequence[FocalSet]) -> _SetPlan
 
 
 #: Generator bytes a block holds, 8 per source per attempt.  A block spreads
-#: its fixed steps (one per cumulative cut, outcome slot and term) over more
-#: attempts the larger it is, and a share holds one block's buffer while it
-#: runs.  ``perfbench`` (2 cores, Python 3.11.7) against 64 KiB blocks and
-#: the per-draw logic kernel, 8 s runs at seeds 5 and 6 with a new buffer
-#: per block: budgets of 128, 192, 256 and 384 KiB read logic-budget
-#: ``estimate_s.p50`` 0.0589 s -> 0.0400, 0.0349, 0.0327 and 0.0310 s with
-#: ``peak_rss_mb`` +1.0%, +1.4%, +2.2% and +3.3%, set-single ``round_s``
-#: 0.0724 s -> 0.0586, 0.0574, 0.0558 and 0.0567 s (RSS +0.5% to +2.5%),
-#: and set-batch-exact ``estimate_s.p50`` 0.0076 s -> 0.0063, 0.0060,
-#: 0.0062 and 0.0060 s (RSS +0.5% to +2.1%).  In those runs the two shares
-#: of a 2-worker request ran on two threads with half the budget each.
-_BLOCK_BYTES = 128 * 1024
+#: its fixed steps (one per cumulative cut, outcome slot, group lane and
+#: term literal) over more attempts the larger it is, and a share holds one
+#: block's buffer while it runs.  Summed per-fixture medians of the
+#: benchmark's requests (2 cores, Python 3.11.7) at budgets of 128 KiB,
+#: 512 KiB and 1 MiB: logic-budget 99.8, 85.3 and 83.0 ms, set-single 41.8,
+#: 37.3 and 38.1 ms; set-batch-exact 16.8 and 14.9 ms at the first two.
+#: 1 MiB gains little for twice the buffer.  On large frames (m=40, n=640
+#: to 10240) 128 KiB blocks cost 60-494 ns per draw, 512 KiB and 2 MiB
+#: blocks 46-214 ns.  Sizing each block from the plan's cuts, slots, lanes
+#: and literals under a 1 MiB cap was no faster.
+_BLOCK_BYTES = 512 * 1024
 
 #: A block is drawn into its buffer by ``getrandbits`` calls of at most this
 #: many bytes, so the integer and the bytes of a whole block are never alive
-#: together.  Chunks of 4 to 32 KiB draw a 96 KiB block equally fast.
+#: together.  Chunks of 4, 16 and 64 KiB draw a 512 KiB block at 24-27 ns
+#: per uniform.
 _CHUNK_BYTES = 4 * 1024
 
 
@@ -379,7 +379,8 @@ def _run_blocks(plan, score, trials: int, rng: random.Random, cap: int) -> int:
     the mask of accepted attempts with a ``tally(cut)`` that adds the
     results of the attempts below ``cut`` to the kernel's counts.
 
-    A block holds at most :data:`_BLOCK_BYTES` generator bytes, and
+    A block holds at most :data:`_BLOCK_BYTES` generator bytes, or one
+    attempt when one attempt needs more (above 65,536 sources), and
     otherwise the attempts the trials left need at the acceptance rate so
     far (1 before any attempt), plus two standard deviations, so a share's
     tail mostly takes one block.  A block is drawn once: the attempts after

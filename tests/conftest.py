@@ -34,6 +34,7 @@ from beliefmc import (
     logic_estimate,
     simple_support,
 )
+from beliefmc import mc
 from beliefmc.evidence import _cumulative
 from beliefmc.mc import _cap_error, derive_stream_seed
 from beliefmc.logic import ClauseQuery, Literal
@@ -257,6 +258,21 @@ def run_outcome(run) -> tuple:
         return run()
     except ExcessiveConflictError as e:
         return ("error", str(e), e.conflict_estimate)
+
+
+def record_blocks(monkeypatch) -> list:
+    """Patch the block driver's draw to append each block's generator to
+    the returned list, one entry per block, so a test can count the blocks
+    each share took (each share has its own generator)."""
+    drawn = []
+    draw = mc._draw
+
+    def counted(rng, uniforms, raw):
+        drawn.append(rng)
+        draw(rng, uniforms, raw)
+
+    monkeypatch.setattr(mc, "_draw", counted)
+    return drawn
 
 
 def conflict_and_draws(problem: EvidenceProblem, cfg: TrialEngineConfig) -> tuple[float, float]:

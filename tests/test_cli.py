@@ -552,6 +552,16 @@ class TestBench:
         rows = rows_of(capsys.readouterr().out)
         assert [(r["m"], r["n"]) for r in rows] == [("3", "4"), ("3", "5")]
 
+    def test_zero_exact_cap_caps_every_cell(self, capsys):
+        # the estimator alone, timed per cell, as for large frames
+        assert main([
+            "bench", "--sizes", "8", "--reps", "1", "--trials", "50",
+            "--exact-cap", "0", "--csv",
+        ]) == 0
+        rows = rows_of(capsys.readouterr().out)
+        assert rows and all(r["exact_wall_ms"] == "capped" for r in rows)
+        assert all(float(r["mc_wall_ms"]) > 0 for r in rows)
+
     def test_bad_sizes(self, capsys):
         assert main(["bench", "--sizes", "3,zap"]) == 2
 

@@ -34,7 +34,7 @@ from beliefmc import (
 from beliefmc.cli import main
 from beliefmc import mc
 from beliefmc.logic import _logic_plan, _logic_score, lits
-from beliefmc.mc import DEFAULT_RESTART_CAP
+from beliefmc.mc import DEFAULT_RESTART_CAP, derive_stream_seed
 from beliefmc.problem_io import parse_clause
 from conftest import (
     entails,
@@ -44,6 +44,7 @@ from conftest import (
     per_draw_logic_plans,
     random_clause,
     random_logic_problem,
+    record_blocks,
     run_outcome,
     satisfiable_by_bruteforce,
     term_sets,
@@ -399,6 +400,26 @@ def _block_cases() -> list[tuple[str, LogicProblem, list[ClauseQuery], tuple]]:
     return cases
 
 
+def _many_source_problem() -> LogicProblem:
+    """600 sources over eight atoms: each certifies nothing but for a small
+    mass on up to two terms of one or two literals, so an attempt merges a
+    few terms and about half the attempts clash."""
+    rng = random.Random(derive_stream_seed(0, "test-many-logic-sources"))
+    atoms = tuple(f"a{i}" for i in range(8))
+    sources = []
+    for _ in range(600):
+        probs = [rng.uniform(0.002, 0.01) for _ in range(rng.choice((0, 1, 1, 2)))]
+        outcomes = [
+            (p, TermSet(tuple(
+                Literal(a, rng.random() < 0.5) for a in rng.sample(atoms, rng.randint(1, 2))
+            )))
+            for p in probs
+        ]
+        outcomes.append((1.0 - math.fsum(probs), TermSet()))
+        sources.append(LogicSource(tuple(outcomes)))
+    return LogicProblem(atoms, tuple(sources))
+
+
 def _per_draw_logic(sources, clauses, cfg: TrialEngineConfig, budget) -> tuple:
     """``(successes, timeouts, restarts)`` of the per-draw logic kernel over
     the same worker shares and substreams as :func:`logic_estimate`."""
@@ -461,6 +482,39 @@ class TestBlockKernel:
                     bare = run_outcome(lambda: logic_estimate(problem.sources, (), cfg).restarts)
                     alone = run_outcome(lambda: _per_draw_logic(problem.sources, (), cfg, None)[2])
                     assert bare == alone, (label, workers, cap)
+
+    def test_default_budget_across_blocks_matches_per_draw_kernel(self, monkeypatch):
+        # at the default budget every share that ends takes at least 3
+        # blocks, so restart runs and a trial's metered operations cross
+        # blocks, and cap 5 trips in a later block of a share
+        problem = _many_source_problem()
+        clauses = [parse_clause(t) for t in ("[a0]", "[!a1 a2]", "[a3 !a4 a5 !a6 a7]")]
+        drawn = record_blocks(monkeypatch)
+        trips = []
+        for workers in (1, 2):
+            for cap in (5, DEFAULT_RESTART_CAP):
+                cfg = TrialEngineConfig(trials=400, seed=0, restart_cap=cap, worker_count=workers)
+                for budget in (None, 0, 6, 20):
+                    drawn.clear()
+
+                    def block():
+                        batch = logic_estimate(problem.sources, clauses, cfg, budget)
+                        return (
+                            [e.successes for e in batch.estimates],
+                            [e.timeouts for e in batch.estimates],
+                            batch.restarts,
+                        )
+
+                    outcome = run_outcome(block)
+                    assert outcome == run_outcome(
+                        lambda: _per_draw_logic(problem.sources, clauses, cfg, budget)
+                    ), (workers, cap, budget)
+                    if outcome[0] == "error":
+                        trips.append(drawn.count(drawn[-1]))
+                    else:
+                        assert len(set(drawn)) == workers
+                        assert min(map(drawn.count, drawn)) >= 3
+        assert trips and min(trips) >= 2
 
     @pytest.mark.parametrize("chunk_bytes", [8, 24, None])
     def test_small_blocks_match_per_draw_kernel(self, monkeypatch, chunk_bytes):

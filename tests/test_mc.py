@@ -49,6 +49,7 @@ from conftest import (
     random_problem,
     run_outcome,
     random_ssf_problem,
+    record_blocks,
     subset,
 )
 
@@ -602,6 +603,23 @@ class TestDeterminism:
         assert many == few
         assert peak < 2**20
 
+    @pytest.mark.parametrize("name", ["s40x40", "s120x40"])
+    def test_a_share_holds_one_buffer(self, name):
+        # two shares of 1000 trials, each over several blocks, hold one
+        # block buffer at a time; a first run builds the problem's cached
+        # tables, which the bound leaves out
+        problem = parse_problem((BENCH_DATA / f"{name}.bel").read_text())
+        queries = [problem.frame.universe()]
+        estimate(problem, queries, TrialEngineConfig(trials=1))
+        cfg = TrialEngineConfig(trials=2000, seed=1, worker_count=2)
+        tracemalloc.start()
+        try:
+            estimate(problem, queries, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < mc._BLOCK_BYTES + 128 * 1024
+
 
 class TestConflictEstimate:
     def test_worked_example(self, two_ssf_problem):
@@ -671,6 +689,30 @@ def _block_test_problem(seed: int) -> EvidenceProblem:
     return EvidenceProblem(frame, tuple(sources))
 
 
+def _many_source_problem() -> EvidenceProblem:
+    """600 sources over six elements: each certifies the whole frame but
+    for a small mass on up to two random subsets, so an attempt draws a
+    few subsets and about three in ten attempts conflict."""
+    rng = random.Random(derive_stream_seed(0, "test-many-sources"))
+    frame = Frame(tuple(f"e{j}" for j in range(6)))
+
+    def target() -> FocalSet:
+        bits = 0
+        while not bits:
+            bits = rng.getrandbits(frame.size)
+            if rng.random() < 0.5:
+                bits |= rng.getrandbits(frame.size)
+        return FocalSet(frame, bits)
+
+    sources = []
+    for _ in range(600):
+        probs = [rng.uniform(0.002, 0.01) for _ in range(rng.choice((0, 1, 1, 2)))]
+        outcomes = [(p, target()) for p in probs]
+        outcomes.append((1.0 - math.fsum(probs), frame.universe()))
+        sources.append(SourceModel(frame, tuple(outcomes)))
+    return EvidenceProblem(frame, tuple(sources))
+
+
 def _per_draw_estimate(problem, queries, cfg) -> tuple:
     """``(successes per query, restarts)`` of the per-draw kernel over the
     same worker shares and substreams as :func:`estimate`."""
@@ -725,6 +767,34 @@ class TestBlockKernel:
                         return _per_draw_estimate(problem, queries, cfg)
 
                     assert run_outcome(block) == run_outcome(per_draw), (problem, cap, workers)
+
+    def test_default_budget_across_blocks_matches_per_draw_kernel(self, monkeypatch):
+        # at the default budget every share that ends takes at least 3
+        # blocks, and cap 3 trips in a later block of a share
+        problem = _many_source_problem()
+        full = problem.frame.full_bits
+        queries = [FocalSet(problem.frame, b) for b in (full, 1, full ^ 1, full & 0b1011)]
+        drawn = record_blocks(monkeypatch)
+        trips = []
+        for workers in (1, 2):
+            for cap in (3, DEFAULT_RESTART_CAP):
+                cfg = TrialEngineConfig(trials=400, seed=2, restart_cap=cap, worker_count=workers)
+                drawn.clear()
+
+                def block():
+                    res = estimate(problem, queries, cfg)
+                    return [r.successes for r in res], res[0].restarts
+
+                outcome = run_outcome(block)
+                assert outcome == run_outcome(
+                    lambda: _per_draw_estimate(problem, queries, cfg)
+                ), (workers, cap)
+                if outcome[0] == "error":
+                    trips.append(drawn.count(drawn[-1]))
+                else:
+                    assert len(set(drawn)) == workers
+                    assert min(map(drawn.count, drawn)) >= 3
+        assert trips and min(trips) >= 2
 
     def test_small_blocks_match_per_draw_kernel(self, monkeypatch):
         # a full run and a tripped cap, with blocks of 64 uniforms
