@@ -30,7 +30,6 @@ from .errors import (
     ResourceLimitError,
     TotalConflictError,
 )
-from .bench import CSV_COLUMNS, cell_row, run_bench
 from .evidence import EvidenceProblem, bel_from_mass, validate_problem
 from .exact import DEFAULT_MAX_ENTRIES, combine_all, conflict_exact
 from .logic import (
@@ -40,7 +39,7 @@ from .logic import (
     translate_to_set_problem,
     validate_logic_problem,
 )
-from .mc import DEFAULT_RESTART_CAP, TrialEngineConfig, estimate, plan_trials
+from .mc import _FORK_WORK, DEFAULT_RESTART_CAP, TrialEngineConfig, estimate, plan_trials
 from .problem_io import (
     generate_problem,
     parse_clause,
@@ -282,6 +281,8 @@ def cmd_generate(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    from .bench import CSV_COLUMNS, cell_row, run_bench
+
     source_counts = _parse_int_list(args.source_counts or args.sizes)
     element_counts = _parse_int_list(args.element_counts or args.sizes)
     report = run_bench(
@@ -341,7 +342,11 @@ def _add_engine_flags(p: argparse.ArgumentParser, *, accuracy: bool = True) -> N
             help="target three-standard-deviation accuracy; overrides --trials",
         )
     p.add_argument("--seed", type=int, default=0, help="base seed (default 0)")
-    p.add_argument("--workers", type=int, default=1, help="worker substreams (default 1)")
+    p.add_argument(
+        "--workers", type=int, default=1,
+        help="seeded substreams the trials split into; on POSIX, requests of at least "
+        f"{_FORK_WORK} sources x trials run them in parallel forked processes (default 1)",
+    )
     p.add_argument(
         "--restart-cap", type=int, default=DEFAULT_RESTART_CAP,
         help=f"max restarts per trial before giving up (default {DEFAULT_RESTART_CAP})",
@@ -399,7 +404,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--element-counts", default=None, help="override element-count axis")
     p.add_argument("--trials", type=int, default=1000)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument(
+        "--workers", type=int, default=1,
+        help="seeded substreams per estimate; large estimates run them in parallel forked "
+        "processes (default 1)",
+    )
     p.add_argument("--target-conflict", type=float, default=0.5)
     p.add_argument("--exact-cap", type=float, default=10.0, help="exact fold wall cap, seconds")
     p.add_argument("--reps", type=int, default=3, help="timing repetitions (fastest kept)")

@@ -26,9 +26,9 @@ literal it already holds, and an accepted attempt hits a clause when it
 holds one of the clause's literals.  With a budget, the same walk counts
 each attempt's literal operations up to its first clash in bit-sliced
 counters, and each clause's test up to its first hit, so the step counts
-are exact.  The runner splits the trials into per-worker substreams and
-runs them one after another in the calling thread, all through one scorer
-that adds into the call's counts.
+are exact.  The runner splits the trials into per-worker substreams, all
+through one scorer that adds into the call's counts, and runs large
+requests' shares in forked processes (:func:`mc._run`).
 
 Problems over few atoms translate exactly to set problems over the frame of
 truth assignments, which connects this estimator to the exact combiners.
@@ -461,7 +461,8 @@ def logic_estimate(
     plan = _logic_plan(sources, queries)
     successes = [0] * len(queries)
     timeouts = [0] * len(queries)
-    restarts = _run(cfg, plan, _logic_score(plan, step_budget, successes, timeouts))
+    score = _logic_score(plan, step_budget, successes, timeouts)
+    restarts = _run(cfg, plan, score, successes, timeouts)
     estimates = tuple(
         BoundedEstimate(
             lower=s / cfg.trials,

@@ -30,22 +30,29 @@ table picks.  Each share's generator is private to its share, so a block
 is drawn once, and attempts after a share's last one are never counted.
 
 ``worker_count`` splits the trials into per-worker substreams derived from
-the seed, and the runner runs the shares one after another in the calling
-thread, all through one scorer that adds into the caller's counts.  The
-kernels are pure Python and hold the interpreter lock, so threads would
-only take turns: the worker count changes how the stream is split, not how
-fast it runs.
+the seed, all scored by one scorer that adds into the caller's counts.
+The kernels are pure Python and hold the interpreter lock, so the runner
+uses processes, not threads: on a POSIX system with several usable CPUs
+and no other thread running, a request whose ``source_count * trials``
+reaches :data:`_FORK_WORK` (the measured break-even, 100,000) runs its
+shares in forked children next to the caller, one process per CPU at
+most.  Every other request runs its shares one after another in the
+calling thread.  The counts and errors are the same either way.
 """
 
 from __future__ import annotations
 
 import hashlib
+import marshal
 import math
+import os
 import random
+import signal
+import threading
 from dataclasses import dataclass
 from functools import reduce
 from itertools import compress
-from operator import and_, or_, xor
+from operator import add, and_, or_, xor
 from typing import Sequence
 
 from .errors import ExcessiveConflictError, FrameMismatchError
@@ -293,7 +300,7 @@ _CHUNK_BYTES = 4 * 1024
 
 def _draw(rng: random.Random, uniforms: int, raw: bytearray) -> None:
     """Write the words of the next ``uniforms`` ``random()`` calls, 8 bytes
-    each, to the start of ``raw``."""
+    each, to the start of ``raw``, which grows in place when it is shorter."""
     for at in range(0, 8 * uniforms, _CHUNK_BYTES):
         n = min(_CHUNK_BYTES, 8 * uniforms - at)
         raw[at:at + n] = rng.getrandbits(8 * n).to_bytes(n, "little")
@@ -383,7 +390,11 @@ def _run_blocks(plan, score, trials: int, rng: random.Random, cap: int) -> int:
     attempt when one attempt needs more (above 65,536 sources), and
     otherwise the attempts the trials left need at the acceptance rate so
     far (1 before any attempt), plus two standard deviations, so a share's
-    tail mostly takes one block.  A block is drawn once: the attempts after
+    tail mostly takes one block; while no attempt has been accepted, each
+    block is twice the last, so a tiny request that meets conflict early
+    draws no more than it needs.  The share's one buffer is sized for the
+    first block, and :func:`_draw` grows it in place when a later block is
+    larger.  A block is drawn once: the attempts after
     the one that accepts the last trial left, or trips the restart cap, are
     drawn but never counted, and ``rng`` is left wherever the block ends.
     """
@@ -392,13 +403,15 @@ def _run_blocks(plan, score, trials: int, rng: random.Random, cap: int) -> int:
     his = [hi for hi, _ in plan.outs]
     los = [lo for _, lo in plan.outs]
     per_block = max(1, _BLOCK_BYTES // (8 * m))
-    done = restarts = run = 0  # run: rejections since the last acceptance
-    raw = bytearray(8 * m * per_block)  # one buffer serves every block of the share
+    done = restarts = run = size = 0  # run: rejections since the last acceptance
+    raw = bytearray(8 * m * min(per_block, trials))  # the first block's; _draw grows it
     while done < trials:
         left = trials - done
         p = done / (done + restarts) if restarts else 1.0  # acceptance rate so far
-        need = (left + 2.0 * math.sqrt(left * (1.0 - p))) / p if p else per_block
-        size = min(per_block, math.ceil(need))
+        if p:
+            size = min(per_block, math.ceil((left + 2.0 * math.sqrt(left * (1.0 - p))) / p))
+        else:  # nothing accepted yet
+            size = min(per_block, 2 * size)
         _draw(rng, m * size, raw)
         below = _below(cuts, raw, size, m)
         get = below.__getitem__
@@ -435,22 +448,152 @@ def _run_blocks(plan, score, trials: int, rng: random.Random, cap: int) -> int:
     return restarts
 
 
-def _run(cfg: TrialEngineConfig, plan, score) -> int:
-    """Run each worker's share of the trials on its own substream, one
-    after another in the calling thread, through the one block scorer
-    ``score`` (:func:`_run_blocks`), whose counts add up across shares;
-    returns the restarts.
+#: Requests whose ``source_count * trials`` reaches this run their worker
+#: shares in forked processes when :func:`_run` may fork; a fork costs a
+#: few ms whatever the work.  It is the measured break-even: in-process CLI
+#: requests at ``--workers 2`` (2 cores, Python 3.11.7, medians of 21
+#: alternating pairs) ran forked against in-thread in 13.7 against 13.2 ms
+#: on ``s40x40`` at 40 x 2,500, 16.7 against 19.2 ms on ``l10a40`` at
+#: 40 x 2,500, 12.9 against 11.6 ms on ``l10a40`` at 40 x 1,250 and 8.9
+#: against 5.1 ms on ``b18x32`` at 18 x 2,500.
+_FORK_WORK = 100_000
 
-    One scorer may serve every share only because it holds no state at a
-    share boundary: a share ends on the attempt that accepts its last
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # not on Linux
+        return os.cpu_count() or 1
+
+
+def _processes(shares: int, work: int) -> int:
+    """How many processes run ``shares`` worker shares of ``work`` source
+    draws per attempt times trials: one, unless there are several shares,
+    the work reaches :data:`_FORK_WORK`, the platform can fork, no other
+    thread runs (a forked child gets only the forking thread, so a lock
+    another thread holds would stay held) and several CPUs are usable."""
+    if shares < 2 or work < _FORK_WORK or not hasattr(os, "fork"):
+        return 1
+    if threading.active_count() != 1:
+        return 1
+    return min(shares, _usable_cpus())
+
+
+def _run_group(cfg: TrialEngineConfig, plan, score, shares: list[int], group) -> tuple:
+    """Run the shares numbered in ``group``, in order; returns the restarts
+    and the first cap trip as ``(share, message, conflict estimate)``, or
+    ``None``.  A trip ends the group, as it ends an in-thread run."""
+    restarts = 0
+    for w in group:
+        rng = worker_rng(cfg.seed, w)
+        try:
+            restarts += _run_blocks(plan, score, shares[w], rng, cfg.restart_cap)
+        except ExcessiveConflictError as e:
+            return restarts, (w, str(e), e.conflict_estimate)
+    return restarts, None
+
+
+def _fork_group(cfg: TrialEngineConfig, plan, score, shares: list[int], group, counts):
+    """Fork a child that runs :func:`_run_group` on ``group`` and writes its
+    result and its ``counts`` to a pipe; returns the child's pid and the
+    pipe's read end, or ``(None, None)`` when the system refuses a pipe or
+    a process."""
+    try:
+        r, w = os.pipe()
+    except OSError:
+        return None, None
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(r)
+        os.close(w)
+        return None, None
+    if pid == 0:
+        status = 1
+        try:
+            os.close(r)
+            result = _run_group(cfg, plan, score, shares, group)
+            with open(w, "wb") as pipe:
+                pipe.write(marshal.dumps((*result, counts)))
+            status = 0
+        finally:
+            os._exit(status)  # never back into the caller's frames or buffers
+    os.close(w)
+    return pid, r
+
+
+def _run(cfg: TrialEngineConfig, plan, score, *counts: list[int]) -> int:
+    """Run each worker's share of the trials on its own substream through
+    the block scorer ``score`` (:func:`_run_blocks`), which adds into the
+    integer lists ``counts``, all zero at the call; returns the restarts.
+
+    The shares run one after another in the calling thread, unless
+    :func:`_processes` gives ``P > 1`` processes.  Then process ``j`` runs
+    shares ``j, j + P, ...`` in order: the caller runs process 0's, and
+    ``P - 1`` children forked before it draws anything run the rest.  Each
+    child starts from the caller's scorer and ``counts`` as they are before
+    any draw, and writes its restarts, its first cap trip and its
+    ``counts`` to a pipe (``marshal``), and the caller adds them into its
+    own.  The counts are those of the in-thread run, because each share
+    reads only its own substream and every count is a sum over trials.  A
+    cap trip raises the error of the lowest-numbered share that trips, with
+    that share's message and conflict estimate, as the in-thread run would.
+    The caller runs in-thread the shares of a child it could not fork or
+    that ended without a result, and reaps every child before it returns
+    or raises; on an exception it kills them first.
+
+    One scorer may serve several shares only because it holds no state at
+    a share boundary: a share ends on the attempt that accepts its last
     trial, and a scorer's state spans blocks only within one trial (the
     logic kernel's merge cost of an open trial).
     """
     shares = _split_trials(cfg.trials, cfg.worker_count)
-    return sum(
-        _run_blocks(plan, score, share, worker_rng(cfg.seed, w), cfg.restart_cap)
-        for w, share in enumerate(shares)
-    )
+    procs = _processes(len(shares), plan.source_count * cfg.trials)
+    if procs == 1:
+        return sum(
+            _run_blocks(plan, score, share, worker_rng(cfg.seed, w), cfg.restart_cap)
+            for w, share in enumerate(shares)
+        )
+    groups = [range(j, len(shares), procs) for j in range(procs)]
+    forked = []  # (group, child pid, read end of its pipe), pid None if not forked
+    reaped = set()
+    try:
+        for group in groups[1:]:
+            forked.append((group, *_fork_group(cfg, plan, score, shares, group, counts)))
+        restarts, trip = _run_group(cfg, plan, score, shares, groups[0])
+        for group, pid, r in forked:
+            # every share of this group and the later ones is above a trip
+            # below the group's first share, so that trip is the lowest
+            if trip and trip[0] < group[0]:
+                break
+            data = status = None
+            if pid is not None:
+                with open(r, "rb", closefd=False) as pipe:
+                    data = pipe.read()
+                status = os.waitpid(pid, 0)[1]
+                reaped.add(pid)
+            if status == 0 and data:
+                done, tripped, theirs = marshal.loads(data)
+                for mine, their in zip(counts, theirs):
+                    mine[:] = map(add, mine, their)
+            else:
+                done, tripped = _run_group(cfg, plan, score, shares, group)
+            restarts += done
+            trip = min(filter(None, (trip, tripped)), default=None)
+        if trip:
+            raise ExcessiveConflictError(trip[1], trip[2])
+    except BaseException:
+        for _, pid, _ in forked:
+            if pid is not None and pid not in reaped:
+                os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        for _, pid, r in forked:
+            if pid is not None:
+                os.close(r)
+                if pid not in reaped:
+                    os.waitpid(pid, 0)
+    return restarts
 
 
 def _build_estimate(
@@ -499,5 +642,5 @@ def estimate(
             raise FrameMismatchError("query set from a different frame")
     plan = _set_plan(problem, queries)
     successes = [0] * len(queries)
-    restarts = _run(cfg, plan, _set_score(plan, successes))
+    restarts = _run(cfg, plan, _set_score(plan, successes), successes)
     return [_build_estimate(s, cfg.trials, restarts) for s in successes]

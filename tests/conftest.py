@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
 import random
 from bisect import bisect_right
 from typing import Sequence
@@ -263,9 +264,11 @@ def run_outcome(run) -> tuple:
 def record_blocks(monkeypatch) -> list:
     """Patch the block driver's draw to append each block's generator to
     the returned list, one entry per block, so a test can count the blocks
-    each share took (each share has its own generator)."""
+    each share took (each share has its own generator).  Draws made in a
+    forked child would not reach the list, so the shares stay in-thread."""
     drawn = []
     draw = mc._draw
+    monkeypatch.setattr(mc, "_FORK_WORK", float("inf"))
 
     def counted(rng, uniforms, raw):
         drawn.append(rng)
@@ -273,6 +276,88 @@ def record_blocks(monkeypatch) -> list:
 
     monkeypatch.setattr(mc, "_draw", counted)
     return drawn
+
+
+@pytest.fixture
+def forks(monkeypatch) -> list:
+    """Let every request with several shares fork (:data:`mc._FORK_WORK`
+    is 0), and return the list of the children's pids, which the caller
+    may clear between requests."""
+    made = []
+    fork = os.fork
+
+    def counted():
+        pid = fork()
+        if pid:
+            made.append(pid)
+        return pid
+
+    monkeypatch.setattr(mc, "_FORK_WORK", 0)
+    monkeypatch.setattr(os, "fork", counted)
+    return made
+
+
+needs_fork = pytest.mark.skipif(
+    not hasattr(os, "fork") or mc._usable_cpus() < 2, reason="forks only with 2 usable CPUs"
+)
+
+
+def fork_worker_counts() -> list[int]:
+    """2 and 3 workers, and one more worker than usable CPUs."""
+    return sorted({2, 3, mc._usable_cpus() + 1})
+
+
+def in_thread(run):
+    """``run()`` with every share run in the calling thread."""
+    saved = mc._FORK_WORK
+    mc._FORK_WORK = float("inf")
+    try:
+        return run()
+    finally:
+        mc._FORK_WORK = saved
+
+
+def assert_no_children() -> None:
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def tripping_shares(plan, score_of, cfg: TrialEngineConfig) -> list[int]:
+    """The shares of ``cfg`` that trip the restart cap, each run alone on
+    its own substream through a new scorer ``score_of()``."""
+    trips = []
+    for w, share in enumerate(mc._split_trials(cfg.trials, cfg.worker_count)):
+        try:
+            mc._run_blocks(plan, score_of(), share, mc.worker_rng(cfg.seed, w), cfg.restart_cap)
+        except ExcessiveConflictError:
+            trips.append(w)
+    return trips
+
+
+def check_forked_trips(run_at, plan, score_of) -> None:
+    """For each fork worker count and seed, ``run_at(cfg)`` returns or
+    raises in forked processes as in-thread and leaves no child, until
+    seeds have shown each case: the lowest tripping share in a child with
+    the caller's shares clean, the same with one of the caller's shares
+    tripping too, and the lowest in the caller's share 0."""
+    cpus = mc._usable_cpus()
+    seen = set()
+    for workers in fork_worker_counts():
+        procs = min(workers, cpus)
+        for seed in range(200):
+            cfg = TrialEngineConfig(
+                trials=100 * workers, seed=seed, restart_cap=40, worker_count=workers
+            )
+            got = run_outcome(lambda: run_at(cfg))
+            assert got == run_outcome(lambda: in_thread(lambda: run_at(cfg))), (workers, seed)
+            assert_no_children()
+            trips = tripping_shares(plan, score_of, cfg)
+            assert (type(got) is tuple and got[0] == "error") == bool(trips)
+            if trips:
+                seen.add((trips[0] % procs == 0, any(w % procs == 0 for w in trips)))
+            if len(seen) == 3:
+                break
+    assert seen >= {(False, False), (False, True), (True, True)}, seen
 
 
 def conflict_and_draws(problem: EvidenceProblem, cfg: TrialEngineConfig) -> tuple[float, float]:

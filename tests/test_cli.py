@@ -607,3 +607,18 @@ def test_module_entry_point(set_file):
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "ok"
+
+
+def test_only_bench_imports_the_bench_module():
+    # the benchmark's tracer needs logic loaded by every command
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(SRC), env.get("PYTHONPATH")) if p
+    )
+    code = (
+        "import sys, beliefmc.cli; "
+        "print(*(m in sys.modules for m in ('beliefmc.bench', 'beliefmc.logic')))"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0
+    assert proc.stdout.split() == ["False", "True"]

@@ -37,7 +37,12 @@ from beliefmc.logic import _logic_plan, _logic_score, lits
 from beliefmc.mc import DEFAULT_RESTART_CAP, derive_stream_seed
 from beliefmc.problem_io import parse_clause
 from conftest import (
+    assert_no_children,
+    check_forked_trips,
     entails,
+    fork_worker_counts,
+    in_thread,
+    needs_fork,
     logic_problem_to_pairs,
     oracle_logic_bel,
     per_draw_kernel_logic,
@@ -742,6 +747,44 @@ class TestLogicEstimate:
                 for _ in range(2)
             ]
             assert runs[0] == runs[1]
+
+
+class TestForkedShares:
+    """Shares run in forked children give the in-thread counts and errors."""
+
+    def test_counts_match_in_thread(self, forks):
+        problem = random_logic_problem(7)  # some conflict, some timeouts at budget 3
+        clauses = [random_clause(s, problem.atoms) for s in (1, 2, 3)]
+        for workers in fork_worker_counts():
+            for budget in (None, 3):
+                cfg = TrialEngineConfig(trials=3000, seed=11, worker_count=workers)
+
+                def run():
+                    return logic_estimate(problem.sources, clauses, cfg, step_budget=budget)
+
+                forks.clear()
+                got = run()
+                assert len(forks) == min(workers, mc._usable_cpus()) - 1
+                assert got == in_thread(run)
+                assert_no_children()
+                assert got.restarts and (got.timeouts or budget is None)
+
+    @needs_fork
+    def test_a_cap_trip_raises_the_in_thread_error(self, forks):
+        # nine attempts in ten clash, with a budget that carries merge
+        # costs across blocks
+        sources = (
+            LogicSource(((0.9, TermSet.of("p", "q")), (0.1, TermSet()))),
+            LogicSource(((1.0, TermSet.of("!p")),)),
+        )
+        clauses = [ClauseQuery.of("q"), ClauseQuery.of("!p")]
+        plan = _logic_plan(sources, clauses)
+
+        def run_at(cfg):
+            return logic_estimate(sources, clauses, cfg, step_budget=4)
+
+        check_forked_trips(run_at, plan, lambda: _logic_score(plan, 4, [0, 0], [0, 0]))
+        assert forks
 
 
 class TestStepBudget:

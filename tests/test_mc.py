@@ -6,6 +6,7 @@ import math
 import os
 import random
 import threading
+import time
 import tracemalloc
 from bisect import bisect_right
 from fractions import Fraction
@@ -40,8 +41,13 @@ from beliefmc.mc import (
 )
 from beliefmc.problem_io import parse_problem
 from conftest import (
+    assert_no_children,
+    check_forked_trips,
     conflict_and_draws,
     draw_plan,
+    fork_worker_counts,
+    in_thread,
+    needs_fork,
     per_draw_kernel_set,
     per_draw_plans,
     random_clause,
@@ -614,11 +620,165 @@ class TestDeterminism:
         cfg = TrialEngineConfig(trials=2000, seed=1, worker_count=2)
         tracemalloc.start()
         try:
-            estimate(problem, queries, cfg)
+            in_thread(lambda: estimate(problem, queries, cfg))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < mc._BLOCK_BYTES + 128 * 1024
+
+    def test_a_one_trial_estimate_holds_a_small_buffer(self):
+        # the buffer is sized for the first block and grows with later
+        # ones, so one trial on 40 sources holds a few 320-byte attempts,
+        # not 512 KiB
+        problem = parse_problem((BENCH_DATA / "s40x40.bel").read_text())
+        queries = [problem.frame.universe()]
+        estimate(problem, queries, TrialEngineConfig(trials=1))
+        for seed in range(5):
+            tracemalloc.start()
+            try:
+                estimate(problem, queries, TrialEngineConfig(trials=1, seed=seed))
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 64 * 1024, seed
+
+    def test_blocks_double_until_an_attempt_is_accepted(self, monkeypatch):
+        # one trial at nine clashes in ten: blocks of 1, 2, 4, ... attempts
+        problem = _conflicting_pair()
+        sizes = []
+        draw = mc._draw
+
+        def recorded(rng, uniforms, raw):
+            sizes.append(uniforms // 2)
+            draw(rng, uniforms, raw)
+
+        monkeypatch.setattr(mc, "_draw", recorded)
+        longest = 0
+        for seed in range(20):
+            sizes.clear()
+            estimate(problem, [problem.frame.universe()], TrialEngineConfig(trials=1, seed=seed))
+            assert sizes == [2**k for k in range(len(sizes))], seed
+            longest = max(longest, len(sizes))
+        assert longest >= 4
+
+
+def _conflicting_pair() -> EvidenceProblem:
+    """0.9 on {x1} against certainty on {x2}: nine attempts in ten clash."""
+    frame = Frame(("x1", "x2"))
+    return EvidenceProblem(
+        frame,
+        (
+            simple_support(frame, frame.singleton("x1"), 0.9),
+            simple_support(frame, frame.singleton("x2"), 1.0),
+        ),
+    )
+
+
+class TestForkedShares:
+    """Shares run in forked children give the in-thread counts and errors."""
+
+    def test_counts_match_in_thread(self, forks):
+        problem = random_problem(3)
+        full = problem.frame.full_bits
+        queries = [FocalSet(problem.frame, b) for b in (1, 3, full ^ 1, full & ~8)]
+        for workers in fork_worker_counts():
+            cfg = TrialEngineConfig(trials=3000, seed=11, worker_count=workers)
+
+            def run():
+                return [(r.successes, r.restarts) for r in estimate(problem, queries, cfg)]
+
+            forks.clear()
+            got = run()
+            assert len(forks) == min(workers, mc._usable_cpus()) - 1
+            assert got == in_thread(run)
+            assert_no_children()
+
+    @needs_fork
+    def test_a_cap_trip_raises_the_in_thread_error(self, forks):
+        problem = _conflicting_pair()
+        queries = [problem.frame.universe(), problem.frame.singleton("x1")]
+        plan = mc._set_plan(problem, queries)
+
+        def run_at(cfg):
+            return [(r.successes, r.restarts) for r in estimate(problem, queries, cfg)]
+
+        check_forked_trips(run_at, plan, lambda: mc._set_score(plan, [0, 0]))
+        assert forks
+
+    def test_the_constant_picks_the_path(self, forks, monkeypatch, two_ssf_problem):
+        # two sources: 500 trials make 1000 draws per attempt times trials
+        queries = [two_ssf_problem.frame.singleton("x1")]
+        monkeypatch.setattr(mc, "_FORK_WORK", 1000)
+        for trials, forked in ((499, False), (500, mc._usable_cpus() > 1)):
+            forks.clear()
+            estimate(two_ssf_problem, queries, TrialEngineConfig(trials, worker_count=2))
+            assert bool(forks) == forked, trials
+        forks.clear()
+        estimate(two_ssf_problem, queries, TrialEngineConfig(1000, worker_count=1))
+        assert not forks
+
+    def test_a_live_thread_keeps_the_shares_in_thread(self, forks, two_ssf_problem):
+        queries = [two_ssf_problem.frame.singleton("x1")]
+        cfg = TrialEngineConfig(trials=2000, seed=4, worker_count=2)
+        stop = threading.Event()
+        thread = threading.Thread(target=stop.wait)
+        thread.start()
+        try:
+            got = estimate(two_ssf_problem, queries, cfg)
+        finally:
+            stop.set()
+            thread.join(timeout=10)
+        assert not thread.is_alive()
+        assert forks == []
+        assert got == in_thread(lambda: estimate(two_ssf_problem, queries, cfg))
+
+    @needs_fork
+    def test_a_child_that_dies_has_its_shares_rerun(self, forks, monkeypatch, two_ssf_problem):
+        queries = [two_ssf_problem.frame.singleton("x1")]
+        cfg = TrialEngineConfig(trials=2000, seed=4, worker_count=3)
+        parent = os.getpid()
+        run_group = mc._run_group
+
+        def dying(*args):
+            if os.getpid() != parent:
+                os._exit(3)
+            return run_group(*args)
+
+        monkeypatch.setattr(mc, "_run_group", dying)
+        got = estimate(two_ssf_problem, queries, cfg)
+        assert forks
+        assert got == in_thread(lambda: estimate(two_ssf_problem, queries, cfg))
+        assert_no_children()
+
+    def test_shares_that_cannot_fork_run_in_thread(self, forks, monkeypatch, two_ssf_problem):
+        queries = [two_ssf_problem.frame.singleton("x1")]
+        cfg = TrialEngineConfig(trials=2000, seed=4, worker_count=3)
+
+        def refuse():
+            raise BlockingIOError("no process to spare")
+
+        monkeypatch.setattr(os, "fork", refuse)
+        got = estimate(two_ssf_problem, queries, cfg)
+        assert got == in_thread(lambda: estimate(two_ssf_problem, queries, cfg))
+        assert_no_children()
+
+    @needs_fork
+    def test_an_interrupt_kills_and_reaps_the_children(self, forks, monkeypatch, two_ssf_problem):
+        queries = [two_ssf_problem.frame.singleton("x1")]
+        parent = os.getpid()
+
+        def interrupted(*args):
+            if os.getpid() == parent:
+                raise KeyboardInterrupt
+            time.sleep(60)  # a child left running would hold up the reap
+
+        monkeypatch.setattr(mc, "_run_group", interrupted)
+        start = time.perf_counter()
+        with pytest.raises(KeyboardInterrupt):
+            estimate(two_ssf_problem, queries, TrialEngineConfig(trials=2000, worker_count=2))
+        assert time.perf_counter() - start < 30
+        assert forks
+        assert_no_children()
 
 
 class TestConflictEstimate:
