@@ -20,17 +20,7 @@ from .errors import ExcessiveConflictError, ResourceLimitError, TotalConflictErr
 from .evidence import bel_from_mass
 from .exact import combine_all
 from .mc import TrialEngineConfig, derive_stream_seed, estimate
-from .problem_io import GeneratedProblem, generate_problem
-
-#: Weight-scale search interval for the conflict tuner's second stage.
-_SCALE_RANGE = (0.05, 1.0)
-
-#: The tuner's source weight range, trials per probe, and probe counts of
-#: its density stage and its weight-scale stage.
-_WEIGHT_RANGE = (0.4, 0.9)
-_PROBE_TRIALS = 4000
-_DENSITY_PROBES = 14
-_SCALE_PROBES = 12
+from .problem_io import tune_focus_density
 
 
 @dataclass(frozen=True)
@@ -113,69 +103,6 @@ def fit_time_exponent(sizes: list[float], wall_ms: list[float]) -> float | None:
     return sxy / sxx
 
 
-def tune_cell(
-    source_count: int,
-    element_count: int,
-    *,
-    target_conflict: float = 0.5,
-    seed: int = 0,
-) -> GeneratedProblem:
-    """Tune one cell's problem toward the target conflict.
-
-    Density alone moves the conflict in coarse steps on small grids (a
-    single shared focus element can zero it), so the tuner first bisects the
-    focus density down to the sparsest level still at or above the target,
-    then bisects a weight-scale factor, which moves the conflict smoothly,
-    and keeps the closest probe overall.
-    """
-    lo, hi = 0.005, 0.995
-    best: GeneratedProblem | None = None
-    dense_side: float | None = None
-    for _ in range(_DENSITY_PROBES):
-        mid = (lo + hi) / 2.0
-        g = generate_problem(
-            source_count,
-            element_count,
-            weight_range=_WEIGHT_RANGE,
-            focus_density=mid,
-            seed=seed,
-            probe_trials=_PROBE_TRIALS,
-        )
-        if best is None or abs(g.conflict_estimate - target_conflict) < abs(
-            best.conflict_estimate - target_conflict
-        ):
-            best = g
-        if g.conflict_estimate >= target_conflict:
-            lo = mid
-            dense_side = mid
-        else:
-            hi = mid
-    if dense_side is None:
-        assert best is not None
-        return best
-    w_lo, w_hi = _WEIGHT_RANGE
-    s_lo, s_hi = _SCALE_RANGE
-    for _ in range(_SCALE_PROBES):
-        scale = (s_lo + s_hi) / 2.0
-        g = generate_problem(
-            source_count,
-            element_count,
-            weight_range=(w_lo * scale, w_hi * scale),
-            focus_density=dense_side,
-            seed=seed,
-            probe_trials=_PROBE_TRIALS,
-        )
-        if abs(g.conflict_estimate - target_conflict) < abs(
-            best.conflict_estimate - target_conflict
-        ):
-            best = g
-        if g.conflict_estimate > target_conflict:
-            s_hi = scale
-        else:
-            s_lo = scale
-    return best
-
-
 def run_bench(
     source_counts: list[int],
     element_counts: list[int],
@@ -208,8 +135,9 @@ def run_bench(
     for m in source_counts:
         for n in element_counts:
             cell_seed = derive_stream_seed(seed, f"bench-cell-{m}x{n}")
-            tuned = tune_cell(m, n, target_conflict=target_conflict, seed=cell_seed)
-            problem = tuned.problem
+            problem = tune_focus_density(
+                m, n, target_conflict=target_conflict, seed=cell_seed, probe_trials=4000
+            ).problem
             # Fixed query: everything but the last frame element.
             frame = problem.frame
             query = frame.from_bits(frame.full_bits ^ (1 << (frame.size - 1)))

@@ -33,6 +33,7 @@ from .errors import (
 from .evidence import EvidenceProblem, bel_from_mass, validate_problem
 from .exact import DEFAULT_MAX_ENTRIES, combine_all, conflict_exact
 from .logic import (
+    AssignmentSpace,
     ClauseQuery,
     LogicProblem,
     logic_estimate,
@@ -161,8 +162,6 @@ def cmd_exact(args) -> int:
         if not clauses:
             print("error: logic mode needs at least one --query clause", file=sys.stderr)
             return 2
-        from .logic import AssignmentSpace
-
         space = AssignmentSpace(problem.atoms)
         problem = translate_to_set_problem(problem)
         # Clause masks over the translated frame, so one frame is built.
@@ -421,7 +420,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--density", type=float, default=0.5, help="element inclusion probability")
     p.add_argument(
         "--target-conflict", type=float, default=None,
-        help="bisect the density toward this conflict level instead",
+        help="tune toward this conflict level instead: bisect the density,"
+        " then scale the weight range",
     )
     p.add_argument("--weight-lo", type=float, default=0.4)
     p.add_argument("--weight-hi", type=float, default=0.9)

@@ -527,10 +527,10 @@ def _run(cfg: TrialEngineConfig, plan, score, *counts: list[int]) -> int:
     the block scorer ``score`` (:func:`_run_blocks`), which adds into the
     integer lists ``counts``, all zero at the call; returns the restarts.
 
-    The shares run one after another in the calling thread, unless
-    :func:`_processes` gives ``P > 1`` processes.  Then process ``j`` runs
-    shares ``j, j + P, ...`` in order: the caller runs process 0's, and
-    ``P - 1`` children forked before it draws anything run the rest.  Each
+    :func:`_processes` gives ``P`` processes, and process ``j`` runs shares
+    ``j, j + P, ...`` in order: the caller runs process 0's (with ``P = 1``,
+    every share, one after another in the calling thread), and ``P - 1``
+    children forked before it draws anything run the rest.  Each
     child starts from the caller's scorer and ``counts`` as they are before
     any draw, and writes its restarts, its first cap trip and its
     ``counts`` to a pipe (``marshal``), and the caller adds them into its
@@ -549,11 +549,6 @@ def _run(cfg: TrialEngineConfig, plan, score, *counts: list[int]) -> int:
     """
     shares = _split_trials(cfg.trials, cfg.worker_count)
     procs = _processes(len(shares), plan.source_count * cfg.trials)
-    if procs == 1:
-        return sum(
-            _run_blocks(plan, score, share, worker_rng(cfg.seed, w), cfg.restart_cap)
-            for w, share in enumerate(shares)
-        )
     groups = [range(j, len(shares), procs) for j in range(procs)]
     forked = []  # (group, child pid, read end of its pipe), pid None if not forked
     reaped = set()

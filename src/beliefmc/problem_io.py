@@ -28,7 +28,7 @@ from functools import partial, reduce
 from itertools import repeat
 from operator import lshift, or_
 
-from .errors import InvalidProblemError, ParseError
+from .errors import ExcessiveConflictError, InvalidProblemError, ParseError
 from .evidence import (
     EvidenceProblem,
     FocalSet,
@@ -46,7 +46,6 @@ from .logic import (
     validate_logic_problem,
 )
 from .mc import TrialEngineConfig, derive_stream_seed, estimate
-from .errors import ExcessiveConflictError
 
 _SPECIALS = set("{}[]#*!")
 
@@ -225,19 +224,15 @@ def render_problem(problem: EvidenceProblem | LogicProblem) -> str:
             if not _renderable(label):
                 raise ValueError(f"element label {label!r} is not renderable")
         lines.append("frame: " + " ".join(problem.frame.elements))
-        for source in problem.sources:
-            lines.append("source:")
-            for p, t in source.outcomes:
-                lines.append(f"  {p!r} {t}")
     else:
         for atom in problem.atoms:
             if not _renderable(atom):
                 raise ValueError(f"atom {atom!r} is not renderable")
         lines.append("atoms: " + " ".join(problem.atoms))
-        for source in problem.sources:
-            lines.append("source:")
-            for p, t in source.outcomes:
-                lines.append(f"  {p!r} {t}")
+    for source in problem.sources:
+        lines.append("source:")
+        for p, t in source.outcomes:
+            lines.append(f"  {p!r} {t}")
     return "\n".join(lines) + "\n"
 
 
@@ -304,8 +299,11 @@ def generate_problem(
     return GeneratedProblem(problem, kappa, focus_density, (lo, hi), seed)
 
 
-#: Probe generations :func:`tune_focus_density` runs.
-_DENSITY_PROBES = 20
+#: Probe counts of :func:`tune_focus_density`'s density stage and its
+#: weight-scale stage, and the weight-scale search interval.
+_DENSITY_PROBES = 14
+_SCALE_PROBES = 12
+_SCALE_RANGE = (0.05, 1.0)
 
 
 def tune_focus_density(
@@ -317,33 +315,52 @@ def tune_focus_density(
     seed: int = 0,
     probe_trials: int = 2000,
 ) -> GeneratedProblem:
-    """Bisect the focus density toward a target conflict level.
+    """Tune a generated problem toward a target conflict level.
 
-    Conflict falls as foci get denser (they overlap more), so plain
-    bisection applies.  Runs :data:`_DENSITY_PROBES` probe generations and
-    returns the draw whose measured conflict came closest to the target.
+    Conflict falls as foci get denser (they overlap more), but density
+    alone moves it in coarse steps on small frames (a single shared focus
+    element can zero it).  So the tuner first bisects the focus density in
+    :data:`_DENSITY_PROBES` probes, moving denser while the conflict is at
+    or above the target, which leaves the densest probed level still at or
+    above it.  At that density it then bisects a factor in
+    :data:`_SCALE_RANGE` that scales both ends of ``weight_range``, which
+    moves the conflict smoothly, in :data:`_SCALE_PROBES` probes.  It
+    returns the probe whose measured conflict came closest to the target,
+    the earliest on a tie; when no density probe reaches the target, the
+    weight-scale stage is skipped.
     """
     if not 0.0 <= target_conflict < 1.0:
         raise ValueError(f"target conflict {target_conflict!r} outside [0, 1)")
+    w_lo, w_hi = weight_range
+    probes: list[GeneratedProblem] = []
+
+    def probe(density: float, scale: float = 1.0) -> float:
+        probes.append(
+            generate_problem(
+                source_count,
+                element_count,
+                weight_range=(w_lo * scale, w_hi * scale),
+                focus_density=density,
+                seed=seed,
+                probe_trials=probe_trials,
+            )
+        )
+        return probes[-1].conflict_estimate
+
     lo, hi = 0.005, 0.995
-    best: GeneratedProblem | None = None
+    dense_side: float | None = None
     for _ in range(_DENSITY_PROBES):
         mid = (lo + hi) / 2.0
-        g = generate_problem(
-            source_count,
-            element_count,
-            weight_range=weight_range,
-            focus_density=mid,
-            seed=seed,
-            probe_trials=probe_trials,
-        )
-        if best is None or abs(g.conflict_estimate - target_conflict) < abs(
-            best.conflict_estimate - target_conflict
-        ):
-            best = g
-        if g.conflict_estimate > target_conflict:
-            lo = mid
+        if probe(mid) >= target_conflict:
+            lo = dense_side = mid
         else:
             hi = mid
-    assert best is not None
-    return best
+    if dense_side is not None:
+        s_lo, s_hi = _SCALE_RANGE
+        for _ in range(_SCALE_PROBES):
+            scale = (s_lo + s_hi) / 2.0
+            if probe(dense_side, scale) > target_conflict:
+                s_hi = scale
+            else:
+                s_lo = scale
+    return min(probes, key=lambda g: abs(g.conflict_estimate - target_conflict))

@@ -33,8 +33,9 @@ from beliefmc import (
     plan_trials,
     sd_bound,
     translate_to_set_problem,
+    tune_focus_density,
 )
-from beliefmc.bench import run_bench, tune_cell
+from beliefmc.bench import run_bench
 from conftest import (
     combine_masses,
     conflict_and_draws,
@@ -153,7 +154,7 @@ def test_variance_across_seeds_respects_bound(two_ssf_problem):
 
 def test_draws_per_trial_match_tuned_conflict():
     """At conflict tuned to ~0.5, draws per trial land in [1.9, 2.1] at N=1e5."""
-    g = tune_cell(12, 24, target_conflict=0.5, seed=5)
+    g = tune_focus_density(12, 24, target_conflict=0.5, seed=5, probe_trials=4000)
     kappa, draws = conflict_and_draws(g.problem, TrialEngineConfig(trials=100_000, seed=17))
     assert 1.9 <= draws <= 2.1, f"draws/trial {draws:.3f} (kappa_hat {kappa:.4f})"
     print(f"PASS restart law: kappa_hat={kappa:.4f} -> draws/trial={draws:.3f}")

@@ -575,7 +575,7 @@ class TestBench:
         # refused before any cell is tuned, with the texts the later checks give
         import beliefmc.bench as bench
 
-        monkeypatch.setattr(bench, "tune_cell", None)
+        monkeypatch.setattr(bench, "tune_focus_density", None)
         assert main(["bench", "--sizes", "3", "--trials", "50", "--reps", "1", arg, value]) == 2
         assert message in capsys.readouterr().err
 
@@ -584,7 +584,7 @@ class TestBench:
         # refused before any cell is tuned, as `generate` refuses it
         import beliefmc.bench as bench
 
-        monkeypatch.setattr(bench, "tune_cell", None)
+        monkeypatch.setattr(bench, "tune_focus_density", None)
         assert main(["bench", "--sizes", "3", "--target-conflict", target]) == 2
         assert f"target conflict {float(target)!r} outside [0, 1)" in capsys.readouterr().err
 

@@ -11,6 +11,7 @@ from beliefmc import (
     LogicProblem,
     ParseError,
     TermSet,
+    conflict_exact,
     generate_problem,
     parse_clause,
     parse_problem,
@@ -241,8 +242,18 @@ class TestTuneFocusDensity:
         # On a coarse cell the conflict curve can jump right over the
         # target; the tuner still hands back the nearest draw it saw.
         g = tune_focus_density(8, 16, target_conflict=0.5, seed=11)
-        lo = generate_problem(8, 16, focus_density=g.focus_density, seed=11)
+        lo = generate_problem(
+            8, 16, weight_range=g.weight_range, focus_density=g.focus_density, seed=11
+        )
         assert g.conflict_estimate == lo.conflict_estimate
+
+    @pytest.mark.parametrize("m, n", [(10, 15), (10, 20), (12, 24)])
+    def test_exact_conflict_lands_on_target(self, m, n):
+        # the weight-scale stage moves the conflict smoothly, so the exact
+        # conflict, not only the probe's estimate, lands near the target
+        for seed in (1, 2, 3):
+            g = tune_focus_density(m, n, target_conflict=0.5, seed=seed)
+            assert conflict_exact(g.problem) == pytest.approx(0.5, abs=0.03), seed
 
     def test_objective_guard(self):
         with pytest.raises(ValueError):
@@ -261,8 +272,20 @@ class TestTuneFocusDensity:
 
         monkeypatch.setattr(pio, "generate_problem", counting)
         monkeypatch.setattr(pio, "_DENSITY_PROBES", 12)
+        monkeypatch.setattr(pio, "_SCALE_PROBES", 5)
         pio.tune_focus_density(5, 8, target_conflict=0.4, seed=2)
+        assert calls == 12 + 5
+        # two sources of weight at most 0.9 conflict at most 0.81, so no
+        # density probe reaches the target and the weight-scale stage is
+        # skipped
+        calls = 0
+        pio.tune_focus_density(2, 8, target_conflict=0.95, seed=2)
         assert calls == 12
+        # a conflict equal to the target reaches it: one source never
+        # conflicts, so every probe reads 0.0 and both stages run
+        calls = 0
+        pio.tune_focus_density(1, 8, target_conflict=0.0, seed=2)
+        assert calls == 12 + 5
 
 
 # (text, (line, column, message)) for every ParseError branch of
