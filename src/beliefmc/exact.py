@@ -16,6 +16,14 @@ where a view takes one.  The public functions are three views of it:
 * :func:`conflict_exact` prunes against the whole frame and returns the
   conflict.
 
+The fold has two key encodings.  Its tables are keyed by focal-set bitmask,
+except where it prunes nothing and the problem is a translated logic
+problem (:func:`~beliefmc.logic.translate_to_set_problem`): then they are
+keyed by term code, a few bits per atom instead of one per truth
+assignment, and the final codes are expanded to their assignment sets.  The
+two encodings give the same table, in the same order, and the same
+conflict.
+
 All three read the conflict as one minus the fold's survival, and both
 belief views raise ``TotalConflictError`` when that survival is at most
 :data:`CONFLICT_TOL`.  The two enumeration views hold the table to
@@ -30,6 +38,7 @@ from dataclasses import dataclass
 from functools import reduce
 from itertools import islice
 from operator import and_, or_
+from typing import Callable
 
 from .errors import (
     FrameMismatchError,
@@ -70,17 +79,22 @@ def _combine_bits(
     max_entries: int | None = None,
     deadline: float | None = None,
     step: str = "combine",
+    clash: Callable[[int], int] | None = None,
 ) -> tuple[dict[int, float], float]:
-    """Orthogonal sum on raw ``bits -> mass`` tables.
+    """Orthogonal sum on raw ``key -> mass`` tables.
 
-    Returns the unnormalized intersection table and the conflict mass
-    (weight of empty intersections).  Caps raise ``ResourceLimitError``
+    Keys merge by AND.  They are set bitmasks, where an empty intersection
+    is a conflict, or with ``clash`` term codes
+    (:meth:`~beliefmc.logic._TermCodes.need`), where a merge is a conflict
+    when the key of the bigger table lacks a bit of ``clash(b1)`` for the
+    outcome ``b1`` of the smaller one.  Returns the unnormalized table of
+    merged keys and the conflict mass.  Caps raise ``ResourceLimitError``
     naming ``step``.
 
     Each outcome of the smaller table makes one pass over the bigger one.
     An outcome whose bits cover every key of the bigger table yields a
     scaled copy of it, so covering outcomes run first and the first of them
-    builds the table at C speed.  Empty intersections collect under key 0,
+    builds the table at C speed.  Conflicting products collect under key 0,
     popped as the conflict at the end.  Passes run in chunks that end at
     every ``_DEADLINE_STRIDE``-th product: the entry cap is consulted after
     every chunk, the deadline before the first product and before each
@@ -95,6 +109,8 @@ def _combine_bits(
     for b1, v1 in outer:
         fresh = not out and b1 & cover == cover
         rows = zip(big, map(v1.__mul__, big.values()) if fresh else big.values())
+        if clash is not None:
+            need = clash(b1)
         left = len(big)
         while left:
             if not done and deadline is not None and time.monotonic() >= deadline:
@@ -103,9 +119,13 @@ def _combine_bits(
             chunk = islice(rows, n)
             if fresh:
                 out.update(chunk)
-            else:
+            elif clash is None:
                 for b2, v2 in chunk:
                     inter = b1 & b2
+                    out[inter] = get(inter, 0.0) + v1 * v2
+            else:
+                for b2, v2 in chunk:
+                    inter = b1 & b2 if b2 & need == need else 0
                     out[inter] = get(inter, 0.0) + v1 * v2
             left -= n
             done = (done + n) % _DEADLINE_STRIDE
@@ -148,6 +168,15 @@ def _fold(
     as one scalar.  The fold stops once the table is empty.  ``outside=0``
     prunes nothing.
 
+    With ``outside=0`` on a problem that carries term codes (a translated
+    logic problem), the tables are keyed by code
+    (:class:`~beliefmc.logic._TermCodes`): the fold starts from the empty
+    term's code, and the final codes are expanded to their assignment sets
+    in insertion order.  Consistent codes and their sets correspond one to
+    one, merges to intersections and clashes to empty intersections, so
+    the steps, table sizes, products and sums are those of the fold over
+    the sets, and so is the returned table.
+
     ``max_entries`` caps every table the fold holds, and ``deadline_s``
     bounds the whole fold in wall-clock seconds, checked at least once per
     step.  Raises ``ValueError`` when ``max_entries`` is below 1 or
@@ -169,11 +198,21 @@ def _fold(
     for s in reversed(sources):
         held.append(held[-1] & reduce(and_, s.target_bits))
     held.reverse()
-    acc: dict[int, float] = {problem.frame.full_bits: 1.0}
+    codes = None if outside else problem._term_codes
+    if codes is None:
+        tables = (mass_from_source(s).by_bits for s in sources)
+        acc: dict[int, float] = {problem.frame.full_bits: 1.0}
+        clash = None
+    else:
+        # a source's code table has one entry per distinct target set, so
+        # the stable sort keeps the set fold's order
+        tables = sorted(codes.tables, key=len)
+        acc = {codes.top: 1.0}
+        clash = codes.need
     total = survival = 1.0
     gone = 0.0
     dropped = 0
-    for i, source in enumerate(sources):
+    for i, by_bits in enumerate(tables):
         dead = outside & held[i]
         if dead != dropped:
             dropped = dead
@@ -181,13 +220,16 @@ def _fold(
             acc = {b: v for b, v in acc.items() if not b & dead}
         if not acc:
             break
-        table = {b: v / total for b, v in mass_from_source(source).by_bits.items()}
+        table = {b: v / total for b, v in by_bits.items()}
         acc, conflict = _combine_bits(
-            acc, table, max_entries=max_entries, deadline=deadline, step=f"{label} step {i}"
+            acc, table, max_entries=max_entries, deadline=deadline,
+            step=f"{label} step {i}", clash=clash,
         )
         gone /= total
         total = math.fsum(acc.values()) + gone
         survival *= total / (total + conflict)
+    if codes is not None:
+        acc = codes.expand(acc)
     return acc, total, survival
 
 
@@ -205,7 +247,9 @@ def combine_all(
     not run again on a table the fold built.  ``conflict`` in the result is
     the overall conflict of the joint problem.
     ``max_entries`` and ``deadline_s`` are the fold's caps (see
-    :func:`_fold`, which also raises their ``ValueError``).  Raises
+    :func:`_fold`, which also raises their ``ValueError``).  A translated
+    logic problem is folded over its term codes, to the table the fold over
+    its assignment sets would give.  Raises
     ``TotalConflictError`` when the survival is at most
     :data:`CONFLICT_TOL`.  Cap errors name ``combine step i``, counted in
     fold order.

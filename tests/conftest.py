@@ -670,6 +670,27 @@ def term_sets(draw, max_atoms: int = 6, max_len: int = 5) -> TermSet:
     return TermSet(tuple(Literal(a, s) for a, s in lits))
 
 
+@st.composite
+def logic_problems(
+    draw, max_atoms: int = 6, max_sources: int = 4, max_outcomes: int = 3, max_term: int = 3
+) -> LogicProblem:
+    """A valid logic problem: consistent terms (one sign per atom, empty
+    and repeated terms included), probabilities normalized per source.  It
+    may be totally conflicting."""
+    atoms = tuple(f"a{i}" for i in range(draw(st.integers(1, max_atoms))))
+    term = st.dictionaries(st.sampled_from(atoms), st.booleans(), max_size=max_term).map(
+        lambda signs: TermSet(tuple(Literal(a, s) for a, s in signs.items()))
+    )
+    sources = []
+    for _ in range(draw(st.integers(1, max_sources))):
+        picks = draw(
+            st.lists(st.tuples(st.floats(0.1, 1.0), term), min_size=1, max_size=max_outcomes)
+        )
+        total = math.fsum(w for w, _ in picks)
+        sources.append(LogicSource(tuple((w / total, t) for w, t in picks)))
+    return LogicProblem(atoms, tuple(sources))
+
+
 @pytest.fixture
 def two_ssf_problem() -> EvidenceProblem:
     """The worked pair: 0.6 on {x1} and 0.5 on {x2} over a 3-element frame.

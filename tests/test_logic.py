@@ -8,31 +8,40 @@ import math
 import os
 import random
 import tempfile
+from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from beliefmc import (
     AssignmentSpace,
     ClauseBatchEstimate,
     ClauseQuery,
+    EvidenceProblem,
     ExcessiveConflictError,
     FrameTooLargeError,
     InvalidProblemError,
     Literal,
     LogicProblem,
     LogicSource,
+    ResourceLimitError,
     TermSet,
+    TotalConflictError,
     TrialEngineConfig,
+    bel_from_mass,
+    combine_all,
+    conflict_exact,
     exact_belief_enumeration,
     is_contradictory,
     logic_estimate,
+    parse_problem,
     render_problem,
     translate_to_set_problem,
     validate_logic_problem,
 )
 from beliefmc.cli import main
-from beliefmc import mc
+from beliefmc import exact, mc
 from beliefmc.logic import _logic_plan, _logic_score, lits
 from beliefmc.mc import DEFAULT_RESTART_CAP, derive_stream_seed
 from beliefmc.problem_io import parse_clause
@@ -44,6 +53,7 @@ from conftest import (
     in_thread,
     needs_fork,
     logic_problem_to_pairs,
+    logic_problems,
     oracle_logic_bel,
     per_draw_kernel_logic,
     per_draw_logic_plans,
@@ -967,3 +977,142 @@ class TestTranslation:
         problem = LogicProblem(("p",), (LogicSource(((1.0, TermSet.of("q")),)),))
         with pytest.raises(InvalidProblemError):
             translate_to_set_problem(problem)
+
+
+BENCH_DATA = Path(__file__).resolve().parents[1] / "perfbench" / "data"
+
+
+def bench_logic_problem(name: str) -> LogicProblem:
+    return parse_problem((BENCH_DATA / f"{name}.bel").read_text())
+
+
+def set_copy(translated: EvidenceProblem) -> EvidenceProblem:
+    """The translated problem built again from its frame and sources,
+    without the term codes, so its fold runs over the assignment sets."""
+    return EvidenceProblem(translated.frame, translated.sources)
+
+
+def combined_or_none(problem: EvidenceProblem):
+    """``combine_all``'s table as a list (values and key order) and its
+    conflict, or ``None`` on total conflict."""
+    try:
+        result = combine_all(problem)
+    except TotalConflictError:
+        return None
+    return list(result.combined.by_bits.items()), result.conflict
+
+
+class TestTermFold:
+    """``combine_all`` folds a translated problem's term codes; every other
+    fold runs over the assignment sets, and the answers are the same."""
+
+    def test_code_format(self):
+        problem = LogicProblem(
+            ("p", "q"),
+            (LogicSource(((0.5, TermSet.of("p", "!q")), (0.25, TermSet()),
+                          (0.25, TermSet.of("!q", "p")))),),
+        )
+        codes = translate_to_set_problem(problem)._term_codes
+        # p owns bits 0 (may be true) and 1 (may be false), q bits 2 and 3;
+        # the repeated term merges
+        assert codes.tables == ({0b1001: 0.75, 0b1111: 0.25},)
+        assert (codes.top, codes.clash) == (0b1111, 0b0101)
+        # a code merging with [p !q] must keep "p may be true" and "q may
+        # be false"; anything merges with the empty term
+        assert (codes.need(0b1001), codes.need(0b1111)) == (0b1001, 0)
+        # assignment "10" (p true, q false) is element 1; the empty term is
+        # the whole frame
+        expanded = codes.expand({0b1001: 0.5, 0b1111: 0.25, 0b1110: 0.25})
+        assert list(expanded.items()) == [(0b0010, 0.5), (0b1111, 0.25), (0b0101, 0.25)]
+
+    @given(logic_problems(), st.integers(0, 2**32 - 1))
+    @example(bench_logic_problem("l10a40"), 0)
+    @example(bench_logic_problem("l10a50"), 0)
+    @example(bench_logic_problem("l12a50"), 0)
+    @example(bench_logic_problem("l12a60"), 0)
+    @settings(max_examples=150, deadline=None)
+    def test_matches_the_set_fold_and_the_oracle(self, problem, seed):
+        translated = translate_to_set_problem(problem)
+        got = combined_or_none(translated)
+        assert got == combined_or_none(set_copy(translated))
+        # the oracle enumerates joint outcomes, so it checks small problems
+        if got is None or math.prod(len(s.outcomes) for s in problem.sources) > 1000:
+            return
+        clause = random_clause(seed, problem.atoms)
+        want, _ = oracle_logic_bel(
+            logic_problem_to_pairs(problem),
+            frozenset((l.atom, l.positive) for l in clause.literals),
+            clause.is_tautology,
+        )
+        bel = bel_from_mass(
+            combine_all(translated).combined,
+            AssignmentSpace(problem.atoms).clause_focal(clause),
+        )
+        assert bel == pytest.approx(want, abs=1e-9)
+
+    @pytest.mark.parametrize("cap", [1, 50, 300])
+    def test_entry_cap_trips_at_the_same_step(self, cap):
+        translated = translate_to_set_problem(bench_logic_problem("l10a40"))
+        messages = []
+        for problem in (translated, set_copy(translated)):
+            with pytest.raises(ResourceLimitError, match=r"combine step \d+: intermediate") as e:
+                combine_all(problem, max_entries=cap)
+            messages.append(str(e.value))
+        assert messages[0] == messages[1]
+
+    def test_zero_deadline_trips_before_any_product(self, monkeypatch):
+        translated = translate_to_set_problem(bench_logic_problem("l10a40"))
+        chunks = []
+        monkeypatch.setattr(exact, "islice", lambda *a: chunks.append(a))
+        with pytest.raises(ResourceLimitError, match="^combine step 0: wall-clock cap exceeded$"):
+            combine_all(translated, deadline_s=0.0)
+        assert chunks == []
+
+    def test_cli_entry_cap_exits_4(self, capsys):
+        code = main([
+            "exact", "--logic", "--problem", str(BENCH_DATA / "l10a40.bel"),
+            "--query", "[a1 a6]", "--max-entries", "50",
+        ])
+        assert code == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: combine step 8: intermediate table exceeded 50 entries\n"
+
+    @given(logic_problems(), st.integers(0, 2**32 - 1))
+    @settings(max_examples=50, deadline=None)
+    def test_codes_are_not_part_of_the_problem(self, problem, seed):
+        translated = translate_to_set_problem(problem)
+        copy = set_copy(translated)
+        assert translated == copy
+        assert hash(translated) == hash(copy)
+        assert translated._term_codes is not None and copy._term_codes is None
+        assert conflict_exact(translated) == conflict_exact(copy)
+        query = AssignmentSpace(problem.atoms).clause_focal(random_clause(seed, problem.atoms))
+        answers = []
+        for p in (translated, copy):
+            try:
+                answers.append(exact_belief_enumeration(p, query))
+            except TotalConflictError:
+                answers.append(None)
+        assert answers[0] == answers[1]
+
+    def test_only_combine_all_on_a_translated_problem_folds_codes(
+        self, monkeypatch, two_ssf_problem, worked_logic_problem
+    ):
+        clashes = []
+        combine = exact._combine_bits
+
+        def spy(*args, **kwargs):
+            clashes.append(kwargs["clash"])
+            return combine(*args, **kwargs)
+
+        monkeypatch.setattr(exact, "_combine_bits", spy)
+        exact._fold(two_ssf_problem, 0, "combine", max_entries=exact.DEFAULT_MAX_ENTRIES)
+        translated = translate_to_set_problem(worked_logic_problem)
+        conflict_exact(translated)
+        p = AssignmentSpace(worked_logic_problem.atoms).clause_focal(ClauseQuery.of("p"))
+        exact_belief_enumeration(translated, p)
+        assert clashes and set(clashes) == {None}
+        clashes.clear()
+        combine_all(translated)
+        assert clashes and None not in clashes
