@@ -4,9 +4,10 @@ Exact answers come from one fold of the sources' focal-set tables, read
 three ways: the combined mass function (``combine_all``), the belief in one
 query (``exact_belief_enumeration``) and the conflict (``conflict_exact``);
 the last two drop table entries that can no longer change their answer.
-On a logic problem translated onto its truth assignments, the combined
-mass function is folded over term codes, a few bits per atom, and expanded
-to assignment sets at the end.
+Where the frame has ``2**k`` elements and every focal set is a subcube of
+the element-index hypercube, as on a logic problem translated onto its
+truth assignments, all three fold over term codes, two bits per dimension,
+and expand a code to its set only to prune and at the end.
 The trial engine estimates the same quantities by sampling one outcome per
 source, restarting contradictory draws, and counting how often the
 surviving intersection settles inside the query set.  A literal-conjunction

@@ -295,12 +295,6 @@ class EvidenceProblem:
     #: equality or hashing.
     _valid = False
 
-    #: Set by :func:`~beliefmc.logic.translate_to_set_problem` on the
-    #: problem it builds: the sources' tables keyed by term code, which
-    #: :func:`~beliefmc.exact.combine_all` folds in place of the sets; not
-    #: a field either.
-    _term_codes = None
-
     def __post_init__(self) -> None:
         object.__setattr__(self, "sources", tuple(self.sources))
 

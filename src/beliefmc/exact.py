@@ -16,13 +16,15 @@ where a view takes one.  The public functions are three views of it:
 * :func:`conflict_exact` prunes against the whole frame and returns the
   conflict.
 
-The fold has two key encodings.  Its tables are keyed by focal-set bitmask,
-except where it prunes nothing and the problem is a translated logic
-problem (:func:`~beliefmc.logic.translate_to_set_problem`): then they are
-keyed by term code, a few bits per atom instead of one per truth
-assignment, and the final codes are expanded to their assignment sets.  The
-two encodings give the same table, in the same order, and the same
-conflict.
+The fold reads its key encoding off its input.  When the frame has
+``2**k`` elements (``k >= 1``) and every focal set is a subcube of the
+hypercube of element indices, as on every translated logic problem
+(:func:`~beliefmc.logic.translate_to_set_problem`), the tables are keyed by
+term code (:class:`_TermCodes`), ``2k`` bits per subcube instead of
+``2**k``; an entry is expanded to its set only where pruning tests it and
+at the end.  Every other problem folds focal-set bitmasks.  The two
+encodings give the same table, in the same order, the same conflict and
+the same cap errors, in all three views.
 
 All three read the conflict as one minus the fold's survival, and both
 belief views raise ``TotalConflictError`` when that survival is at most
@@ -36,9 +38,9 @@ import math
 import time
 from dataclasses import dataclass
 from functools import reduce
-from itertools import islice
-from operator import and_, or_
-from typing import Callable
+from itertools import compress, islice
+from operator import and_, not_, or_
+from typing import Callable, Sequence
 
 from .errors import (
     FrameMismatchError,
@@ -49,6 +51,7 @@ from .evidence import (
     EvidenceProblem,
     FocalSet,
     MassFunction,
+    SourceModel,
     _mass_within,
     mass_from_source,
     require_valid,
@@ -72,6 +75,90 @@ class CombinationResult:
     conflict: float
 
 
+def _cube(free: int) -> int:
+    """The elements whose index is a submask of ``free``, as a mask: the
+    subcube through element 0 that is free in the dimensions set in
+    ``free``, built by doubling along each of them."""
+    bits = 1
+    while free:
+        low = free & -free
+        bits |= bits << low
+        free ^= low
+    return bits
+
+
+class _TermCodes:
+    """Term codes for the subcubes of a ``2**k``-element frame.
+
+    Element ``a`` is the vertex ``a`` of the ``k``-dimensional hypercube:
+    bit ``i`` of its index is its coordinate in dimension ``i`` (on a
+    translated logic problem, the truth value of atom ``i``).  A subcube
+    fixes some dimensions, and its lowest and highest elements ``lo`` and
+    ``hi`` hold the fixed values with the free dimensions at 0 and at 1.
+    Its code is ``hi | (lo ^ low) << k``, where ``low = 2**k - 1``: bit
+    ``i`` says "dimension ``i`` may be 1" and bit ``k + i`` "may be 0", so
+    the whole frame, ``top``, has all ``2k`` bits set.  AND merges two
+    codes into the code of their intersection, or clears both bits of a
+    dimension where the intersection is empty (a clash).  Consistent codes
+    and non-empty subcubes correspond one to one.
+
+    ``of`` maps each focal set the fold reads, as a mask, to its code.
+    """
+
+    def __init__(self, k: int) -> None:
+        self.k = k
+        self.low = (1 << k) - 1
+        self.top = (1 << 2 * k) - 1
+        self.of: dict[int, int] = {}
+        # one subcube through element 0 per set of free dimensions; it is
+        # no wider than the sets it expands to
+        self._cubes: dict[int, int] = {}
+
+    @classmethod
+    def derive(cls, size: int, sources: Sequence[SourceModel]) -> _TermCodes | None:
+        """The codes of the sources' focal sets over a frame of ``size``
+        elements, or ``None`` when ``size`` is not ``2**k`` with ``k >= 1``
+        (at ``k = 0`` the one code is 0, the fold's conflict key) or a
+        focal set is not a subcube.
+
+        A set whose lowest and highest elements are ``lo`` and ``hi`` is a
+        subcube exactly when it equals :meth:`subcube` of the code they
+        give (which is some other set when that code is not consistent),
+        so one compare decides each set, and the first set that fails ends
+        the derivation."""
+        k = size.bit_length() - 1
+        if k < 1 or size != 1 << k:
+            return None
+        codes = cls(k)
+        of = codes.of
+        for s in sources:
+            for bits in s.target_bits:
+                if bits not in of:
+                    lo = (bits & -bits).bit_length() - 1
+                    hi = bits.bit_length() - 1
+                    code = hi | (lo ^ codes.low) << k
+                    if codes.subcube(code) != bits:
+                        return None
+                    of[bits] = code
+        return codes
+
+    def need(self, code: int) -> int:
+        """The bits a code must keep to merge with ``code`` without a
+        clash: for each dimension, the bit opposite the one ``code``
+        clears."""
+        cleared = self.top ^ code
+        return (cleared & self.low) << self.k | cleared >> self.k
+
+    def subcube(self, code: int) -> int:
+        """The elements of a consistent code's subcube, as a mask."""
+        hi = code & self.low
+        lo = self.low ^ code >> self.k
+        cube = self._cubes.get(hi ^ lo)
+        if cube is None:
+            cube = self._cubes[hi ^ lo] = _cube(hi ^ lo)
+        return cube << lo
+
+
 def _combine_bits(
     d1: dict[int, float],
     d2: dict[int, float],
@@ -84,10 +171,9 @@ def _combine_bits(
     """Orthogonal sum on raw ``key -> mass`` tables.
 
     Keys merge by AND.  They are set bitmasks, where an empty intersection
-    is a conflict, or with ``clash`` term codes
-    (:meth:`~beliefmc.logic._TermCodes.need`), where a merge is a conflict
-    when the key of the bigger table lacks a bit of ``clash(b1)`` for the
-    outcome ``b1`` of the smaller one.  Returns the unnormalized table of
+    is a conflict, or with ``clash`` term codes (:meth:`_TermCodes.need`),
+    where a merge is a conflict when the key of the bigger table lacks a
+    bit of ``clash(b1)`` for the outcome ``b1`` of the smaller one.  Returns the unnormalized table of
     merged keys and the conflict mass.  Caps raise ``ResourceLimitError``
     naming ``step``.
 
@@ -168,14 +254,14 @@ def _fold(
     as one scalar.  The fold stops once the table is empty.  ``outside=0``
     prunes nothing.
 
-    With ``outside=0`` on a problem that carries term codes (a translated
-    logic problem), the tables are keyed by code
-    (:class:`~beliefmc.logic._TermCodes`): the fold starts from the empty
-    term's code, and the final codes are expanded to their assignment sets
-    in insertion order.  Consistent codes and their sets correspond one to
-    one, merges to intersections and clashes to empty intersections, so
-    the steps, table sizes, products and sums are those of the fold over
-    the sets, and so is the returned table.
+    The keys are term codes when :meth:`_TermCodes.derive` finds one for
+    every focal set, and set bitmasks otherwise.  With codes, each source's
+    table is rekeyed entry by entry, the fold starts from the whole frame's
+    code, an entry is expanded to its set where pruning tests it, and the
+    final codes are expanded in insertion order.  Codes and their sets
+    correspond one to one, merges to intersections and clashes to empty
+    intersections, so the steps, table sizes, products and sums are those
+    of the fold over the sets, and so is the returned table.
 
     ``max_entries`` caps every table the fold holds, and ``deadline_s``
     bounds the whole fold in wall-clock seconds, checked at least once per
@@ -198,38 +284,35 @@ def _fold(
     for s in reversed(sources):
         held.append(held[-1] & reduce(and_, s.target_bits))
     held.reverse()
-    codes = None if outside else problem._term_codes
-    if codes is None:
-        tables = (mass_from_source(s).by_bits for s in sources)
-        acc: dict[int, float] = {problem.frame.full_bits: 1.0}
-        clash = None
-    else:
-        # a source's code table has one entry per distinct target set, so
-        # the stable sort keeps the set fold's order
-        tables = sorted(codes.tables, key=len)
+    tables = (mass_from_source(s).by_bits for s in sources)
+    acc = {problem.frame.full_bits: 1.0}
+    codes = _TermCodes.derive(problem.frame.size, sources)
+    if codes is not None:
+        tables = ({codes.of[b]: v for b, v in t.items()} for t in tables)
         acc = {codes.top: 1.0}
-        clash = codes.need
     total = survival = 1.0
     gone = 0.0
     dropped = 0
-    for i, by_bits in enumerate(tables):
+    for i, by_key in enumerate(tables):
         dead = outside & held[i]
         if dead != dropped:
             dropped = dead
-            gone += math.fsum([v for b, v in acc.items() if b & dead])
-            acc = {b: v for b, v in acc.items() if not b & dead}
+            keys = acc if codes is None else map(codes.subcube, acc)
+            keep = [not b & dead for b in keys]
+            gone += math.fsum(compress(acc.values(), map(not_, keep)))
+            acc = dict(compress(acc.items(), keep))
         if not acc:
             break
-        table = {b: v / total for b, v in by_bits.items()}
+        table = {b: v / total for b, v in by_key.items()}
         acc, conflict = _combine_bits(
             acc, table, max_entries=max_entries, deadline=deadline,
-            step=f"{label} step {i}", clash=clash,
+            step=f"{label} step {i}", clash=None if codes is None else codes.need,
         )
         gone /= total
         total = math.fsum(acc.values()) + gone
         survival *= total / (total + conflict)
     if codes is not None:
-        acc = codes.expand(acc)
+        acc = {codes.subcube(c): v for c, v in acc.items()}
     return acc, total, survival
 
 
@@ -247,9 +330,10 @@ def combine_all(
     not run again on a table the fold built.  ``conflict`` in the result is
     the overall conflict of the joint problem.
     ``max_entries`` and ``deadline_s`` are the fold's caps (see
-    :func:`_fold`, which also raises their ``ValueError``).  A translated
-    logic problem is folded over its term codes, to the table the fold over
-    its assignment sets would give.  Raises
+    :func:`_fold`, which also raises their ``ValueError``).  A problem
+    whose frame has ``2**k`` elements and whose focal sets are all
+    subcubes, such as a translated logic problem, is folded over term
+    codes, to the table the fold over its sets would give.  Raises
     ``TotalConflictError`` when the survival is at most
     :data:`CONFLICT_TOL`.  Cap errors name ``combine step i``, counted in
     fold order.

@@ -32,9 +32,9 @@ requests' shares in forked processes (:func:`mc._run`).
 
 Problems over few atoms translate exactly to set problems over the frame of
 truth assignments, which connects this estimator to the exact combiners.
-The translation also records each source's table keyed by term code
-(:class:`_TermCodes`), which :func:`~beliefmc.exact.combine_all` folds in
-place of the assignment sets.
+A term maps to a subcube of that frame, so the exact fold keys its tables
+by term code (:class:`~beliefmc.exact._TermCodes`) on every translated
+problem.
 """
 
 from __future__ import annotations
@@ -52,10 +52,10 @@ from .evidence import (
     FocalSet,
     Frame,
     MASS_TOL,
-    MassFunction,
     SourceModel,
     _cumulative,
 )
+from .exact import _cube
 from .mc import TrialEngineConfig, _add_hits, _byte_lanes, _cuts, _element_bytes, _run, sd_bound
 
 #: Widest assignment frame the exact translation will build (2**16 elements).
@@ -492,9 +492,9 @@ class AssignmentSpace:
 
     Element ``a`` is the assignment whose bit ``i`` (and character ``i`` of
     its label) gives the truth value of atom ``i``.  A consistent term maps
-    to a subcube of this frame (:meth:`term_focal`); the exact fold of a
-    translated problem keys the same subcubes by term code instead
-    (:class:`_TermCodes`).
+    to a subcube of this frame (:meth:`term_focal`), so the exact fold of a
+    translated problem keys its tables by term code
+    (:class:`~beliefmc.exact._TermCodes`).
     """
 
     atoms: tuple[str, ...]
@@ -516,20 +516,10 @@ class AssignmentSpace:
 
     @cached_property
     def _true_bits(self) -> dict[str, int]:
-        """Per atom, the assignments that make it true: for atom ``i``, a
-        block of ``2**i`` set bits above ``2**i`` clear ones, repeated with
-        period ``2**(i + 1)`` by doubling up to the frame's ``2**k`` bits."""
-        size = 1 << len(self.atoms)
-        out = {}
-        for i, atom in enumerate(self.atoms):
-            half = 1 << i
-            bits = ((1 << half) - 1) << half
-            period = half << 1
-            while period < size:
-                bits |= bits << period
-                period <<= 1
-            out[atom] = bits
-        return out
+        """Per atom, the assignments that make it true: for atom ``i``, the
+        subcube free in every other atom, shifted to set bit ``i``."""
+        k = len(self.atoms)
+        return {a: _cube(((1 << k) - 1) ^ 1 << i) << (1 << i) for i, a in enumerate(self.atoms)}
 
     def literal_bits(self, lit: Literal) -> int:
         """The assignments satisfying ``lit``, as a mask over the frame's
@@ -552,52 +542,6 @@ class AssignmentSpace:
         return FocalSet(self.frame, bits)
 
 
-@dataclass(frozen=True, eq=False)
-class _TermCodes:
-    """A translated problem's sources as mass tables keyed by term code.
-
-    In a code over ``k`` atoms, atom ``i`` owns bit ``2i`` ("may be true")
-    and bit ``2i + 1`` ("may be false").  The empty term, ``top``, has all
-    ``2k`` bits set, and a literal clears the bit it rules out, so AND
-    merges two terms and an atom with both bits clear is a clash; ``clash``
-    holds the ``2i`` bits.  Consistent codes map one-to-one onto the
-    assignment frame's subcubes, with AND onto intersection and a clash
-    onto the empty set, so a fold over the codes has the order, sizes and
-    sums of the fold over the subcubes' bitmasks.
-
-    ``tables[j]`` is source ``j``'s table in problem order, merged and
-    normalized as :func:`~beliefmc.evidence.mass_from_source` does for its
-    subcubes.  ``ruled_out[b]`` is the subcube of bit ``b``'s atom taking
-    the other value, and ``full`` the mask of every assignment.
-    """
-
-    tables: tuple[dict[int, float], ...]
-    top: int
-    clash: int
-    ruled_out: tuple[int, ...]
-    full: int
-
-    def need(self, code: int) -> int:
-        """The bits a code must keep to merge with ``code`` without a
-        clash: for each atom, the bit opposite the one ``code`` clears."""
-        cleared = self.top ^ code
-        return (cleared & self.clash) << 1 | cleared >> 1 & self.clash
-
-    def expand(self, table: dict[int, float]) -> dict[int, float]:
-        """``table`` keyed by each consistent code's subcube, as a mask over
-        the assignments, in the same order."""
-        out = {}
-        for code, v in table.items():
-            bits = self.full
-            cleared = self.top ^ code
-            while cleared:
-                low = cleared & -cleared
-                bits &= self.ruled_out[low.bit_length() - 1]
-                cleared ^= low
-            out[bits] = v
-        return out
-
-
 def translate_to_set_problem(problem: LogicProblem) -> EvidenceProblem:
     """Recast a logic problem over the assignment frame.
 
@@ -607,12 +551,9 @@ def translate_to_set_problem(problem: LogicProblem) -> EvidenceProblem:
     A problem that ``validate_logic_problem`` has not passed yet is checked
     first.  The result is valid by construction (a consistent term over
     declared atoms holds in some assignment), so it is returned marked as
-    validated and the exact fold does not check it again.
-
-    The result also carries its sources' term-code tables
-    (:class:`_TermCodes`), which :func:`~beliefmc.exact.combine_all` folds
-    in place of the assignment sets.  They are not a field, so the result
-    equals, and hashes as, the same frame and sources built directly.
+    validated and the exact fold does not check it again.  Its focal sets
+    are subcubes, so the fold keys them by term code; the same frame and
+    sources built directly fold the same way.
     """
     if not problem._valid:
         report = validate_logic_problem(problem)
@@ -626,23 +567,6 @@ def translate_to_set_problem(problem: LogicProblem) -> EvidenceProblem:
         )
         for source in problem.sources
     )
-    index = {a: 2 * i for i, a in enumerate(problem.atoms)}
-    top = (1 << 2 * len(index)) - 1
-    tables = []
-    for source in problem.sources:
-        entries: dict[int, float] = {}
-        for p, t in source.outcomes:
-            code = top ^ sum(1 << index[l.atom] + l.positive for l in t.literals)
-            entries[code] = entries.get(code, 0.0) + p
-        tables.append(MassFunction._normalized(entries, math.fsum(entries.values())))
-    full = space.frame.full_bits
     translated = EvidenceProblem(space.frame, sources)
     object.__setattr__(translated, "_valid", True)
-    object.__setattr__(translated, "_term_codes", _TermCodes(
-        tables=tuple(tables),
-        top=top,
-        clash=top // 3,
-        ruled_out=tuple(b for t in space._true_bits.values() for b in (full ^ t, t)),
-        full=full,
-    ))
     return translated

@@ -4,10 +4,12 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import json
 import os
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
@@ -591,6 +593,21 @@ class TestBench:
     def test_zero_reps_rejected(self, capsys):
         assert main(["bench", "--sizes", "4", "--reps", "0"]) == 2
         assert "repetitions" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("step_s, folds", [(0.001, 3), (1.0, 1)])
+    def test_a_slow_exact_fold_is_timed_once(self, monkeypatch, step_s, folds):
+        # every clock reading is step_s after the last, so every timed run
+        # takes step_s; a first fold of 1 s or more is not repeated
+        import beliefmc.bench as bench
+
+        clock = itertools.count(0.0, step_s)
+        monkeypatch.setattr(bench, "time", types.SimpleNamespace(perf_counter=lambda: next(clock)))
+        calls = []
+        combine = bench.combine_all
+        monkeypatch.setattr(bench, "combine_all", lambda *a, **k: calls.append(a) or combine(*a, **k))
+        report = bench.run_bench([2], [4], trials=50, repetitions=3)
+        assert len(calls) == folds
+        assert report.cells[0].exact_wall_ms == pytest.approx(step_s * 1e3)
 
 
 def test_module_entry_point(set_file):

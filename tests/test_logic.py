@@ -9,6 +9,7 @@ import os
 import random
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -16,16 +17,20 @@ from hypothesis import strategies as st
 
 from beliefmc import (
     AssignmentSpace,
+    BeliefMCError,
     ClauseBatchEstimate,
     ClauseQuery,
     EvidenceProblem,
     ExcessiveConflictError,
+    FocalSet,
+    Frame,
     FrameTooLargeError,
     InvalidProblemError,
     Literal,
     LogicProblem,
     LogicSource,
     ResourceLimitError,
+    SourceModel,
     TermSet,
     TotalConflictError,
     TrialEngineConfig,
@@ -37,6 +42,7 @@ from beliefmc import (
     logic_estimate,
     parse_problem,
     render_problem,
+    simple_support,
     translate_to_set_problem,
     validate_logic_problem,
 )
@@ -986,79 +992,166 @@ def bench_logic_problem(name: str) -> LogicProblem:
     return parse_problem((BENCH_DATA / f"{name}.bel").read_text())
 
 
-def set_copy(translated: EvidenceProblem) -> EvidenceProblem:
-    """The translated problem built again from its frame and sources,
-    without the term codes, so its fold runs over the assignment sets."""
-    return EvidenceProblem(translated.frame, translated.sources)
+def set_fold():
+    """Make the exact fold decline term codes, so it folds focal-set
+    bitmasks: the reference the code fold must match bit for bit."""
+    return mock.patch.object(exact._TermCodes, "derive", return_value=None)
 
 
-def combined_or_none(problem: EvidenceProblem):
-    """``combine_all``'s table as a list (values and key order) and its
-    conflict, or ``None`` on total conflict."""
+def outcome(f):
+    """``f()``, or the type and message of the error it raises."""
     try:
-        result = combine_all(problem)
-    except TotalConflictError:
-        return None
-    return list(result.combined.by_bits.items()), result.conflict
+        return f()
+    except BeliefMCError as e:
+        return type(e).__name__, str(e)
+
+
+def exact_views(problem: EvidenceProblem, query: FocalSet, cap: int) -> tuple:
+    """Every exact answer on ``problem``: ``combine_all``'s table (values
+    and key order) and conflict, ``conflict_exact`` and
+    ``exact_belief_enumeration`` of ``query``, all three with the entry cap
+    ``cap``, and the two views that take a deadline at a zero deadline."""
+
+    def combined(**caps):
+        result = combine_all(problem, **caps)
+        return list(result.combined.by_bits.items()), result.conflict
+
+    with mock.patch.object(exact, "DEFAULT_MAX_ENTRIES", cap):
+        return (
+            outcome(lambda: combined(max_entries=cap)),
+            outcome(lambda: conflict_exact(problem)),
+            outcome(lambda: exact_belief_enumeration(problem, query)),
+            outcome(lambda: combined(deadline_s=0.0)),
+            outcome(lambda: conflict_exact(problem, deadline_s=0.0)),
+        )
+
+
+@pytest.fixture
+def clashes(monkeypatch) -> list:
+    """The ``clash`` argument of every product-loop call: ``None`` when the
+    fold runs over sets, a code's merge test when it runs over codes."""
+    seen = []
+    combine = exact._combine_bits
+
+    def spy(*args, **kwargs):
+        seen.append(kwargs["clash"])
+        return combine(*args, **kwargs)
+
+    monkeypatch.setattr(exact, "_combine_bits", spy)
+    return seen
+
+
+def fold_encodings(clashes: list, problem: EvidenceProblem) -> list[set[bool]]:
+    """Per exact view of ``problem``, whether its product loops folded
+    codes."""
+    query = problem.frame.from_bits(problem.frame.full_bits >> 1)
+    out = []
+    for view in (combine_all, conflict_exact, lambda p: exact_belief_enumeration(p, query)):
+        clashes.clear()
+        view(problem)
+        out.append({c is not None for c in clashes})
+    return out
 
 
 class TestTermFold:
-    """``combine_all`` folds a translated problem's term codes; every other
-    fold runs over the assignment sets, and the answers are the same."""
+    """The exact fold keys its tables by term code exactly when the frame
+    has ``2**k`` elements (``k >= 1``) and every focal set is a subcube,
+    and the answers are those of the fold over the sets."""
 
     def test_code_format(self):
         problem = LogicProblem(
             ("p", "q"),
             (LogicSource(((0.5, TermSet.of("p", "!q")), (0.25, TermSet()),
-                          (0.25, TermSet.of("!q", "p")))),),
+                          (0.25, TermSet.of("!p")))),),
         )
-        codes = translate_to_set_problem(problem)._term_codes
-        # p owns bits 0 (may be true) and 1 (may be false), q bits 2 and 3;
-        # the repeated term merges
-        assert codes.tables == ({0b1001: 0.75, 0b1111: 0.25},)
-        assert (codes.top, codes.clash) == (0b1111, 0b0101)
+        translated = translate_to_set_problem(problem)
+        codes = exact._TermCodes.derive(4, translated.sources)
+        # p is dimension 0, q dimension 1; bit i says "may be true" and bit
+        # 2 + i "may be false".  [p !q] is element 1, [!p] elements 0 and 2
+        assert codes.of == {0b0010: 0b1001, 0b1111: 0b1111, 0b0101: 0b1110}
+        assert (codes.k, codes.top) == (2, 0b1111)
         # a code merging with [p !q] must keep "p may be true" and "q may
         # be false"; anything merges with the empty term
         assert (codes.need(0b1001), codes.need(0b1111)) == (0b1001, 0)
-        # assignment "10" (p true, q false) is element 1; the empty term is
-        # the whole frame
-        expanded = codes.expand({0b1001: 0.5, 0b1111: 0.25, 0b1110: 0.25})
-        assert list(expanded.items()) == [(0b0010, 0.5), (0b1111, 0.25), (0b0101, 0.25)]
+        assert [codes.subcube(c) for c in codes.of.values()] == list(codes.of)
 
-    @given(logic_problems(), st.integers(0, 2**32 - 1))
-    @example(bench_logic_problem("l10a40"), 0)
-    @example(bench_logic_problem("l10a50"), 0)
-    @example(bench_logic_problem("l12a50"), 0)
-    @example(bench_logic_problem("l12a60"), 0)
-    @settings(max_examples=150, deadline=None)
-    def test_matches_the_set_fold_and_the_oracle(self, problem, seed):
+    @given(logic_problems())
+    @settings(max_examples=100, deadline=None)
+    def test_codes_are_the_terms(self, problem):
         translated = translate_to_set_problem(problem)
-        got = combined_or_none(translated)
-        assert got == combined_or_none(set_copy(translated))
-        # the oracle enumerates joint outcomes, so it checks small problems
-        if got is None or math.prod(len(s.outcomes) for s in problem.sources) > 1000:
-            return
+        codes = exact._TermCodes.derive(translated.frame.size, translated.sources)
+        k = len(problem.atoms)
+        index = {a: i for i, a in enumerate(problem.atoms)}
+        terms = {}
+        for source, lifted in zip(problem.sources, translated.sources):
+            for (_, term), (_, fs) in zip(source.outcomes, lifted.outcomes):
+                # a literal clears the bit of the value it rules out
+                code = codes.top
+                for l in term:
+                    code ^= 1 << index[l.atom] + k * l.positive
+                assert codes.of[fs.bits] == code
+                assert codes.subcube(code) == fs.bits
+                terms[code] = fs.bits
+        # AND merges codes as intersection merges sets, and the merge test
+        # finds the clashes
+        for c1, b1 in terms.items():
+            for c2, b2 in terms.items():
+                clash = c2 & codes.need(c1) != codes.need(c1)
+                assert clash == (not b1 & b2)
+                if not clash:
+                    assert codes.subcube(c1 & c2) == b1 & b2
+
+    @given(logic_problems(), st.integers(0, 2**32 - 1), st.sampled_from([1, 3, 50, 1 << 20]))
+    @example(bench_logic_problem("l10a40"), 0, 1 << 20)
+    @example(bench_logic_problem("l10a50"), 0, 1 << 20)
+    @example(bench_logic_problem("l12a50"), 0, 1 << 20)
+    @example(bench_logic_problem("l12a60"), 0, 1 << 20)
+    @settings(max_examples=150, deadline=None)
+    def test_matches_the_set_fold_and_the_oracle(self, problem, seed, cap):
+        translated = translate_to_set_problem(problem)
         clause = random_clause(seed, problem.atoms)
+        query = AssignmentSpace(problem.atoms).clause_focal(clause)
+        got = exact_views(translated, query, cap)
+        with set_fold():
+            assert got == exact_views(translated, query, cap)
+        # the oracle enumerates joint outcomes, so it checks small problems
+        if isinstance(got[0][0], str) or math.prod(len(s.outcomes) for s in problem.sources) > 1000:
+            return
         want, _ = oracle_logic_bel(
             logic_problem_to_pairs(problem),
             frozenset((l.atom, l.positive) for l in clause.literals),
             clause.is_tautology,
         )
-        bel = bel_from_mass(
-            combine_all(translated).combined,
-            AssignmentSpace(problem.atoms).clause_focal(clause),
-        )
+        bel = bel_from_mass(combine_all(translated).combined, query)
         assert bel == pytest.approx(want, abs=1e-9)
 
     @pytest.mark.parametrize("cap", [1, 50, 300])
     def test_entry_cap_trips_at_the_same_step(self, cap):
         translated = translate_to_set_problem(bench_logic_problem("l10a40"))
-        messages = []
-        for problem in (translated, set_copy(translated)):
-            with pytest.raises(ResourceLimitError, match=r"combine step \d+: intermediate") as e:
-                combine_all(problem, max_entries=cap)
-            messages.append(str(e.value))
-        assert messages[0] == messages[1]
+        query = translated.frame.from_bits(translated.frame.full_bits >> 1)
+        got = exact_views(translated, query, cap)
+        assert all(
+            e[0] == "ResourceLimitError" and "intermediate table exceeded" in e[1]
+            for e in got[:3]
+        )
+        with set_fold():
+            assert got == exact_views(translated, query, cap)
+
+    def test_dust_outcome_keeps_the_set_fold_order(self):
+        # the second source's [!q] outcome is dust, so its table has one
+        # entry but two distinct targets, and it folds after the first source
+        problem = LogicProblem(("p", "q", "r"), (
+            LogicSource(((0.3, TermSet.of("q")), (0.7, TermSet.of("!r")))),
+            LogicSource(((1 - 1e-13, TermSet.of("p")), (1e-13, TermSet.of("!q")))),
+            LogicSource(((0.15, TermSet.of("r")), (0.35, TermSet.of("!p")), (0.5, TermSet()))),
+        ))
+        translated = translate_to_set_problem(problem)
+        with pytest.raises(ResourceLimitError) as e:
+            combine_all(translated, max_entries=1)
+        assert str(e.value) == "combine step 0: intermediate table exceeded 1 entries"
+        with set_fold(), pytest.raises(ResourceLimitError) as e_sets:
+            combine_all(translated, max_entries=1)
+        assert str(e_sets.value) == str(e.value)
 
     def test_zero_deadline_trips_before_any_product(self, monkeypatch):
         translated = translate_to_set_problem(bench_logic_problem("l10a40"))
@@ -1078,41 +1171,32 @@ class TestTermFold:
         assert captured.out == ""
         assert captured.err == "error: combine step 8: intermediate table exceeded 50 entries\n"
 
-    @given(logic_problems(), st.integers(0, 2**32 - 1))
-    @settings(max_examples=50, deadline=None)
-    def test_codes_are_not_part_of_the_problem(self, problem, seed):
-        translated = translate_to_set_problem(problem)
-        copy = set_copy(translated)
-        assert translated == copy
-        assert hash(translated) == hash(copy)
-        assert translated._term_codes is not None and copy._term_codes is None
-        assert conflict_exact(translated) == conflict_exact(copy)
-        query = AssignmentSpace(problem.atoms).clause_focal(random_clause(seed, problem.atoms))
-        answers = []
-        for p in (translated, copy):
-            try:
-                answers.append(exact_belief_enumeration(p, query))
-            except TotalConflictError:
-                answers.append(None)
-        assert answers[0] == answers[1]
-
-    def test_only_combine_all_on_a_translated_problem_folds_codes(
-        self, monkeypatch, two_ssf_problem, worked_logic_problem
-    ):
-        clashes = []
-        combine = exact._combine_bits
-
-        def spy(*args, **kwargs):
-            clashes.append(kwargs["clash"])
-            return combine(*args, **kwargs)
-
-        monkeypatch.setattr(exact, "_combine_bits", spy)
-        exact._fold(two_ssf_problem, 0, "combine", max_entries=exact.DEFAULT_MAX_ENTRIES)
+    def test_translated_problem_and_its_copy_fold_codes(self, clashes, worked_logic_problem):
         translated = translate_to_set_problem(worked_logic_problem)
-        conflict_exact(translated)
-        p = AssignmentSpace(worked_logic_problem.atoms).clause_focal(ClauseQuery.of("p"))
-        exact_belief_enumeration(translated, p)
-        assert clashes and set(clashes) == {None}
-        clashes.clear()
-        combine_all(translated)
-        assert clashes and None not in clashes
+        copy = EvidenceProblem(translated.frame, translated.sources)
+        assert fold_encodings(clashes, translated) == [{True}] * 3
+        assert fold_encodings(clashes, copy) == [{True}] * 3
+
+    def test_frame_not_a_power_of_two_folds_sets(self, clashes, two_ssf_problem):
+        assert two_ssf_problem.frame.size == 3
+        assert fold_encodings(clashes, two_ssf_problem) == [{False}] * 3
+
+    def test_one_set_not_a_subcube_folds_sets(self, clashes):
+        frame = Frame(("a", "b", "c", "d"))
+        halves = SourceModel(frame, ((0.5, frame.from_bits(0b0011)), (0.5, frame.from_bits(0b1100))))
+        subcube = simple_support(frame, frame.from_bits(0b1010), 0.6)
+        problem = EvidenceProblem(frame, (halves, subcube))
+        assert fold_encodings(clashes, problem) == [{True}] * 3
+        # elements 0 and 3 differ in both dimensions, so they span the frame
+        diagonal = simple_support(frame, frame.from_bits(0b1001), 0.5)
+        problem = EvidenceProblem(frame, (halves, subcube, diagonal))
+        assert exact._TermCodes.derive(4, problem.sources) is None
+        assert fold_encodings(clashes, problem) == [{False}] * 3
+
+    def test_one_element_frame_folds_sets(self, clashes):
+        # there k = 0, so the one code would be 0, the fold's conflict key
+        frame = Frame(("x",))
+        problem = EvidenceProblem(frame, (SourceModel(frame, ((1.0, frame.universe()),)),))
+        assert exact._TermCodes.derive(1, problem.sources) is None
+        assert combine_all(problem).conflict == 0.0
+        assert clashes == [None]
