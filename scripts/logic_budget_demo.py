@@ -11,8 +11,6 @@ envelope to a point estimate.
 from __future__ import annotations
 
 import argparse
-from functools import reduce
-from operator import or_
 
 from beliefmc import (
     AssignmentSpace,
@@ -54,10 +52,8 @@ def main() -> None:
     clause = parse_clause(args.clause)
     print(render_problem(problem))
 
-    space = AssignmentSpace(problem.atoms)
     translated = translate_to_set_problem(problem)
-    # The clause's mask over the translated frame, so one frame is built.
-    query = translated.frame.from_bits(reduce(or_, map(space.literal_bits, clause.literals)))
+    query = translated.frame.from_bits(AssignmentSpace(problem.atoms).clause_bits(clause))
     exact, conflict = exact_belief_enumeration(translated, query)
     print(f"translated exact: Bel({clause}) = {exact:.6f}  (conflict {conflict:.4f})\n")
 

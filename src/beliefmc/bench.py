@@ -45,9 +45,6 @@ class BenchCell:
 class BenchReport:
     cells: tuple[BenchCell, ...]
     time_exponent: float | None
-    trials: int
-    seed: int
-    target_conflict: float
 
 
 CSV_COLUMNS = (
@@ -203,10 +200,4 @@ def run_bench(
         [float(c.source_count * c.element_count) for c in cells if c.mc_wall_ms > 0],
         [c.mc_wall_ms for c in cells if c.mc_wall_ms > 0],
     )
-    return BenchReport(
-        cells=tuple(cells),
-        time_exponent=fitted,
-        trials=trials,
-        seed=seed,
-        target_conflict=target_conflict,
-    )
+    return BenchReport(cells=tuple(cells), time_exponent=fitted)

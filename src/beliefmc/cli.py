@@ -20,7 +20,6 @@ import csv
 import functools
 import sys
 import time
-from operator import or_
 
 from .errors import (
     ExcessiveConflictError,
@@ -59,8 +58,11 @@ def _read_problem(path: str, *, want_logic: bool):
     return problem
 
 
-def _parse_clauses(problem: LogicProblem, texts: list[str]) -> list[ClauseQuery]:
-    """The clause queries ``texts``, each over the problem's declared atoms."""
+def _parse_clauses(problem: LogicProblem, texts: list[str] | None) -> list[ClauseQuery]:
+    """The clause queries ``texts``, each over the problem's declared atoms;
+    a logic problem has no default query, so an empty list is refused."""
+    if not texts:
+        raise ValueError("a logic problem needs at least one --query clause")
     clauses = [parse_clause(q) for q in texts]
     for c in clauses:
         for l in c.literals:
@@ -91,9 +93,6 @@ def cmd_estimate(args) -> int:
     problem = _read_problem(args.problem, want_logic=args.logic)
     cfg = _engine_config(args)
     if isinstance(problem, LogicProblem):
-        if not args.query:
-            print("error: logic estimation needs at least one --query clause", file=sys.stderr)
-            return 2
         queries = _parse_clauses(problem, args.query)
         results = logic_estimate(
             problem.sources, queries, cfg, step_budget=args.budget
@@ -121,8 +120,7 @@ def cmd_estimate(args) -> int:
         return 0
 
     if args.budget is not None:
-        print("error: --budget applies only to logic problems", file=sys.stderr)
-        return 2
+        raise ValueError("--budget applies only to logic problems")
     query_texts = args.query or ["*"]
     queries = [parse_query(problem.frame, q) for q in query_texts]
     results = estimate(problem, queries, cfg)
@@ -158,17 +156,10 @@ def cmd_estimate(args) -> int:
 def cmd_exact(args) -> int:
     problem = _read_problem(args.problem, want_logic=args.logic)
     if isinstance(problem, LogicProblem):
-        clauses = _parse_clauses(problem, args.query or [])
-        if not clauses:
-            print("error: logic mode needs at least one --query clause", file=sys.stderr)
-            return 2
+        clauses = _parse_clauses(problem, args.query)
         space = AssignmentSpace(problem.atoms)
         problem = translate_to_set_problem(problem)
-        # Clause masks over the translated frame, so one frame is built.
-        queries = [
-            problem.frame.from_bits(functools.reduce(or_, map(space.literal_bits, c.literals)))
-            for c in clauses
-        ]
+        queries = [problem.frame.from_bits(space.clause_bits(c)) for c in clauses]
         labels = [str(c) for c in clauses]
     else:
         query_texts = args.query or ["*"]
@@ -208,8 +199,7 @@ def cmd_conflict(args) -> int:
             print(f"kappa = {kappa:.7f} (exact)")
         return 0
     if args.time_cap is not None:
-        print("error: --time-cap applies only with --exact", file=sys.stderr)
-        return 2
+        raise ValueError("--time-cap applies only with --exact")
     cfg = _engine_config(args)
     if isinstance(problem, LogicProblem):
         restarts = logic_estimate(problem.sources, (), cfg).restarts

@@ -41,9 +41,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from itertools import accumulate, compress
-from operator import add, gt, sub
+from operator import add, gt, or_, sub
 from typing import Iterator, Sequence
 
 from .errors import FrameTooLargeError, InvalidProblemError
@@ -494,7 +494,9 @@ class AssignmentSpace:
     its label) gives the truth value of atom ``i``.  A consistent term maps
     to a subcube of this frame (:meth:`term_focal`), so the exact fold of a
     translated problem keys its tables by term code
-    (:class:`~beliefmc.exact._TermCodes`).
+    (:class:`~beliefmc.exact._TermCodes`).  Clause masks come from
+    :meth:`clause_bits`, which does not build the frame, so a caller that
+    holds a translated problem's frame builds no second one.
     """
 
     atoms: tuple[str, ...]
@@ -534,12 +536,14 @@ class AssignmentSpace:
             bits &= self.literal_bits(l)
         return FocalSet(self.frame, bits)
 
+    def clause_bits(self, clause: ClauseQuery) -> int:
+        """The assignments satisfying a disjunction, as a mask like
+        :meth:`literal_bits`; it does not build the frame."""
+        return reduce(or_, map(self.literal_bits, clause.literals))
+
     def clause_focal(self, clause: ClauseQuery) -> FocalSet:
         """Assignments satisfying a disjunction."""
-        bits = 0
-        for l in clause.literals:
-            bits |= self.literal_bits(l)
-        return FocalSet(self.frame, bits)
+        return FocalSet(self.frame, self.clause_bits(clause))
 
 
 def translate_to_set_problem(problem: LogicProblem) -> EvidenceProblem:

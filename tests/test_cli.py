@@ -129,12 +129,6 @@ class TestEstimate:
         assert main(argv) == 0
         assert capsys.readouterr().out == first
 
-    def test_budget_rejected_on_set_problem(self, set_file, capsys):
-        assert main([
-            "estimate", "--problem", set_file, "--budget", "5",
-        ]) == 2
-        assert "--budget" in capsys.readouterr().err
-
     def test_logic_flag_on_set_file(self, set_file, capsys):
         assert main(["estimate", "--problem", set_file, "--logic"]) == 2
         assert "set problem" in capsys.readouterr().err
@@ -153,11 +147,45 @@ class TestEstimate:
         assert "line 3, column 7" in capsys.readouterr().err
 
 
-class TestLogicEstimate:
-    def test_needs_query(self, logic_file, capsys):
-        assert main(["estimate", "--problem", logic_file]) == 2
-        assert "--query" in capsys.readouterr().err
+NO_CLAUSE = "a logic problem needs at least one --query clause"
 
+
+class TestRefusals:
+    @pytest.mark.parametrize(
+        "file, argv, message",
+        [
+            # both logic commands refuse a missing clause in the same words
+            *(
+                ("logic_file", [command, "--logic"], NO_CLAUSE)
+                for command in ("estimate", "exact")
+            ),
+            ("set_file", ["estimate", "--budget", "5"], "--budget applies only to logic problems"),
+            ("set_file", ["conflict", "--time-cap", "1"], "--time-cap applies only with --exact"),
+        ],
+    )
+    def test_one_error_line(self, request, capsys, file, argv, message):
+        path = request.getfixturevalue(file)
+        assert main([*argv, "--problem", path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
+    @pytest.mark.parametrize(
+        "argv", [["exact", "--logic", "--query", "[a0]"], ["conflict", "--exact", "--logic"]]
+    )
+    def test_translation_atom_cap(self, tmp_path, capsys, argv):
+        # a valid 17-atom file: the assignment frame would have 2**17 elements
+        path = tmp_path / "wide.lg"
+        path.write_text(
+            "atoms: " + " ".join(f"a{i}" for i in range(17)) + "\nsource:\n  1.0 []\n"
+        )
+        assert main([*argv, "--problem", str(path)]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "exceeds the 16-atom limit" in captured.err
+
+
+class TestLogicEstimate:
     def test_csv_bounds(self, logic_file, capsys):
         code = main([
             "estimate", "--problem", logic_file, "--csv",
@@ -242,9 +270,6 @@ class TestExact:
         assert rows[0]["belief"] == f"{7 / 13:.7f}"
         assert rows[1]["belief"] == f"{3 / 13:.7f}"
         assert rows[0]["conflict"] == "0.3500000"
-
-    def test_logic_needs_query(self, logic_file, capsys):
-        assert main(["exact", "--problem", logic_file]) == 2
 
     def test_logic_builds_one_frame(self, logic_file, capsys, monkeypatch):
         built = []

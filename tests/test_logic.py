@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import contextlib
 import io
+import itertools
 import math
 import os
 import random
@@ -943,6 +944,22 @@ class TestTranslation:
                 assert space.literal_bits(Literal(atom, False)) == (
                     space.frame.full_bits ^ truths
                 ), (k, i)
+        # every clause of up to three literals over at most four atoms
+        for k in range(1, 5):
+            space = AssignmentSpace(tuple(f"a{i}" for i in range(k)))
+            literals = [Literal(a, s) for a in space.atoms for s in (True, False)]
+            for size in range(1, 4):
+                for chosen in itertools.combinations(literals, size):
+                    clause = ClauseQuery(chosen)
+                    holds = sum(
+                        1 << a for a in range(1 << k)
+                        if any((a >> space.atoms.index(l.atom) & 1) == l.positive for l in chosen)
+                    )
+                    bits = space.clause_bits(clause)
+                    assert bits == holds, (k, clause)
+                    if clause.is_tautology:
+                        assert bits == space.frame.full_bits, (k, clause)
+                    assert space.clause_focal(clause).bits == bits, (k, clause)
 
     def test_empty_term_maps_to_frame(self):
         space = AssignmentSpace(("p", "q"))
