@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 
 from .errors import ExcessiveConflictError, ResourceLimitError, TotalConflictError
 from .evidence import bel_from_mass
-from .exact import combine_all
+from .exact import _deadline, combine_all
 from .mc import TrialEngineConfig, derive_stream_seed, estimate
 from .problem_io import tune_focus_density
 
@@ -123,10 +123,9 @@ def run_bench(
         raise ValueError(f"repetitions must be >= 1, got {repetitions}")
     if not 0.0 <= target_conflict < 1.0:
         raise ValueError(f"target conflict {target_conflict!r} outside [0, 1)")
-    # refuse bad arguments before tuning any cell, with the texts the fold
-    # and the config would give
-    if not exact_cap_s >= 0.0:
-        raise ValueError(f"time cap must be >= 0, got {exact_cap_s}")
+    # refuse bad arguments before tuning any cell, by the fold's and the
+    # config's own checks
+    _deadline(exact_cap_s)
     mc_cfg = TrialEngineConfig(trials=trials, worker_count=worker_count)
     cells: list[BenchCell] = []
     for m in source_counts:

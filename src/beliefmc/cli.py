@@ -30,7 +30,7 @@ from .errors import (
     TotalConflictError,
 )
 from .evidence import EvidenceProblem, bel_from_mass, validate_problem
-from .exact import DEFAULT_MAX_ENTRIES, combine_all, conflict_exact
+from .exact import combine_all, conflict_exact
 from .logic import (
     AssignmentSpace,
     ClauseQuery,
@@ -166,9 +166,7 @@ def cmd_exact(args) -> int:
         queries = [parse_query(problem.frame, q) for q in query_texts]
         labels = [str(q) for q in queries]
     t0 = time.perf_counter()
-    combo = combine_all(
-        problem, max_entries=args.max_entries, deadline_s=args.time_cap
-    )
+    combo = combine_all(problem, deadline_s=args.time_cap)
     wall_ms = (time.perf_counter() - t0) * 1e3
     beliefs = bel_from_mass(combo.combined, queries)
     if args.csv:
@@ -368,10 +366,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--problem", required=True)
     p.add_argument("--query", action="append", help="repeatable; default '*'")
     p.add_argument("--logic", action="store_true", help="require a logic problem file")
-    p.add_argument(
-        "--max-entries", type=int, default=DEFAULT_MAX_ENTRIES,
-        help="cap on intermediate focal-table entries",
-    )
     p.add_argument("--time-cap", type=float, default=None, help="wall-clock cap in seconds")
     p.add_argument("--csv", action="store_true")
     p.set_defaults(func=cmd_exact)

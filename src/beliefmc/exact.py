@@ -7,8 +7,9 @@ over the big table per outcome of the small one.  Before each step it drops
 the entries that hold an element outside the scored set that no later
 source can remove (the projection step of local propagation), and it stops
 when nothing is left.  The fold never visits joint outcomes, so its work is
-bounded by what its table holds: an entry cap, and a wall-clock deadline
-where a view takes one.  The public functions are three views of it:
+bounded by what its table holds: every view holds it to :data:`MAX_ENTRIES`
+entries, and two take a wall-clock deadline.  The public functions are
+three views of it:
 
 * :func:`combine_all` prunes nothing and returns the combined mass function;
 * :func:`exact_belief_enumeration` prunes against a query's complement and
@@ -28,8 +29,8 @@ the same cap errors, in all three views.
 
 All three read the conflict as one minus the fold's survival, and both
 belief views raise ``TotalConflictError`` when that survival is at most
-:data:`CONFLICT_TOL`.  The two enumeration views hold the table to
-:data:`DEFAULT_MAX_ENTRIES` entries.
+:data:`CONFLICT_TOL`.  Every view reports its cap errors as ``exact fold
+step i``, counted in fold order.
 """
 
 from __future__ import annotations
@@ -60,8 +61,8 @@ from .evidence import (
 #: Combination is undefined when the surviving mass drops to this level.
 CONFLICT_TOL = 1e-12
 
-#: Default cap on intermediate mass-table size during a fold.
-DEFAULT_MAX_ENTRIES = 1 << 20
+#: Cap on intermediate mass-table size during a fold, read at every call.
+MAX_ENTRIES = 1 << 20
 
 # How many products to run between deadline checks inside a fold step.
 _DEADLINE_STRIDE = 1 << 15
@@ -159,13 +160,23 @@ class _TermCodes:
         return cube << lo
 
 
+def _deadline(cap_s: float | None) -> float | None:
+    """The ``time.monotonic()`` reading ``cap_s`` seconds from now, or
+    ``None`` without a cap.  Raises ``ValueError`` for a negative or NaN
+    cap."""
+    if cap_s is None:
+        return None
+    if not cap_s >= 0.0:
+        raise ValueError(f"time cap must be >= 0, got {cap_s}")
+    return time.monotonic() + cap_s
+
+
 def _combine_bits(
     d1: dict[int, float],
     d2: dict[int, float],
     *,
-    max_entries: int | None = None,
     deadline: float | None = None,
-    step: str = "combine",
+    step: int = 0,
     clash: Callable[[int], int] | None = None,
 ) -> tuple[dict[int, float], float]:
     """Orthogonal sum on raw ``key -> mass`` tables.
@@ -173,9 +184,10 @@ def _combine_bits(
     Keys merge by AND.  They are set bitmasks, where an empty intersection
     is a conflict, or with ``clash`` term codes (:meth:`_TermCodes.need`),
     where a merge is a conflict when the key of the bigger table lacks a
-    bit of ``clash(b1)`` for the outcome ``b1`` of the smaller one.  Returns the unnormalized table of
-    merged keys and the conflict mass.  Caps raise ``ResourceLimitError``
-    naming ``step``.
+    bit of ``clash(b1)`` for the outcome ``b1`` of the smaller one.  Returns
+    the unnormalized table of merged keys and the conflict mass.  The table
+    is held to :data:`MAX_ENTRIES` entries; caps raise
+    ``ResourceLimitError`` naming ``exact fold step {step}``.
 
     Each outcome of the smaller table makes one pass over the bigger one.
     An outcome whose bits cover every key of the bigger table yields a
@@ -186,6 +198,7 @@ def _combine_bits(
     every chunk, the deadline before the first product and before each
     chunk that starts a stride, so every call checks it at least once.
     """
+    cap = MAX_ENTRIES
     small, big = (d1, d2) if len(d1) <= len(d2) else (d2, d1)
     cover = reduce(or_, big, 0)
     outer = sorted(small.items(), key=lambda item: item[0] & cover != cover)
@@ -200,7 +213,7 @@ def _combine_bits(
         left = len(big)
         while left:
             if not done and deadline is not None and time.monotonic() >= deadline:
-                raise ResourceLimitError(f"{step}: wall-clock cap exceeded")
+                raise ResourceLimitError(f"exact fold step {step}: wall-clock cap exceeded")
             n = min(left, _DEADLINE_STRIDE - done)
             chunk = islice(rows, n)
             if fresh:
@@ -215,20 +228,15 @@ def _combine_bits(
                     out[inter] = get(inter, 0.0) + v1 * v2
             left -= n
             done = (done + n) % _DEADLINE_STRIDE
-            if max_entries is not None and len(out) - (0 in out) > max_entries:
+            if len(out) - (0 in out) > cap:
                 raise ResourceLimitError(
-                    f"{step}: intermediate table exceeded {max_entries} entries"
+                    f"exact fold step {step}: intermediate table exceeded {cap} entries"
                 )
     return out, out.pop(0, 0.0)
 
 
 def _fold(
-    problem: EvidenceProblem,
-    outside: int,
-    label: str,
-    *,
-    max_entries: int,
-    deadline_s: float | None = None,
+    problem: EvidenceProblem, outside: int, *, deadline_s: float | None = None
 ) -> tuple[dict[int, float], float, float]:
     """Fold every source's table into one ``{non-empty intersection bits:
     mass}`` table; return ``(table, total, survival)``.
@@ -240,7 +248,7 @@ def _fold(
 
     Sources fold in ascending order of their merged table sizes, ties in
     problem order, starting from the vacuous table ``{frame: 1}``; step i
-    (``"{label} step {i}"`` in cap errors) multiplies in the i-th source in
+    (``exact fold step i`` in cap errors) multiplies in the i-th source in
     that order.  A step costs the running table's size times the source's
     table size, and a source of k entries can multiply the running table
     by up to k, so the small sources go first.  Each source's table is
@@ -263,18 +271,13 @@ def _fold(
     intersections, so the steps, table sizes, products and sums are those
     of the fold over the sets, and so is the returned table.
 
-    ``max_entries`` caps every table the fold holds, and ``deadline_s``
-    bounds the whole fold in wall-clock seconds, checked at least once per
-    step.  Raises ``ValueError`` when ``max_entries`` is below 1 or
-    ``deadline_s`` is negative or NaN.  A problem that ``validate_problem``
-    has not passed yet is checked next
-    (:func:`~beliefmc.evidence.require_valid`).
+    :data:`MAX_ENTRIES` caps every table the fold holds, and
+    ``deadline_s`` bounds the whole fold in wall-clock seconds, checked at
+    least once per step (:func:`_deadline` refuses a negative or NaN one
+    with ``ValueError``).  A problem that ``validate_problem`` has not
+    passed yet is checked next (:func:`~beliefmc.evidence.require_valid`).
     """
-    if max_entries < 1:
-        raise ValueError(f"max entries must be >= 1, got {max_entries}")
-    if deadline_s is not None and not deadline_s >= 0.0:
-        raise ValueError(f"time cap must be >= 0, got {deadline_s}")
-    deadline = None if deadline_s is None else time.monotonic() + deadline_s
+    deadline = _deadline(deadline_s)
     if not problem._valid:
         require_valid(problem)
     sources = sorted(problem.sources, key=lambda s: len(set(s.target_bits)))
@@ -305,8 +308,8 @@ def _fold(
             break
         table = {b: v / total for b, v in by_key.items()}
         acc, conflict = _combine_bits(
-            acc, table, max_entries=max_entries, deadline=deadline,
-            step=f"{label} step {i}", clash=None if codes is None else codes.need,
+            acc, table, deadline=deadline, step=i,
+            clash=None if codes is None else codes.need,
         )
         gone /= total
         total = math.fsum(acc.values()) + gone
@@ -317,10 +320,7 @@ def _fold(
 
 
 def combine_all(
-    problem: EvidenceProblem,
-    *,
-    max_entries: int = DEFAULT_MAX_ENTRIES,
-    deadline_s: float | None = None,
+    problem: EvidenceProblem, *, deadline_s: float | None = None
 ) -> CombinationResult:
     """Fold all source mass functions into one combined mass function.
 
@@ -328,21 +328,17 @@ def combine_all(
     below :data:`~beliefmc.evidence.MASS_DUST` are dropped as the
     ``MassFunction`` constructor drops them; the constructor's checks are
     not run again on a table the fold built.  ``conflict`` in the result is
-    the overall conflict of the joint problem.
-    ``max_entries`` and ``deadline_s`` are the fold's caps (see
-    :func:`_fold`, which also raises their ``ValueError``).  A problem
-    whose frame has ``2**k`` elements and whose focal sets are all
-    subcubes, such as a translated logic problem, is folded over term
-    codes, to the table the fold over its sets would give.  Raises
-    ``TotalConflictError`` when the survival is at most
-    :data:`CONFLICT_TOL`.  Cap errors name ``combine step i``, counted in
-    fold order.
+    the overall conflict of the joint problem.  ``deadline_s`` is the
+    fold's wall-clock cap (see :func:`_fold`).  A problem whose frame has
+    ``2**k`` elements and whose focal sets are all subcubes, such as a
+    translated logic problem, is folded over term codes, to the table the
+    fold over its sets would give.  Raises ``ResourceLimitError`` when a
+    cap trips, and ``TotalConflictError`` when the survival is at most
+    :data:`CONFLICT_TOL`.
     """
-    acc, total, survival = _fold(
-        problem, 0, "combine", max_entries=max_entries, deadline_s=deadline_s
-    )
+    acc, total, survival = _fold(problem, 0, deadline_s=deadline_s)
     if survival <= CONFLICT_TOL:
-        raise TotalConflictError("combine: total conflict, combination undefined")
+        raise TotalConflictError("exact fold: total conflict, combination undefined")
     return CombinationResult(
         MassFunction._from_table(problem.frame, acc, total), 1.0 - survival
     )
@@ -355,16 +351,14 @@ def exact_belief_enumeration(
     pruned against ``b``'s complement.
 
     Raises ``ResourceLimitError`` when the table exceeds
-    :data:`DEFAULT_MAX_ENTRIES` entries, and ``TotalConflictError`` when
-    the survival is at most :data:`CONFLICT_TOL`."""
+    :data:`MAX_ENTRIES` entries, and ``TotalConflictError`` when the
+    survival is at most :data:`CONFLICT_TOL`."""
     if b.frame != problem.frame:
         raise FrameMismatchError("query set from a different frame")
     outside = problem.frame.full_bits ^ b.bits
-    acc, total, survival = _fold(
-        problem, outside, "exact enumeration", max_entries=DEFAULT_MAX_ENTRIES
-    )
+    acc, total, survival = _fold(problem, outside)
     if survival <= CONFLICT_TOL:
-        raise TotalConflictError("exact enumeration: total conflict, combination undefined")
+        raise TotalConflictError("exact fold: total conflict, combination undefined")
     return _mass_within(acc, outside) / total, 1.0 - survival
 
 
@@ -375,10 +369,7 @@ def conflict_exact(
     by the fold pruned against the whole frame.
 
     Raises ``ResourceLimitError`` when the table exceeds
-    :data:`DEFAULT_MAX_ENTRIES` entries or the fold outlasts ``deadline_s``
+    :data:`MAX_ENTRIES` entries or the fold outlasts ``deadline_s``
     seconds, and ``ValueError`` for a negative or NaN ``deadline_s``."""
-    _, _, survival = _fold(
-        problem, problem.frame.full_bits, "exact enumeration",
-        max_entries=DEFAULT_MAX_ENTRIES, deadline_s=deadline_s,
-    )
+    _, _, survival = _fold(problem, problem.frame.full_bits, deadline_s=deadline_s)
     return 1.0 - survival

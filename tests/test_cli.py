@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from beliefmc import Frame, parse_problem
+from beliefmc import Frame, exact, parse_problem
 from beliefmc.cli import main
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -286,19 +286,16 @@ class TestExact:
         assert "Bel([p]) = 0.5384615" in capsys.readouterr().out
         assert len(built) == 1
 
-    def test_entry_cap_exit_code(self, tmp_path, capsys):
+    def test_entry_cap_exit_code(self, tmp_path, capsys, monkeypatch):
         path = tmp_path / "wide.bel"
         path.write_text(WIDE_FOLD)
-        assert main([
-            "exact", "--problem", str(path), "--max-entries", "4",
-        ]) == 4
+        monkeypatch.setattr(exact, "MAX_ENTRIES", 4)
+        assert main(["exact", "--problem", str(path)]) == 4
         assert "error:" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "command, cap",
         [
-            (("exact",), ("--max-entries", "0")),
-            (("exact",), ("--max-entries", "-1")),
             *(
                 (command, cap)
                 for command in (("exact",), ("conflict", "--exact"))
@@ -323,6 +320,52 @@ class TestExact:
         path = tmp_path / "tc.bel"
         path.write_text(TOTAL_CONFLICT)
         assert main(["exact", "--problem", str(path)]) == 3
+
+
+L10A40 = str(BENCH_DATA / "l10a40.bel")
+TIME_CAP_ERROR = "error: time cap must be >= 0, got -1.0"
+
+
+@pytest.mark.parametrize(
+    "argv, code, last_line",
+    [
+        # both exact requests trip the one entry cap under one label, on a
+        # fold over sets and on a fold over term codes
+        *(
+            (argv, 4, f"error: exact fold step {step}: intermediate table exceeded 50 entries")
+            for argv, step in (
+                (["exact", "--problem", "LONG"], 5),
+                (["conflict", "--exact", "--problem", "LONG"], 5),
+                (["exact", "--logic", "--problem", L10A40, "--query", "[a1 a6]"], 8),
+                (["conflict", "--exact", "--logic", "--problem", L10A40], 8),
+            )
+        ),
+        # neither request takes an entry-cap option
+        *(
+            (
+                [*command, "--problem", "LONG", "--max-entries", "4"], 2,
+                "beliefmc: error: unrecognized arguments: --max-entries 4",
+            )
+            for command in (["exact"], ["conflict", "--exact"])
+        ),
+        # one time-cap rule, one message
+        (["exact", "--problem", "LONG", "--time-cap", "-1"], 2, TIME_CAP_ERROR),
+        (["bench", "--sizes", "3", "--exact-cap", "-1"], 2, TIME_CAP_ERROR),
+    ],
+)
+def test_one_cap_contract(tmp_path, capsys, monkeypatch, argv, code, last_line):
+    path = tmp_path / "long.bel"
+    path.write_text(LONG_FOLD)
+    monkeypatch.setattr(exact, "MAX_ENTRIES", 50)
+    try:
+        got = main([str(path) if a == "LONG" else a for a in argv])
+    except SystemExit as e:  # argparse refuses an unknown option itself
+        got = e.code
+    assert got == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("error:") == 1
+    assert captured.err.splitlines()[-1] == last_line
 
 
 def bench_fixture(name: str) -> dict:

@@ -57,7 +57,7 @@ def assert_fold_finish_matches_constructor(problem: EvidenceProblem) -> MassFunc
     """``combine_all``'s mass function equals the public constructor's
     normalization of the fold's table divided by its total, to 1e-15 per
     entry, with the same entries kept."""
-    acc, total, _ = exact._fold(problem, 0, "combine", max_entries=exact.DEFAULT_MAX_ENTRIES)
+    acc, total, _ = exact._fold(problem, 0)
     want = MassFunction(problem.frame, {b: v / total for b, v in acc.items()}).by_bits
     got = combine_all(problem).combined
     assert got.by_bits.keys() == want.keys()
@@ -318,7 +318,7 @@ class TestCombineAll:
                 simple_support(frame, subset(frame, "yz"), 1e-7),
             ),
         )
-        acc, total, _ = exact._fold(problem, 0, "combine", max_entries=exact.DEFAULT_MAX_ENTRIES)
+        acc, total, _ = exact._fold(problem, 0)
         assert acc[0b010] / total < MASS_DUST
         got = assert_fold_finish_matches_constructor(problem).by_bits
         assert 0b010 not in got and len(got) == len(acc) - 1
@@ -332,14 +332,15 @@ class TestCombineAll:
         with pytest.raises(InvalidProblemError):
             combine_all(EvidenceProblem(frame, (bad,)))
 
-    def test_entry_cap_names_the_step(self):
+    def test_entry_cap_names_the_step(self, monkeypatch):
         frame = Frame(tuple(f"e{i}" for i in range(8)))
         sources = tuple(
             simple_support(frame, FocalSet(frame, frame.full_bits ^ (1 << i)), 0.5)
             for i in range(8)
         )
-        with pytest.raises(ResourceLimitError, match="combine step"):
-            combine_all(EvidenceProblem(frame, sources), max_entries=4)
+        monkeypatch.setattr(exact, "MAX_ENTRIES", 4)
+        with pytest.raises(ResourceLimitError, match="exact fold step"):
+            combine_all(EvidenceProblem(frame, sources))
 
     def test_deadline_cap(self, two_ssf_problem):
         # a generous deadline does not interfere
@@ -351,7 +352,7 @@ class TestCombineAll:
         # in all, more than _DEADLINE_STRIDE; a 0 s cap trips at step 0
         problem = complement_supports(16)
         assert sum(2 ** (i + 1) for i in range(1, 16)) > exact._DEADLINE_STRIDE
-        with pytest.raises(ResourceLimitError, match=r"combine step \d+: wall-clock cap"):
+        with pytest.raises(ResourceLimitError, match=r"exact fold step \d+: wall-clock cap"):
             combine_all(problem, deadline_s=0.0)
 
     @pytest.mark.parametrize("view", sorted(DEADLINE_VIEWS))
@@ -381,20 +382,16 @@ class TestCombineAll:
         clock = iter([0.0, 0.0, 2.0])
         monkeypatch.setattr(exact, "_DEADLINE_STRIDE", 4)
         monkeypatch.setattr(exact, "time", SimpleNamespace(monotonic=clock.__next__))
-        with pytest.raises(ResourceLimitError, match="combine step 0: wall-clock cap"):
+        with pytest.raises(ResourceLimitError, match="exact fold step 0: wall-clock cap"):
             combine_all(EvidenceProblem(frame, (source,)), deadline_s=1.0)
         assert next(clock, None) is None
 
     @pytest.mark.parametrize(
         "view, caps",
         [
-            ("combine_all", {"max_entries": 0}),
-            ("combine_all", {"max_entries": -1}),
-            *(
-                (view, {"deadline_s": d})
-                for view in sorted(DEADLINE_VIEWS)
-                for d in (math.nan, -1.0)
-            ),
+            (view, {"deadline_s": d})
+            for view in sorted(DEADLINE_VIEWS)
+            for d in (math.nan, -1.0)
         ],
     )
     def test_invalid_caps_rejected(self, two_ssf_problem, view, caps):
@@ -407,12 +404,13 @@ class TestCombineAll:
         # other outcome's pass adds 128 new entries; with a stride of 4 the
         # cap of 130 is consulted, and trips, a few products into that pass.
         monkeypatch.setattr(exact, "_DEADLINE_STRIDE", 4)
+        monkeypatch.setattr(exact, "MAX_ENTRIES", 130)
         problem = complement_supports(8)
         with pytest.raises(
             ResourceLimitError,
-            match="combine step 7: intermediate table exceeded 130 entries",
+            match="exact fold step 7: intermediate table exceeded 130 entries",
         ):
-            combine_all(problem, max_entries=130)
+            combine_all(problem)
 
     def test_total_conflict(self):
         frame = Frame(("x1", "x2"))
@@ -556,13 +554,13 @@ class TestEnumeration:
         frame = problem.frame
         twice = EvidenceProblem(frame, problem.sources * 2)
         want = oracle_problem_bel(problem, frame.universe())[1]
-        monkeypatch.setattr(exact, "DEFAULT_MAX_ENTRIES", 4)
+        monkeypatch.setattr(exact, "MAX_ENTRIES", 4)
         # the universe query has nothing outside it, so nothing is pruned
-        with pytest.raises(ResourceLimitError, match="exact enumeration step"):
+        with pytest.raises(ResourceLimitError, match="exact fold step"):
             exact_belief_enumeration(problem, frame.universe())
         # twice over, no element is fixed before the last eight steps, so
         # the table doubles past the cap before any pruning
-        with pytest.raises(ResourceLimitError, match="exact enumeration step"):
+        with pytest.raises(ResourceLimitError, match="exact fold step"):
             conflict_exact(twice)
         # once over, element i is fixed after source i, its only remover:
         # every entry still holding it is pruned and the table stays small
@@ -579,7 +577,7 @@ class TestEnumeration:
                 for i in range(8)
             ),
         )
-        monkeypatch.setattr(exact, "DEFAULT_MAX_ENTRIES", 1)
+        monkeypatch.setattr(exact, "MAX_ENTRIES", 1)
         assert conflict_exact(problem) == 0.0
 
     def test_pruned_sweep_matches_oracle(self):

@@ -1033,9 +1033,9 @@ def exact_views(problem: EvidenceProblem, query: FocalSet, cap: int) -> tuple:
         result = combine_all(problem, **caps)
         return list(result.combined.by_bits.items()), result.conflict
 
-    with mock.patch.object(exact, "DEFAULT_MAX_ENTRIES", cap):
+    with mock.patch.object(exact, "MAX_ENTRIES", cap):
         return (
-            outcome(lambda: combined(max_entries=cap)),
+            outcome(combined),
             outcome(lambda: conflict_exact(problem)),
             outcome(lambda: exact_belief_enumeration(problem, query)),
             outcome(lambda: combined(deadline_s=0.0)),
@@ -1163,30 +1163,21 @@ class TestTermFold:
             LogicSource(((0.15, TermSet.of("r")), (0.35, TermSet.of("!p")), (0.5, TermSet()))),
         ))
         translated = translate_to_set_problem(problem)
-        with pytest.raises(ResourceLimitError) as e:
-            combine_all(translated, max_entries=1)
-        assert str(e.value) == "combine step 0: intermediate table exceeded 1 entries"
-        with set_fold(), pytest.raises(ResourceLimitError) as e_sets:
-            combine_all(translated, max_entries=1)
+        with mock.patch.object(exact, "MAX_ENTRIES", 1):
+            with pytest.raises(ResourceLimitError) as e:
+                combine_all(translated)
+            with set_fold(), pytest.raises(ResourceLimitError) as e_sets:
+                combine_all(translated)
+        assert str(e.value) == "exact fold step 0: intermediate table exceeded 1 entries"
         assert str(e_sets.value) == str(e.value)
 
     def test_zero_deadline_trips_before_any_product(self, monkeypatch):
         translated = translate_to_set_problem(bench_logic_problem("l10a40"))
         chunks = []
         monkeypatch.setattr(exact, "islice", lambda *a: chunks.append(a))
-        with pytest.raises(ResourceLimitError, match="^combine step 0: wall-clock cap exceeded$"):
+        with pytest.raises(ResourceLimitError, match="^exact fold step 0: wall-clock cap exceeded$"):
             combine_all(translated, deadline_s=0.0)
         assert chunks == []
-
-    def test_cli_entry_cap_exits_4(self, capsys):
-        code = main([
-            "exact", "--logic", "--problem", str(BENCH_DATA / "l10a40.bel"),
-            "--query", "[a1 a6]", "--max-entries", "50",
-        ])
-        assert code == 4
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == "error: combine step 8: intermediate table exceeded 50 entries\n"
 
     def test_translated_problem_and_its_copy_fold_codes(self, clashes, worked_logic_problem):
         translated = translate_to_set_problem(worked_logic_problem)

@@ -31,6 +31,7 @@ def _run_on_src(argv: list[str]) -> subprocess.CompletedProcess:
     [
         ("logic_budget_demo.py", ["--trials", "2000"]),
         ("accuracy_demo.py", ["--runs", "3"]),
+        ("code_lines.py", []),
     ],
 )
 def test_demo_exits_cleanly(script, args):
