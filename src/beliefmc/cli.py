@@ -29,7 +29,7 @@ from .errors import (
     ResourceLimitError,
     TotalConflictError,
 )
-from .evidence import EvidenceProblem, bel_from_mass, validate_problem
+from .evidence import EvidenceProblem, FocalSet, bel_from_mass
 from .exact import combine_all, conflict_exact
 from .logic import (
     AssignmentSpace,
@@ -37,7 +37,6 @@ from .logic import (
     LogicProblem,
     logic_estimate,
     translate_to_set_problem,
-    validate_logic_problem,
 )
 from .mc import _FORK_WORK, DEFAULT_RESTART_CAP, TrialEngineConfig, estimate, plan_trials
 from .problem_io import (
@@ -56,6 +55,12 @@ def _read_problem(path: str, *, want_logic: bool):
     if want_logic and isinstance(problem, EvidenceProblem):
         raise InvalidProblemError(["--logic given but the file is a set problem"])
     return problem
+
+
+def _parse_queries(problem: EvidenceProblem, texts: list[str] | None) -> list[FocalSet]:
+    """The set queries ``texts`` over the problem's frame; with none, the
+    one query ``*``, the whole frame."""
+    return [parse_query(problem.frame, q) for q in texts or ["*"]]
 
 
 def _parse_clauses(problem: LogicProblem, texts: list[str] | None) -> list[ClauseQuery]:
@@ -121,8 +126,7 @@ def cmd_estimate(args) -> int:
 
     if args.budget is not None:
         raise ValueError("--budget applies only to logic problems")
-    query_texts = args.query or ["*"]
-    queries = [parse_query(problem.frame, q) for q in query_texts]
+    queries = _parse_queries(problem, args.query)
     results = estimate(problem, queries, cfg)
     if args.csv:
         _write_csv(
@@ -162,8 +166,7 @@ def cmd_exact(args) -> int:
         queries = [problem.frame.from_bits(space.clause_bits(c)) for c in clauses]
         labels = [str(c) for c in clauses]
     else:
-        query_texts = args.query or ["*"]
-        queries = [parse_query(problem.frame, q) for q in query_texts]
+        queries = _parse_queries(problem, args.query)
         labels = [str(q) for q in queries]
     t0 = time.perf_counter()
     combo = combine_all(problem, deadline_s=args.time_cap)
@@ -219,15 +222,10 @@ def cmd_conflict(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    with open(args.problem, encoding="utf-8") as fh:
-        problem = parse_problem(fh.read(), validate=False)
-    if isinstance(problem, LogicProblem):
-        report = validate_logic_problem(problem)
-    else:
-        report = validate_problem(problem)
-    if report:
-        for line in report:
-            print(line)
+    try:
+        _read_problem(args.problem, want_logic=False)
+    except InvalidProblemError as e:
+        print("\n".join(e.violations))
         return 2
     print("ok")
     return 0

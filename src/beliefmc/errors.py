@@ -18,9 +18,7 @@ class InvalidProblemError(BeliefMCError):
     the order they were detected.
     """
 
-    def __init__(self, violations: list[str] | str):
-        if isinstance(violations, str):
-            violations = [violations]
+    def __init__(self, violations: list[str]):
         self.violations = list(violations)
         super().__init__("; ".join(self.violations))
 

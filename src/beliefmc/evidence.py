@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
 from operator import and_
-from typing import Collection, Iterator, Mapping, Sequence
+from typing import Callable, Collection, Iterator, Mapping, Sequence
 
 from .errors import FrameMismatchError, InvalidProblemError
 
@@ -299,15 +299,27 @@ class EvidenceProblem:
         object.__setattr__(self, "sources", tuple(self.sources))
 
 
-def validate_problem(problem: EvidenceProblem) -> list[str]:
-    """Check structural invariants; return one line per violation (empty if
-    the problem is well-formed)."""
+def _source_report(
+    sources: Sequence, target_fault: Callable, source_fault: Callable = lambda source: None
+) -> list[str]:
+    """One line per violation of the rules every problem kind's sources
+    share: there is at least one source, each source has outcomes, each
+    outcome's probability is positive, and each source's probabilities add
+    up to 1 within :data:`MASS_TOL`.
+
+    The kind adds its own rules through the callbacks, which return a
+    violation's text or ``None``: ``source_fault`` is asked first about
+    each source, and a faulty source is not looked into further;
+    ``target_fault`` is asked about each outcome's target, after its
+    probability.
+    """
     report: list[str] = []
-    if not problem.sources:
+    if not sources:
         report.append("problem has no sources")
-    for i, source in enumerate(problem.sources):
-        if source.frame != problem.frame:
-            report.append(f"source {i}: frame mismatch")
+    for i, source in enumerate(sources):
+        fault = source_fault(source)
+        if fault is not None:
+            report.append(f"source {i}: {fault}")
             continue
         if not source.outcomes:
             report.append(f"source {i}: no outcomes")
@@ -315,13 +327,28 @@ def validate_problem(problem: EvidenceProblem) -> list[str]:
         for k, (p, t) in enumerate(source.outcomes):
             if not p > 0.0:
                 report.append(f"source {i} outcome {k}: probability {p:g} not positive")
-            if t.frame != problem.frame:
-                report.append(f"source {i} outcome {k}: frame mismatch")
-            elif t.is_empty:
-                report.append(f"source {i} outcome {k}: empty target")
+            fault = target_fault(t)
+            if fault is not None:
+                report.append(f"source {i} outcome {k}: {fault}")
         total = math.fsum(p for p, _ in source.outcomes)
         if abs(total - 1.0) > MASS_TOL:
             report.append(f"source {i}: probabilities sum to {total:g}")
+    return report
+
+
+def validate_problem(problem: EvidenceProblem) -> list[str]:
+    """Check structural invariants; return one line per violation (empty if
+    the problem is well-formed).
+
+    On top of the rules every source shares (:func:`_source_report`), each
+    source and each outcome's target is over the problem's frame, and no
+    target is empty."""
+    frame = problem.frame
+    report = _source_report(
+        problem.sources,
+        lambda t: "frame mismatch" if t.frame != frame else "empty target" if t.is_empty else None,
+        lambda s: "frame mismatch" if s.frame != frame else None,
+    )
     if not report:
         object.__setattr__(problem, "_valid", True)
     return report
@@ -335,8 +362,7 @@ def require_valid(problem: EvidenceProblem) -> None:
     ``validate_problem`` marks the problem it passes, and the entry points
     (``estimate`` and the exact fold) call this function only for a
     problem not marked yet.  A problem from ``parse_problem`` is checked
-    once, while it is parsed; a hand-built one, or one parsed with
-    ``validate=False``, on first use.
+    once, while it is parsed; a hand-built one on first use.
     """
     report = validate_problem(problem)
     if report:

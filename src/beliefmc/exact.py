@@ -237,9 +237,9 @@ def _combine_bits(
 
 def _fold(
     problem: EvidenceProblem, outside: int, *, deadline_s: float | None = None
-) -> tuple[dict[int, float], float, float]:
-    """Fold every source's table into one ``{non-empty intersection bits:
-    mass}`` table; return ``(table, total, survival)``.
+) -> tuple[dict[int, float], float, float, _TermCodes | None]:
+    """Fold every source's table into one ``{non-empty intersection key:
+    mass}`` table; return ``(table, total, survival, codes)``.
 
     ``survival`` is the probability that a joint draw is not contradictory,
     so the conflict is ``1 - survival``, and ``total`` is the table's mass
@@ -263,13 +263,14 @@ def _fold(
     prunes nothing.
 
     The keys are term codes when :meth:`_TermCodes.derive` finds one for
-    every focal set, and set bitmasks otherwise.  With codes, each source's
-    table is rekeyed entry by entry, the fold starts from the whole frame's
-    code, an entry is expanded to its set where pruning tests it, and the
-    final codes are expanded in insertion order.  Codes and their sets
-    correspond one to one, merges to intersections and clashes to empty
-    intersections, so the steps, table sizes, products and sums are those
-    of the fold over the sets, and so is the returned table.
+    every focal set, which it returns as ``codes``, and set bitmasks
+    otherwise, with ``codes`` ``None``.  With codes, each source's table is
+    rekeyed entry by entry, the fold starts from the whole frame's code,
+    and an entry is expanded to its set where pruning tests it; the views
+    that read the table's sets expand it with :func:`_by_sets`.  Codes and
+    their sets correspond one to one, merges to intersections and clashes
+    to empty intersections, so the steps, table sizes, products and sums
+    are those of the fold over the sets, and so is the expanded table.
 
     :data:`MAX_ENTRIES` caps every table the fold holds, and
     ``deadline_s`` bounds the whole fold in wall-clock seconds, checked at
@@ -314,9 +315,13 @@ def _fold(
         gone /= total
         total = math.fsum(acc.values()) + gone
         survival *= total / (total + conflict)
-    if codes is not None:
-        acc = {codes.subcube(c): v for c, v in acc.items()}
-    return acc, total, survival
+    return acc, total, survival, codes
+
+
+def _by_sets(acc: dict[int, float], codes: _TermCodes | None) -> dict[int, float]:
+    """A table from :func:`_fold` keyed by set bitmasks, its entries in
+    insertion order."""
+    return acc if codes is None else {codes.subcube(c): v for c, v in acc.items()}
 
 
 def combine_all(
@@ -336,11 +341,11 @@ def combine_all(
     cap trips, and ``TotalConflictError`` when the survival is at most
     :data:`CONFLICT_TOL`.
     """
-    acc, total, survival = _fold(problem, 0, deadline_s=deadline_s)
+    acc, total, survival, codes = _fold(problem, 0, deadline_s=deadline_s)
     if survival <= CONFLICT_TOL:
         raise TotalConflictError("exact fold: total conflict, combination undefined")
     return CombinationResult(
-        MassFunction._from_table(problem.frame, acc, total), 1.0 - survival
+        MassFunction._from_table(problem.frame, _by_sets(acc, codes), total), 1.0 - survival
     )
 
 
@@ -356,10 +361,10 @@ def exact_belief_enumeration(
     if b.frame != problem.frame:
         raise FrameMismatchError("query set from a different frame")
     outside = problem.frame.full_bits ^ b.bits
-    acc, total, survival = _fold(problem, outside)
+    acc, total, survival, codes = _fold(problem, outside)
     if survival <= CONFLICT_TOL:
         raise TotalConflictError("exact fold: total conflict, combination undefined")
-    return _mass_within(acc, outside) / total, 1.0 - survival
+    return _mass_within(_by_sets(acc, codes), outside) / total, 1.0 - survival
 
 
 def conflict_exact(
@@ -371,5 +376,5 @@ def conflict_exact(
     Raises ``ResourceLimitError`` when the table exceeds
     :data:`MAX_ENTRIES` entries or the fold outlasts ``deadline_s``
     seconds, and ``ValueError`` for a negative or NaN ``deadline_s``."""
-    _, _, survival = _fold(problem, problem.frame.full_bits, deadline_s=deadline_s)
+    survival = _fold(problem, problem.frame.full_bits, deadline_s=deadline_s)[2]
     return 1.0 - survival

@@ -39,7 +39,6 @@ problem.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property, reduce
 from itertools import accumulate, compress
@@ -51,9 +50,9 @@ from .evidence import (
     EvidenceProblem,
     FocalSet,
     Frame,
-    MASS_TOL,
     SourceModel,
     _cumulative,
+    _source_report,
 )
 from .exact import _cube
 from .mc import TrialEngineConfig, _add_hits, _byte_lanes, _cuts, _element_bytes, _run, sd_bound
@@ -220,27 +219,18 @@ def is_contradictory(term: TermSet) -> bool:
 
 
 def validate_logic_sources(sources: Sequence[LogicSource]) -> list[str]:
-    """Structural checks shared by every logic entry point.
+    """Structural checks shared by every logic entry point: the rules every
+    problem kind's sources share (:func:`~beliefmc.evidence._source_report`),
+    and no term holds an atom with both signs.
 
     Each check looks at one source, so a clean report marks every source
     as validated, and :func:`logic_estimate` does not check marked sources
-    again.
+    again.  Sources from ``parse_problem`` are marked while the file is
+    parsed.
     """
-    report: list[str] = []
-    if not sources:
-        report.append("problem has no sources")
-    for i, source in enumerate(sources):
-        if not source.outcomes:
-            report.append(f"source {i}: no outcomes")
-            continue
-        for k, (p, t) in enumerate(source.outcomes):
-            if not p > 0.0:
-                report.append(f"source {i} outcome {k}: probability {p:g} not positive")
-            if is_contradictory(t):
-                report.append(f"source {i} outcome {k}: contradictory term")
-        total = math.fsum(p for p, _ in source.outcomes)
-        if abs(total - 1.0) > MASS_TOL:
-            report.append(f"source {i}: probabilities sum to {total:g}")
+    report = _source_report(
+        sources, lambda t: "contradictory term" if is_contradictory(t) else None
+    )
     if not report:
         for source in sources:
             object.__setattr__(source, "_valid", True)

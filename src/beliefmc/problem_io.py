@@ -93,18 +93,19 @@ def _term_target(expr: str) -> TermSet:
     return TermSet(_term_literals(expr))
 
 
-def parse_problem(text: str, *, validate: bool = True) -> EvidenceProblem | LogicProblem:
-    """Parse a problem file.
+def parse_problem(text: str) -> EvidenceProblem | LogicProblem:
+    """Parse and check a problem file.
 
     Syntax trouble raises :class:`ParseError` with a 1-based line and
     column.  Line structure (headers, ``source:`` lines, probabilities,
     missing targets) is checked on the whole file first, then the frame
     and the targets, so the first structural error wins over an earlier
-    bad target.  With ``validate`` (the default), structural violations
-    raise :class:`InvalidProblemError`, and the problem returned is marked
-    as validated, so the entry points that take it do not check it again;
-    with ``validate=False`` nothing is checked here, and the first entry
-    point that takes the problem checks it.
+    bad target.  A problem that parses is then validated
+    (:func:`~beliefmc.evidence.validate_problem` or
+    :func:`~beliefmc.logic.validate_logic_problem`): violations raise
+    :class:`InvalidProblemError` listing every one, and the problem
+    returned is marked as validated, so the entry points that take it do
+    not check it again.
 
     The file is read in one pass over its lines.  A target's text is parsed
     once per call, however many outcome lines repeat it, and an error's
@@ -182,14 +183,12 @@ def parse_problem(text: str, *, validate: bool = True) -> EvidenceProblem | Logi
         raise pending
     if header == "frame:":
         problem = EvidenceProblem(frame, tuple(SourceModel(frame, tuple(b)) for b in blocks))
-        if validate:
-            require_valid(problem)
+        require_valid(problem)
         return problem
     logic = LogicProblem(atoms, tuple(LogicSource(tuple(b)) for b in blocks))
-    if validate:
-        report = validate_logic_problem(logic)
-        if report:
-            raise InvalidProblemError(report)
+    report = validate_logic_problem(logic)
+    if report:
+        raise InvalidProblemError(report)
     return logic
 
 

@@ -6,6 +6,7 @@ import csv
 import io
 import itertools
 import json
+import math
 import os
 import subprocess
 import sys
@@ -14,7 +15,14 @@ from pathlib import Path
 
 import pytest
 
-from beliefmc import Frame, exact, parse_problem
+from beliefmc import (
+    ExcessiveConflictError,
+    Frame,
+    ResourceLimitError,
+    TotalConflictError,
+    exact,
+    parse_problem,
+)
 from beliefmc.cli import main
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -676,6 +684,68 @@ class TestBench:
         report = bench.run_bench([2], [4], trials=50, repetitions=3)
         assert len(calls) == folds
         assert report.cells[0].exact_wall_ms == pytest.approx(step_s * 1e3)
+
+
+    def test_text_table(self, monkeypatch, capsys):
+        # one cell of each kind: capped, restart cap exhausted, total
+        # conflict and plain
+        import beliefmc.bench as bench
+
+        estimate, combine = bench.estimate, bench.combine_all
+
+        def estimate_or_trip(problem, *args, **kwargs):
+            if problem.frame.size == 5:
+                raise ExcessiveConflictError("restart cap exhausted", 0.97)
+            return estimate(problem, *args, **kwargs)
+
+        def combine_or_trip(problem, *args, **kwargs):
+            if problem.frame.size == 4:
+                raise ResourceLimitError("exact fold step 0: wall-clock cap exceeded")
+            if problem.frame.size == 6:
+                raise TotalConflictError("exact fold: total conflict, combination undefined")
+            return combine(problem, *args, **kwargs)
+
+        monkeypatch.setattr(bench, "estimate", estimate_or_trip)
+        monkeypatch.setattr(bench, "combine_all", combine_or_trip)
+        assert main([
+            "bench", "--source-counts", "3", "--element-counts", "4,5,6,7",
+            "--reps", "1", "--trials", "50",
+        ]) == 0
+        head, *rows, summary = capsys.readouterr().out.splitlines()
+        assert head.split() == [
+            "m", "n", "kappa", "draws", "mc_ms", "exact_ms", "mc_value", "exact", "abs_err",
+        ]
+        cells = [row.split() for row in rows]
+        assert [c[:2] for c in cells] == [["3", "4"], ["3", "5"], ["3", "6"], ["3", "7"]]
+        assert cells[0][5:] == ["capped", cells[0][6], "-", "-"]
+        assert cells[1][2:] == [
+            "0.970", "nan", "nan", "-", "nan", "-", "-", "[restart", "cap", "exhausted]",
+        ]
+        assert cells[2][5] == "-" and cells[2][7:] == ["-", "-", "[total", "conflict]"]
+        assert float(cells[3][5]) > 0 and len(cells[3]) == 9
+        assert abs(float(cells[3][6]) - float(cells[3][7])) == pytest.approx(float(cells[3][8]), abs=2e-4)
+        assert summary.startswith("estimator wall time ~ (m*n)^")
+
+    def test_restart_cap_cell_is_kept_and_skipped_by_the_fit(self, monkeypatch):
+        import beliefmc.bench as bench
+
+        estimate = bench.estimate
+
+        def estimate_or_trip(problem, *args, **kwargs):
+            if problem.frame.size == 5:
+                raise ExcessiveConflictError("restart cap exhausted", 0.97)
+            return estimate(problem, *args, **kwargs)
+
+        monkeypatch.setattr(bench, "estimate", estimate_or_trip)
+        report = bench.run_bench([3], [4, 5, 6], trials=50, repetitions=1)
+        tripped = report.cells[1]
+        assert tripped.note == "restart cap exhausted" and tripped.kappa_hat == 0.97
+        assert math.isnan(tripped.mc_wall_ms) and tripped.exact_value is None
+        assert not tripped.exact_capped
+        kept = (report.cells[0], report.cells[2])
+        assert report.time_exponent == bench.fit_time_exponent(
+            [12.0, 18.0], [c.mc_wall_ms for c in kept]
+        )
 
 
 def test_module_entry_point(set_file):

@@ -16,6 +16,7 @@ from beliefmc import (
     FocalSet,
     Frame,
     FrameMismatchError,
+    InvalidProblemError,
     MassFunction,
     SourceModel,
     bel_from_mass,
@@ -318,6 +319,18 @@ class TestMassFromSource:
         frame = Frame(("x1", "x2"))
         m = mass_from_source(SourceModel(frame, ((1.0, frame.singleton("x2")),)))
         assert m.by_bits == {frame.singleton("x2").bits: 1.0}
+
+    def test_refusals(self):
+        frame = Frame(("x1", "x2"))
+        x1 = frame.singleton("x1")
+        with pytest.raises(InvalidProblemError) as e:
+            mass_from_source(SourceModel(frame, ((1.0, x1), (0.0, frame.universe()))))
+        assert e.value.violations == ["outcome 1: probability 0 not positive"]
+        with pytest.raises(FrameMismatchError, match="outcome target from a different frame"):
+            mass_from_source(SourceModel(frame, ((1.0, FocalSet(Frame(("y",)), 1)),)))
+        with pytest.raises(InvalidProblemError) as e:
+            mass_from_source(SourceModel(frame, ((0.5, x1), (0.5, FocalSet(frame, 0)))))
+        assert e.value.violations == ["outcome 1: empty target"]
 
 
 class TestValidateProblem:

@@ -57,7 +57,8 @@ def assert_fold_finish_matches_constructor(problem: EvidenceProblem) -> MassFunc
     """``combine_all``'s mass function equals the public constructor's
     normalization of the fold's table divided by its total, to 1e-15 per
     entry, with the same entries kept."""
-    acc, total, _ = exact._fold(problem, 0)
+    acc, total, _, codes = exact._fold(problem, 0)
+    acc = exact._by_sets(acc, codes)
     want = MassFunction(problem.frame, {b: v / total for b, v in acc.items()}).by_bits
     got = combine_all(problem).combined
     assert got.by_bits.keys() == want.keys()
@@ -318,7 +319,7 @@ class TestCombineAll:
                 simple_support(frame, subset(frame, "yz"), 1e-7),
             ),
         )
-        acc, total, _ = exact._fold(problem, 0)
+        acc, total, _, _ = exact._fold(problem, 0)
         assert acc[0b010] / total < MASS_DUST
         got = assert_fold_finish_matches_constructor(problem).by_bits
         assert 0b010 not in got and len(got) == len(acc) - 1

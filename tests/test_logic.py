@@ -1179,6 +1179,34 @@ class TestTermFold:
             combine_all(translated, deadline_s=0.0)
         assert chunks == []
 
+    @pytest.mark.parametrize("name", ["l10a40", "l12a60"])
+    def test_only_the_views_that_read_sets_expand_the_final_codes(self, monkeypatch, name):
+        # subcube calls after the fold's last product step: one per final
+        # entry where the table's sets are read, none for conflict_exact
+        translated = translate_to_set_problem(bench_logic_problem(name))
+        query = translated.frame.from_bits(translated.frame.full_bits >> 1)
+        late = []
+        combine, subcube = exact._combine_bits, exact._TermCodes.subcube
+
+        def step(*args, **kwargs):
+            late.clear()
+            return combine(*args, **kwargs)
+
+        def counted(codes, code):
+            late.append(code)
+            return subcube(codes, code)
+
+        monkeypatch.setattr(exact, "_combine_bits", step)
+        monkeypatch.setattr(exact._TermCodes, "subcube", counted)
+        conflict_exact(translated)
+        assert late == []
+        acc = exact._fold(translated, 0)[0]
+        combine_all(translated)
+        assert len(late) == len(acc) > 0
+        acc = exact._fold(translated, translated.frame.full_bits ^ query.bits)[0]
+        exact_belief_enumeration(translated, query)
+        assert len(late) == len(acc) > 0
+
     def test_translated_problem_and_its_copy_fold_codes(self, clashes, worked_logic_problem):
         translated = translate_to_set_problem(worked_logic_problem)
         copy = EvidenceProblem(translated.frame, translated.sources)

@@ -135,10 +135,9 @@ class TestParse:
 
     def test_validation_failures_raise(self):
         bad_sum = "frame: a\nsource:\n 0.6 {a}\n 0.5 *\n"
-        with pytest.raises(InvalidProblemError, match="sum to 1.1"):
+        with pytest.raises(InvalidProblemError) as e:
             parse_problem(bad_sum)
-        report_problem = parse_problem(bad_sum, validate=False)
-        assert isinstance(report_problem, EvidenceProblem)
+        assert e.value.violations == ["source 0: probabilities sum to 1.1"]
 
     def test_unknown_atom_is_validation_not_syntax(self):
         text = "atoms: p\nsource:\n 1.0 [q]\n"
@@ -216,6 +215,14 @@ class TestGenerate:
         for s in g.problem.sources:
             assert all(t.is_full for _, t in s.outcomes)
         assert g.conflict_estimate == 0.0
+
+    def test_probe_that_trips_the_restart_cap_reports_its_conflict(self):
+        # certain singleton foci on a wide frame: nearly every draw
+        # conflicts, so the probe blows the restart cap and its conflict
+        # estimate is taken from the error
+        g = generate_problem(5, 50, weight_range=(1.0, 1.0), focus_density=0.005)
+        assert all(len(t) == 1 for s in g.problem.sources for _, t in s.outcomes)
+        assert g.conflict_estimate > 0.99
 
     def test_parameter_guards(self):
         with pytest.raises(ValueError):

@@ -32,6 +32,7 @@ from beliefmc import (
     validate_problem,
 )
 from beliefmc.cli import main
+from beliefmc.logic import validate_logic_sources
 
 VALIDATORS = (
     "validate_problem",
@@ -62,7 +63,6 @@ source:
 
 # Probabilities sum to 1.1: parses, fails validation.
 BAD_SET_TEXT = "frame: x1 x2\nsource:\n  0.6 {x1}\n  0.5 *\n"
-BAD_LOGIC_TEXT = "atoms: p q\nsource:\n  0.6 [p]\n  0.5 []\n"
 
 
 @pytest.fixture()
@@ -136,7 +136,7 @@ class TestOneValidationPerRequest:
 
     def test_validate_command(self, set_file, validate_calls, capsys):
         assert main(["validate", "--problem", set_file]) == 0
-        assert validate_calls == ["validate_problem"]
+        assert validate_calls == ["require_valid"]
 
     def test_invalid_file_is_reported_once(self, tmp_path, validate_calls, capsys):
         path = tmp_path / "bad.bel"
@@ -171,7 +171,7 @@ class TestOneValidationPerRequest:
 
     def test_mark_takes_no_part_in_equality(self):
         parsed = parse_problem(SET_TEXT)
-        fresh = parse_problem(SET_TEXT, validate=False)
+        fresh = EvidenceProblem(parsed.frame, parsed.sources)
         assert parsed._valid and not fresh._valid
         assert parsed == fresh and hash(parsed) == hash(fresh)
         assert validate_problem(fresh) == [] and fresh._valid
@@ -205,25 +205,15 @@ LOGIC_ENTRY_POINTS = {
 
 class TestEntryPointsCheck:
     @pytest.mark.parametrize("entry", sorted(SET_ENTRY_POINTS))
-    @pytest.mark.parametrize(
-        "build",
-        [_bad_set_problem, lambda: parse_problem(BAD_SET_TEXT, validate=False)],
-        ids=["hand-built", "parsed-unvalidated"],
-    )
-    def test_set_entry_point(self, entry, build):
-        problem = build()
+    def test_set_entry_point(self, entry):
+        problem = _bad_set_problem()
         for _ in range(2):  # a failed check leaves the problem unmarked
             with pytest.raises(InvalidProblemError, match="sum to 1.1"):
                 SET_ENTRY_POINTS[entry](problem)
 
     @pytest.mark.parametrize("entry", sorted(LOGIC_ENTRY_POINTS))
-    @pytest.mark.parametrize(
-        "build",
-        [_bad_logic_problem, lambda: parse_problem(BAD_LOGIC_TEXT, validate=False)],
-        ids=["hand-built", "parsed-unvalidated"],
-    )
-    def test_logic_entry_point(self, entry, build):
-        problem = build()
+    def test_logic_entry_point(self, entry):
+        problem = _bad_logic_problem()
         for _ in range(2):
             with pytest.raises(InvalidProblemError, match="sum to 1.1"):
                 LOGIC_ENTRY_POINTS[entry](problem)
@@ -268,3 +258,23 @@ def test_valid_logic_problems_translate_to_valid_set_problems(problem):
     assert translated._valid
     # validate_problem runs every check whatever the mark says
     assert validate_problem(translated) == []
+
+
+@given(
+    st.lists(
+        st.lists(st.one_of(st.sampled_from([0.0, 0.25, 0.5, 1.0]), st.floats(-1.0, 2.0)), max_size=4),
+        max_size=3,
+    )
+)
+@settings(max_examples=200, deadline=None)
+def test_both_problem_kinds_report_the_shared_rules_alike(probabilities):
+    # targets that break no rule of their own kind (the whole frame, the
+    # empty term), so each report holds only the rules the kinds share
+    frame = Frame(("x",))
+    set_problem = EvidenceProblem(
+        frame, tuple(SourceModel(frame, tuple((p, frame.universe()) for p in ps)) for ps in probabilities)
+    )
+    logic_sources = tuple(LogicSource(tuple((p, TermSet()) for p in ps)) for ps in probabilities)
+    report = validate_problem(set_problem)
+    assert report == validate_logic_sources(logic_sources)
+    assert bool(report) != set_problem._valid
