@@ -184,12 +184,15 @@ class MassFunction:
     @classmethod
     def _from_table(cls, frame: Frame, table: dict[int, float], total: float) -> MassFunction:
         """The mass function ``{b: table[b] / total}``, dust dropped as in
-        the constructor.
+        the constructor, built in ``table`` itself, which the caller hands
+        over.
 
         For tables that hold the constructor's invariants by construction
         (the exact fold's: non-empty keys within the frame, positive masses
         summing to ``total``), so the checks and the second division by a
-        total within an ulp of 1 are skipped.
+        total within an ulp of 1 are skipped.  A ``total`` of exactly 1.0,
+        as the fold reports after a step that lost no mass, divides
+        nothing.
         """
         m = cls.__new__(cls)
         m.frame = frame
@@ -197,15 +200,20 @@ class MassFunction:
         return m
 
     @staticmethod
-    def _normalized(entries: Mapping[int, float], total: float) -> dict[int, float]:
-        kept = {b: v / total for b, v in entries.items()}
-        if min(kept.values()) < MASS_DUST:
-            kept = {b: v for b, v in kept.items() if v >= MASS_DUST}
+    def _normalized(masses: dict[int, float], total: float) -> dict[int, float]:
+        """``masses`` divided by ``total`` in place (skipped when ``total``
+        is 1.0); if an entry falls below :data:`MASS_DUST`, a new table
+        without the dust, renormalized by its sum."""
+        if total != 1.0:
+            for b, v in masses.items():
+                masses[b] = v / total
+        if min(masses.values()) < MASS_DUST:
+            kept = {b: v for b, v in masses.items() if v >= MASS_DUST}
             if not kept:
                 raise ValueError("no mass entries left after normalization")
             scale = math.fsum(kept.values())
-            kept = {b: v / scale for b, v in kept.items()}
-        return kept
+            return {b: v / scale for b, v in kept.items()}
+        return masses
 
     @property
     def by_bits(self) -> Mapping[int, float]:

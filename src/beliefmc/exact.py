@@ -8,10 +8,19 @@ the entries that hold an element outside the scored set that no later
 source can remove (the projection step of local propagation), and it stops
 when nothing is left.  The fold never visits joint outcomes, so its work is
 bounded by what its table holds: every view holds it to :data:`MAX_ENTRIES`
-entries, and two take a wall-clock deadline.  The public functions are
-three views of it:
+entries, and two take a wall-clock deadline.
 
-* :func:`combine_all` prunes nothing and returns the combined mass function;
+A step that sends no mass to conflict is lossless: it keeps every product,
+so the fold knows its table's total and cover (the OR of its keys) without
+reading it.  The new total is 1, because the source's table was divided
+by the old total, and the new cover is the OR over the source's keys of
+each key ANDed with the old cover.  The fold sums its table only after a step
+that lost mass to conflict, and ORs it only then or after pruning it.
+The public functions are three views of the fold:
+
+* :func:`combine_all` prunes nothing and returns the combined mass function,
+  dividing the fold's table in place, and not at all after a lossless
+  last step;
 * :func:`exact_belief_enumeration` prunes against a query's complement and
   returns the belief in the query;
 * :func:`conflict_exact` prunes against the whole frame and returns the
@@ -175,6 +184,7 @@ def _combine_bits(
     d1: dict[int, float],
     d2: dict[int, float],
     *,
+    cover: int | None = None,
     deadline: float | None = None,
     step: int = 0,
     clash: Callable[[int], int] | None = None,
@@ -192,7 +202,10 @@ def _combine_bits(
     Each outcome of the smaller table makes one pass over the bigger one.
     An outcome whose bits cover every key of the bigger table yields a
     scaled copy of it, so covering outcomes run first and the first of them
-    builds the table at C speed.  Conflicting products collect under key 0,
+    builds the table at C speed.  Covering is tested against the OR of the
+    bigger table's keys; ``cover``, when given, is the OR of ``d1``'s keys,
+    which the fold carries across steps, and is used when ``d1`` is the
+    bigger table.  Conflicting products collect under key 0,
     popped as the conflict at the end.  Passes run in chunks that end at
     every ``_DEADLINE_STRIDE``-th product: the entry cap is consulted after
     every chunk, the deadline before the first product and before each
@@ -200,7 +213,8 @@ def _combine_bits(
     """
     cap = MAX_ENTRIES
     small, big = (d1, d2) if len(d1) <= len(d2) else (d2, d1)
-    cover = reduce(or_, big, 0)
+    if cover is None or big is d2:
+        cover = reduce(or_, big, 0)
     outer = sorted(small.items(), key=lambda item: item[0] & cover != cover)
     out: dict[int, float] = {}
     get = out.get
@@ -244,7 +258,8 @@ def _fold(
     ``survival`` is the probability that a joint draw is not contradictory,
     so the conflict is ``1 - survival``, and ``total`` is the table's mass
     plus the pruned mass (below), in the table's units: ``table[b] / total``
-    is the combined mass of ``b``.
+    is the combined mass of ``b``.  It is exactly 1.0 after a lossless step
+    (below).
 
     Sources fold in ascending order of their merged table sizes, ties in
     problem order, starting from the vacuous table ``{frame: 1}``; step i
@@ -254,6 +269,18 @@ def _fold(
     by up to k, so the small sources go first.  Each source's table is
     divided by the running total, so the running table stays near 1 and is
     never rescaled itself.
+
+    A step with no conflict is lossless.  It keeps every product, so the
+    new table holds the old table's mass times the source table's sum,
+    ``1 / total``, and the pruned mass is divided by ``total`` too: the new
+    total is 1.0, set without a sum.  The new cover, the OR of the table's
+    keys that :func:`_combine_bits` reads, is the OR over the source's keys
+    of each key ANDed with the old cover.  The fold sums the table again
+    only after a step that sends mass to conflict, and ORs it only after
+    such a step or a prune that drops an entry.  (A conflict that
+    underflows to 0.0 counts as none; the carried cover may then hold a
+    bit no key holds, which only keeps a covering outcome from going
+    first.)
 
     Before step i, every entry holding an element of ``outside`` that every
     outcome of source i and of each later source holds is dropped: it ends
@@ -289,11 +316,12 @@ def _fold(
         held.append(held[-1] & reduce(and_, s.target_bits))
     held.reverse()
     tables = (mass_from_source(s).by_bits for s in sources)
-    acc = {problem.frame.full_bits: 1.0}
+    cover = problem.frame.full_bits
     codes = _TermCodes.derive(problem.frame.size, sources)
     if codes is not None:
         tables = ({codes.of[b]: v for b, v in t.items()} for t in tables)
-        acc = {codes.top: 1.0}
+        cover = codes.top
+    acc = {cover: 1.0}
     total = survival = 1.0
     gone = 0.0
     dropped = 0
@@ -303,18 +331,27 @@ def _fold(
             dropped = dead
             keys = acc if codes is None else map(codes.subcube, acc)
             keep = [not b & dead for b in keys]
-            gone += math.fsum(compress(acc.values(), map(not_, keep)))
-            acc = dict(compress(acc.items(), keep))
+            if not all(keep):
+                gone += math.fsum(compress(acc.values(), map(not_, keep)))
+                acc = dict(compress(acc.items(), keep))
+                cover = None
         if not acc:
             break
+        if cover is None:
+            cover = reduce(or_, acc, 0)
         table = {b: v / total for b, v in by_key.items()}
         acc, conflict = _combine_bits(
-            acc, table, deadline=deadline, step=i,
+            acc, table, cover=cover, deadline=deadline, step=i,
             clash=None if codes is None else codes.need,
         )
         gone /= total
-        total = math.fsum(acc.values()) + gone
-        survival *= total / (total + conflict)
+        if conflict:
+            total = math.fsum(acc.values()) + gone
+            survival *= total / (total + conflict)
+            cover = None
+        else:
+            total = 1.0
+            cover = reduce(or_, [b & cover for b in table], 0)
     return acc, total, survival, codes
 
 
@@ -329,15 +366,18 @@ def combine_all(
 ) -> CombinationResult:
     """Fold all source mass functions into one combined mass function.
 
-    The fold's table is divided by its total once, and entries that end
-    below :data:`~beliefmc.evidence.MASS_DUST` are dropped as the
-    ``MassFunction`` constructor drops them; the constructor's checks are
-    not run again on a table the fold built.  ``conflict`` in the result is
-    the overall conflict of the joint problem.  ``deadline_s`` is the
-    fold's wall-clock cap (see :func:`_fold`).  A problem whose frame has
-    ``2**k`` elements and whose focal sets are all subcubes, such as a
-    translated logic problem, is folded over term codes, to the table the
-    fold over its sets would give.  Raises ``ResourceLimitError`` when a
+    The fold's table becomes the mass function's own
+    (:meth:`MassFunction._from_table`): it is divided by its total in
+    place, not at all when the last step lost nothing and the total is
+    1.0, and entries that end below :data:`~beliefmc.evidence.MASS_DUST`
+    are dropped as the ``MassFunction`` constructor drops them; the
+    constructor's checks are not run again on a table the fold built.
+    ``conflict`` in the result is the overall conflict of the joint
+    problem.  ``deadline_s`` is the fold's wall-clock cap (see
+    :func:`_fold`).  A problem whose frame has ``2**k`` elements and whose
+    focal sets are all subcubes, such as a translated logic problem, is
+    folded over term codes, to the table the fold over its sets would
+    give.  Raises ``ResourceLimitError`` when a
     cap trips, and ``TotalConflictError`` when the survival is at most
     :data:`CONFLICT_TOL`.
     """

@@ -640,8 +640,10 @@ class TestBench:
         assert rows and all(r["exact_wall_ms"] == "capped" for r in rows)
         assert all(float(r["mc_wall_ms"]) > 0 for r in rows)
 
-    def test_bad_sizes(self, capsys):
-        assert main(["bench", "--sizes", "3,zap"]) == 2
+    @pytest.mark.parametrize("sizes", ["3,zap", "0", ""], ids=["not-a-number", "zero", "empty"])
+    def test_bad_sizes(self, capsys, sizes):
+        assert main(["bench", "--sizes", sizes]) == 2
+        assert f"bad size list {sizes!r}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("arg, value, message", [
         ("--exact-cap", "nan", "time cap must be >= 0, got nan"),

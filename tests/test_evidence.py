@@ -119,6 +119,12 @@ class TestMassFunction:
         with pytest.raises(ValueError):
             MassFunction(frame, {1: 0.6, 2: 0.5})
 
+    def test_rejects_focal_set_from_another_frame(self):
+        frame = Frame(("x1", "x2"))
+        foreign = Frame(("x2", "x1")).singleton("x1")
+        with pytest.raises(FrameMismatchError, match="focal set from a different frame"):
+            MassFunction(frame, {frame.singleton("x2"): 0.5, foreign: 0.5})
+
     @pytest.mark.parametrize(
         "entries, message",
         [
@@ -297,6 +303,8 @@ class TestSimpleSupport:
             simple_support(frame, frame.singleton("x1"), 1.5)
         with pytest.raises(ValueError):
             simple_support(frame, FocalSet(frame, 0), 0.5)
+        with pytest.raises(FrameMismatchError, match="focus set from a different frame"):
+            simple_support(frame, Frame(("x1",)).singleton("x1"), 0.5)
 
 class TestMassFromSource:
     def test_simple_support_mass(self):

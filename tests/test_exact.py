@@ -20,6 +20,7 @@ from beliefmc import (
     EvidenceProblem,
     FocalSet,
     Frame,
+    FrameMismatchError,
     InvalidProblemError,
     MassFunction,
     ResourceLimitError,
@@ -64,6 +65,57 @@ def assert_fold_finish_matches_constructor(problem: EvidenceProblem) -> MassFunc
     assert got.by_bits.keys() == want.keys()
     assert max(abs(got.by_bits[b] - v) for b, v in want.items()) <= 1e-15
     return got
+
+
+def reread_fold(problem: EvidenceProblem) -> dict[int, float]:
+    """The combined table, divided by its total, of a reference fold that
+    sums its table after every step and lets the product loop OR it."""
+    sources = sorted(problem.sources, key=lambda s: len(set(s.target_bits)))
+    acc, total = {problem.frame.full_bits: 1.0}, 1.0
+    for s in sources:
+        table = {b: v / total for b, v in mass_from_source(s).by_bits.items()}
+        acc, _ = exact._combine_bits(acc, table)
+        total = math.fsum(acc.values())
+    return {b: v / total for b, v in acc.items()}
+
+
+def step_conflicts(problem: EvidenceProblem, monkeypatch) -> list[float]:
+    """The conflict of each step of ``combine_all``'s fold."""
+    conflicts = []
+    combine_bits = exact._combine_bits
+
+    def spy(*args, **kwargs):
+        table, conflict = combine_bits(*args, **kwargs)
+        conflicts.append(conflict)
+        return table, conflict
+
+    with monkeypatch.context() as m:
+        m.setattr(exact, "_combine_bits", spy)
+        combine_all(problem)
+    return conflicts
+
+
+def held_problem(seed: int, shared: int, lossy: bool) -> EvidenceProblem:
+    """Random problem whose outcomes all hold the elements of ``shared``,
+    after (with ``lossy``) two simple supports on ``{e0}`` and ``{e1}``
+    that fold first and conflict; every later step is lossless."""
+    rng = random.Random(seed)
+    n = rng.randint(4, 7)
+    frame = Frame(tuple(f"e{j}" for j in range(n)))
+    sources = []
+    if lossy:
+        sources = [simple_support(frame, FocalSet(frame, 1 << j), rng.uniform(0.2, 0.8))
+                   for j in (0, 1)]
+    low = shared.bit_length()
+    for _ in range(rng.randint(2, 4)):
+        # distinct targets, so a source folds after the simple supports
+        targets = rng.sample(range(1 << n - low), rng.randint(2, 4))
+        weights = [rng.uniform(0.05, 1.0) for _ in targets]
+        total = math.fsum(weights)
+        sources.append(SourceModel(frame, tuple(
+            (w / total, FocalSet(frame, b << low | shared)) for w, b in zip(weights, targets)
+        )))
+    return EvidenceProblem(frame, tuple(sources))
 
 
 def complement_supports(n: int) -> EvidenceProblem:
@@ -303,6 +355,63 @@ class TestCombineAll:
         assert bel_from_mass(m, queries) == [bel_from_mass(m, q) for q in queries]
         assert len(passes) == 1
 
+    @pytest.mark.parametrize("lossy", [False, True], ids=["lossless", "lossy-first"])
+    def test_lossless_steps_carry_total_and_cover(self, lossy, monkeypatch):
+        # With ``lossy``, step 1 sends mass to conflict; every other step is
+        # lossless, so the fold sums and ORs its table only after step 1,
+        # ends on a total of 1.0, and keeps the keys and their order.
+        for seed in range(12):
+            problem = held_problem(seed, 0b11 if lossy else 0b1, lossy)
+            conflicts = step_conflicts(problem, monkeypatch)
+            assert [i for i, c in enumerate(conflicts) if c] == ([1] if lossy else [])
+            assert exact._fold(problem, 0)[1] == 1.0
+            got = assert_fold_finish_matches_constructor(problem)
+            want = reread_fold(problem)
+            assert list(got.by_bits) == list(want)
+            assert max(abs(got.by_bits[b] - v) for b, v in want.items()) <= 1e-15
+            oracle_mass, oracle_conflict = oracle_combined_mass(
+                problem_to_label_sources(problem)
+            )
+            got_mass = mass_to_label_entries(got)
+            assert got_mass.keys() == oracle_mass.keys()
+            for a, v in oracle_mass.items():
+                assert got_mass[a] == pytest.approx(v, abs=1e-12)
+            assert combine_all(problem).conflict == pytest.approx(oracle_conflict, abs=1e-12)
+
+    def test_lossless_fold_reads_no_running_table(self, monkeypatch):
+        # Every outcome of b18x32 holds one shared element, so no step loses
+        # mass: the fold sums and ORs nothing wider than a source's table,
+        # and the mass function keeps the fold's own table.
+        problem = parse_problem((BENCH_DATA / "b18x32.bel").read_text())
+        widest = max(len(s.target_bits) for s in problem.sources)
+        reads = []
+        real_reduce, real_fsum, real_fold = exact.reduce, math.fsum, exact._fold
+
+        def reduce_spy(fn, xs, *init):
+            xs = list(xs)
+            reads.append(len(xs))
+            return real_reduce(fn, xs, *init)
+
+        def fsum_spy(xs):
+            xs = list(xs)
+            reads.append(len(xs))
+            return real_fsum(xs)
+
+        folds = []
+
+        def fold_spy(*args, **kwargs):
+            folds.append(real_fold(*args, **kwargs))
+            return folds[-1]
+
+        monkeypatch.setattr(exact, "reduce", reduce_spy)
+        monkeypatch.setattr(exact, "math", SimpleNamespace(fsum=fsum_spy))
+        monkeypatch.setattr(exact, "_fold", fold_spy)
+        combined = combine_all(problem).combined
+        assert reads and max(reads) <= widest
+        ((table, total, _, codes),) = folds
+        assert codes is None and total == 1.0
+        assert combined.by_bits is table and len(table) == 38_832
+
     def test_fold_finish_matches_constructor_on_random_problems(self):
         for seed in range(40):
             assert_fold_finish_matches_constructor(
@@ -488,6 +597,10 @@ class TestProductLoop:
 
 
 class TestEnumeration:
+    def test_frame_mismatch(self, two_ssf_problem):
+        with pytest.raises(FrameMismatchError, match="query set from a different frame"):
+            exact_belief_enumeration(two_ssf_problem, Frame(("x1", "x2")).universe())
+
     def test_worked_example(self, two_ssf_problem):
         b = two_ssf_problem.frame.singleton("x1")
         bel, conflict = exact_belief_enumeration(two_ssf_problem, b)

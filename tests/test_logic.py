@@ -702,9 +702,13 @@ class TestValidate:
         assert "source 0: probabilities sum to 1.1" in report
         assert "source 0 outcome 1: unknown atom 'q'" in report
 
-    def test_duplicate_atom(self):
-        p = LogicProblem(("p", "p"), (LogicSource(((1.0, TermSet()),)),))
-        assert "duplicate atom 'p'" in validate_logic_problem(p)
+    @pytest.mark.parametrize("atoms, message", [
+        (("p", "p"), "duplicate atom 'p'"),
+        (("p", ""), "empty atom name"),
+    ], ids=["duplicate", "empty"])
+    def test_bad_atom_list(self, atoms, message):
+        p = LogicProblem(atoms, (LogicSource(((1.0, TermSet()),)),))
+        assert message in validate_logic_problem(p)
 
 
 class TestLogicEstimate:
@@ -995,6 +999,11 @@ class TestTranslation:
         problem = LogicProblem(atoms, (LogicSource(((1.0, TermSet()),)),))
         with pytest.raises(FrameTooLargeError):
             translate_to_set_problem(problem)
+
+    @pytest.mark.parametrize("atoms", [(), ("p", "q", "p")], ids=["empty", "duplicate"])
+    def test_assignment_space_refuses_empty_or_duplicate_atoms(self, atoms):
+        with pytest.raises(ValueError, match="atoms must be non-empty and unique"):
+            AssignmentSpace(atoms)
 
     def test_invalid_problem_rejected(self):
         problem = LogicProblem(("p",), (LogicSource(((1.0, TermSet.of("q")),)),))

@@ -88,6 +88,8 @@ class TestPlanning:
         assert sd_bound(1000) == pytest.approx(0.0158113883, abs=1e-9)
         assert sd_bound(1000) < 0.016
         assert sd_bound(900) == pytest.approx(1.0 / 60.0)
+        with pytest.raises(ValueError, match="trials must be >= 1, got 0"):
+            sd_bound(0)
 
     def test_config_guards(self):
         with pytest.raises(ValueError):
@@ -750,16 +752,28 @@ class TestForkedShares:
         assert got == in_thread(lambda: estimate(two_ssf_problem, queries, cfg))
         assert_no_children()
 
-    def test_shares_that_cannot_fork_run_in_thread(self, forks, monkeypatch, two_ssf_problem):
+    @pytest.mark.parametrize(
+        "call, error",
+        [("fork", BlockingIOError("no process to spare")), ("pipe", OSError("too many open files"))],
+        ids=["fork", "pipe"],
+    )
+    def test_shares_that_cannot_fork_run_in_thread(
+        self, forks, monkeypatch, two_ssf_problem, call, error
+    ):
         queries = [two_ssf_problem.frame.singleton("x1")]
         cfg = TrialEngineConfig(trials=2000, seed=4, worker_count=3)
 
-        def refuse():
-            raise BlockingIOError("no process to spare")
+        refused = []
 
-        monkeypatch.setattr(os, "fork", refuse)
+        def refuse():
+            refused.append(call)
+            raise error
+
+        monkeypatch.setattr(os, call, refuse)
         got = estimate(two_ssf_problem, queries, cfg)
         assert got == in_thread(lambda: estimate(two_ssf_problem, queries, cfg))
+        assert refused or mc._usable_cpus() < 2
+        assert not forks
         assert_no_children()
 
     @needs_fork

@@ -9,6 +9,7 @@ from beliefmc import (
     Frame,
     InvalidProblemError,
     LogicProblem,
+    LogicSource,
     ParseError,
     TermSet,
     conflict_exact,
@@ -184,7 +185,12 @@ class TestRender:
         problem = EvidenceProblem(
             frame, (simple_support(frame, frame.universe(), 1.0),)
         )
-        with pytest.raises(ValueError, match="not renderable"):
+        with pytest.raises(ValueError, match="element label 'a b' is not renderable"):
+            render_problem(problem)
+
+    def test_unrenderable_atom_rejected(self):
+        problem = LogicProblem(("p", "q r"), (LogicSource(((1.0, TermSet.of("p")),)),))
+        with pytest.raises(ValueError, match="atom 'q r' is not renderable"):
             render_problem(problem)
 
 
